@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +42,8 @@ from .scenario import generate_scenarios
 from .synth import SynthConfig, generate_panel, kmeans_groups, sample_group
 
 KWH_PER_MWH = 1e-3  # module-boundary conversion factor
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
             )
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures.append(f"{label}: {exc}")
-            print(f"cell failed: {label}: {exc}", file=sys.stderr)
+            _log.warning("cell failed: %s: %s", label, exc)
     results.sort(key=SchemeResult.sort_key)
     if cfg.hetero_p:
         params = PrivacyParams(cfg.epsilon_grid[0], cfg.gamma_grid[0])
@@ -455,7 +457,7 @@ def heterogeneity_sweep(
                 endpoints[(seed, p)] = sol.expected_cost
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"hetero endpoint p={p} seed={seed}: {exc}")
-                print(f"cell failed: hetero p={p} seed={seed}: {exc}", file=sys.stderr)
+                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, exc)
 
     for p in p_values:
         if not 0.0 <= p <= 1.0:
@@ -486,7 +488,7 @@ def heterogeneity_sweep(
                 )
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"hetero p={p} seed={seed}: {exc}")
-                print(f"cell failed: hetero p={p} seed={seed}: {exc}", file=sys.stderr)
+                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, exc)
     results.sort(key=SchemeResult.sort_key)
     return results, failures
 

@@ -15,7 +15,7 @@ aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -336,26 +336,14 @@ def forecast_scheme(
     if n_days <= BACKTEST_DAYS + max(DAILY_LAG_OFFSETS):
         raise ValueError(f"panel too short: {n_days} days")
     noise_seed, train_seed = _seeds(seed)
-    cfg = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=int(np.random.default_rng(train_seed).integers(2**31 - 1)),
-        early_stop_tol=cfg.early_stop_tol,
-        min_samples=cfg.min_samples,
-    )
+    cfg = replace(cfg, seed=int(np.random.default_rng(train_seed).integers(2**31 - 1)))
     holdout_start = truth.end - BACKTEST_DAYS * PERIODS_PER_DAY
     truth_holdout = truth.values[holdout_start - truth.start :]
 
     if scheme.kind in (NHHS, HHS_DLC_SYS):
         daily = daily_energy(truth)
-        cfg_daily = TrainConfig(
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            batch_size=min(cfg.batch_size, 16),
-            seed=cfg.seed,
-            early_stop_tol=cfg.early_stop_tol,
-            min_samples=min(cfg.min_samples, 21),
+        cfg_daily = replace(
+            cfg, batch_size=min(cfg.batch_size, 16), min_samples=min(cfg.min_samples, 21)
         )
         first_day = max(DAILY_LAG_OFFSETS)
         train_days = range(first_day, n_days - BACKTEST_DAYS)

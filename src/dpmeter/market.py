@@ -84,20 +84,27 @@ def build_curve(bid_ladder, delta: float) -> PriceCurve:
     return PriceCurve(levels, np.asarray(prices)[idx], delta)
 
 
-def bracket_index(curve: PriceCurve, demand: float) -> int:
-    """Index of the unique level within half a spacing of ``demand``.
+def bracket_indices(curve: PriceCurve, demand) -> np.ndarray:
+    """Index of the unique level within half a spacing of each ``demand``.
 
-    Exact half-spacing boundaries resolve to the lower index.  Demand
-    outside the covered range is an error; the caller must widen the grid.
+    Exact half-spacing boundaries resolve to the lower index.  Any demand
+    outside the covered range (or NaN) is an error; the caller must widen
+    the grid.
     """
+    demand = np.asarray(demand, dtype=float)
     r = (demand - curve.demand_levels[0]) / curve.delta
-    idx = int(math.ceil(r - 0.5))
-    idx = min(max(idx, 0), curve.n_levels - 1)
-    if abs(curve.demand_levels[idx] - demand) > curve.delta / 2.0 + _SPACING_TOL:
-        raise ValueError(
-            f"demand {demand} outside curve range [{curve.lo}, {curve.hi}]"
-        )
+    # fmin/fmax send NaN to an end level, where the range check rejects it
+    idx = np.fmax(np.fmin(np.ceil(r - 0.5), curve.n_levels - 1), 0).astype(np.int64)
+    off = ~(np.abs(curve.demand_levels[idx] - demand) <= curve.delta / 2.0 + _SPACING_TOL)
+    if off.any():
+        bad = float(demand[off].flat[0])
+        raise ValueError(f"demand {bad} outside curve range [{curve.lo}, {curve.hi}]")
     return idx
+
+
+def bracket_index(curve: PriceCurve, demand: float) -> int:
+    """Scalar form of ``bracket_indices``."""
+    return int(bracket_indices(curve, demand))
 
 
 def price_at(curve: PriceCurve, demand: float) -> float:

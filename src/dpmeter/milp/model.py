@@ -18,6 +18,11 @@ INF = float("inf")
 
 @dataclass
 class LinearMip:
+    """A bounded-variable MILP in arrays.  ``col_names``/``row_names`` label
+    its columns and rows when it was built with names (``MipBuilder`` always
+    names them); a model assembled directly from arrays may leave both lists
+    empty."""
+
     col_lower: np.ndarray
     col_upper: np.ndarray
     obj: np.ndarray

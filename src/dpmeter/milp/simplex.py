@@ -21,6 +21,7 @@ re-solves from the current basis without refactorizing.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ _FREE = 3
 # smallest |entry| of the entering column that may serve as a pivot; the
 # columns here reach 1e6 and round-off leaves ~1e-11 where a zero belongs
 _PIVOT_TOL = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -71,7 +74,6 @@ class SimplexSolver:
         self.binv = np.empty((self.m, self.m))
         self.x = np.zeros(self.N)
         self._pivots_since_refactor = 0
-        self.trace = False  # per-iteration diagnostics on stdout
         self.reset_cold()
 
     # ----- state management -------------------------------------------------
@@ -194,6 +196,7 @@ class SimplexSolver:
         iters = 0
         degenerate_run = 0
         bland = False
+        debug = _log.isEnabledFor(logging.DEBUG)  # per-iteration diagnostics
         while True:
             if iters > max_iter:
                 raise RuntimeError(f"simplex exceeded {max_iter} iterations")
@@ -292,11 +295,10 @@ class SimplexSolver:
             degenerate_run = degenerate_run + 1 if theta_star <= 1e-11 else 0
             if degenerate_run > 60:
                 bland = True  # stays on for the rest of this call
-            if self.trace:
-                print(
-                    f"    it={iters} phase1={in_phase1} j={j} dir={t_dir:+.0f} "
-                    f"d_j={d[j]:.6g} theta={theta_star:.6g} "
-                    f"flip={flip_theta < theta_row}"
+            if debug:
+                _log.debug(
+                    "it=%d phase1=%s j=%d dir=%+.0f d_j=%.6g theta=%.6g flip=%s",
+                    iters, in_phase1, j, t_dir, d[j], theta_star, flip_theta < theta_row,
                 )
 
             if self.m:

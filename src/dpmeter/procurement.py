@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import _freeze
-from .market import PriceCurve, SystemExogenous, bracket_index
+from .market import PriceCurve, SystemExogenous, bracket_index, bracket_indices
 from .milp import LinearMip, MipBuilder, solve_milp
+from .milp._sparse import SparseMatrix
 from .scenario import ErrorScenarioSet
 
 INF = float("inf")
@@ -195,28 +196,34 @@ class MilpModel:
 
 
 def _check_coverage(inst: ProcurementInstance) -> None:
+    """Raise for the first period whose reachable demand leaves a price grid:
+    day-ahead periods first, then the balancing scenarios, scenario-major."""
     tol = 1e-9
-    k_mat = inst.realized_demand()
-    for t in range(inst.n_periods):
-        lo = inst.exogenous.d_sys_base[t] + inst.d_da_lower[t]
-        hi = inst.exogenous.d_sys_base[t] + inst.d_da_upper[t]
-        if lo < inst.da_curve.lo - tol or hi > inst.da_curve.hi + tol:
-            raise ValueError(
-                f"day-ahead price grid does not cover period {t}: "
-                f"reachable demand [{lo:.6g}, {hi:.6g}] vs curve "
-                f"[{inst.da_curve.lo:.6g}, {inst.da_curve.hi:.6g}]"
-            )
-    for s in range(inst.n_scenarios):
+    da = inst.da_curve
+    da_lo = inst.exogenous.d_sys_base + inst.d_da_lower
+    da_hi = inst.exogenous.d_sys_base + inst.d_da_upper
+    bad = np.flatnonzero((da_lo < da.lo - tol) | (da_hi > da.hi + tol))
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(
+            f"day-ahead price grid does not cover period {t}: "
+            f"reachable demand [{da_lo[t]:.6g}, {da_hi[t]:.6g}] vs curve "
+            f"[{da.lo:.6g}, {da.hi:.6g}]"
+        )
+    imb = inst.exogenous.d_imb_base + inst.realized_demand()
+    bal_lo = imb - inst.d_da_upper
+    bal_hi = imb - inst.d_da_lower
+    curve_lo = np.array([c.lo for c in inst.bal_curves])[:, None]
+    curve_hi = np.array([c.hi for c in inst.bal_curves])[:, None]
+    bad = np.argwhere((bal_lo < curve_lo - tol) | (bal_hi > curve_hi + tol))
+    if bad.size:
+        s, t = (int(i) for i in bad[0])
         curve = inst.bal_curves[s]
-        for t in range(inst.n_periods):
-            lo = inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - inst.d_da_upper[t]
-            hi = inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - inst.d_da_lower[t]
-            if lo < curve.lo - tol or hi > curve.hi + tol:
-                raise ValueError(
-                    f"balancing price grid does not cover scenario {s}, period {t}: "
-                    f"reachable imbalance [{lo:.6g}, {hi:.6g}] vs curve "
-                    f"[{curve.lo:.6g}, {curve.hi:.6g}]"
-                )
+        raise ValueError(
+            f"balancing price grid does not cover scenario {s}, period {t}: "
+            f"reachable imbalance [{bal_lo[s, t]:.6g}, {bal_hi[s, t]:.6g}] vs curve "
+            f"[{curve.lo:.6g}, {curve.hi:.6g}]"
+        )
 
 
 def _cost_bound(inst: ProcurementInstance) -> float:
@@ -232,7 +239,16 @@ def _cost_bound(inst: ProcurementInstance) -> float:
 
 def build_milp(inst: ProcurementInstance) -> MilpModel:
     """Assemble the exact MILP: objective, balance, CVaR, bracket selection,
-    SOS1 rows, and the shifted four-row linearization per bilinear term."""
+    SOS1 rows, and the shifted four-row linearization per bilinear term.
+
+    Columns, in order: ``d_da[t]``, ``d_bal[s,t]``, ``zeta``, ``eta[s]``,
+    ``c_da[t,b]``, ``c_bal[s,t,f]``, ``u_da[t,b]``, ``u_bal[s,t,f]``.  Rows,
+    in order: ``balance[s,t]``, ``cvar[s]``, ``bracket_da[t]``,
+    ``bracket_bal[s,t]``, ``sos1_da[t]``, ``sos1_bal[s,t]``, then three
+    linearization rows per ``(t,b)`` and per ``(s,t,f)``.  Each block is
+    filled with index arithmetic; exact-zero coefficients are left out of
+    the matrix, and the model carries no names.
+    """
     _check_coverage(inst)
     T, S = inst.n_periods, inst.n_scenarios
     B = inst.da_curve.n_levels
@@ -242,40 +258,125 @@ def build_milp(inst: ProcurementInstance) -> MilpModel:
     big_m = hi - lo
     probs = inst.scenarios.probabilities
     m_cost = _cost_bound(inst)
+    lo_bal = k_mat - hi  # (S, T) lower bound of d_bal
 
-    b = MipBuilder()
-    off_d_da = b.n_cols
-    for t in range(T):
-        b.add_col(f"d_da[{t}]", lo[t], hi[t])
-    off_d_bal = b.n_cols
-    for s in range(S):
-        for t in range(T):
-            b.add_col(f"d_bal[{s},{t}]", k_mat[s, t] - hi[t], k_mat[s, t] - lo[t])
-    col_zeta = b.add_col("zeta", -m_cost, m_cost, obj=inst.beta)
-    off_eta = b.n_cols
-    for s in range(S):
-        b.add_col(f"eta[{s}]", 0.0, 2.0 * m_cost, obj=inst.beta * probs[s] / (1.0 - inst.alpha))
-    off_c_da = b.n_cols
-    for t in range(T):
-        for bb in range(B):
-            b.add_col(f"c_da[{t},{bb}]", 0.0, big_m[t])
-    off_c_bal = b.n_cols
-    for s in range(S):
-        for t in range(T):
-            for f in range(F):
-                b.add_col(f"c_bal[{s},{t},{f}]", 0.0, big_m[t])
-    off_u_da = b.n_cols
-    for t in range(T):
-        for bb in range(B):
-            b.add_col(f"u_da[{t},{bb}]", 0.0, 1.0, integer=True)
-    off_u_bal = b.n_cols
-    for s in range(S):
-        for t in range(T):
-            for f in range(F):
-                b.add_col(f"u_bal[{s},{t},{f}]", 0.0, 1.0, integer=True)
+    sizes = (T, S * T, 1, S, T * B, S * T * F, T * B, S * T * F)
+    off_d_da, off_d_bal, col_zeta, off_eta, off_c_da, off_c_bal, off_u_da, off_u_bal, n_cols = (
+        itertools.accumulate(sizes, initial=0)
+    )
+    d_da = off_d_da + np.arange(T)
+    d_bal = off_d_bal + np.arange(S * T).reshape(S, T)
+    eta = off_eta + np.arange(S)
+    c_da = off_c_da + np.arange(T * B).reshape(T, B)
+    c_bal = off_c_bal + np.arange(S * T * F).reshape(S, T, F)
+    u_da = c_da + (off_u_da - off_c_da)
+    u_bal = c_bal + (off_u_bal - off_c_bal)
 
-    model = MilpModel(
-        lp=None,  # filled below
+    col_lower = np.zeros(n_cols)
+    col_upper = np.ones(n_cols)  # the binaries keep these bounds
+    col_lower[d_da], col_upper[d_da] = lo, hi
+    col_lower[d_bal], col_upper[d_bal] = lo_bal, k_mat - lo
+    col_lower[col_zeta], col_upper[col_zeta] = -m_cost, m_cost
+    col_upper[eta] = 2.0 * m_cost
+    col_upper[c_da] = big_m[:, None]
+    col_upper[c_bal] = big_m[None, :, None]
+    is_integer = np.zeros(n_cols, dtype=bool)
+    is_integer[off_u_da:] = True
+
+    # scenario cost per linearized term: c_da + lo * u_da and c_bal + lo_bal
+    # * u_bal; the objective weighs the balancing terms by probability
+    da_prices = inst.da_curve.prices
+    bal_prices = np.vstack([c.prices for c in inst.bal_curves])  # (S, F)
+    cost_u_da = da_prices[None, :] * lo[:, None]
+    cost_u_bal = bal_prices[:, None, :] * lo_bal[:, :, None]
+    w_bal = probs[:, None] * bal_prices
+    obj = np.zeros(n_cols)
+    obj[col_zeta] = inst.beta
+    obj[eta] = inst.beta * probs / (1.0 - inst.alpha)
+    obj[c_da] += da_prices[None, :]
+    obj[u_da] += cost_u_da
+    obj[c_bal] += w_bal[:, None, :]
+    obj[u_bal] += w_bal[:, None, :] * lo_bal[:, :, None]
+
+    row_lower: list[np.ndarray] = []
+    row_upper: list[np.ndarray] = []
+    entries: list[tuple[np.ndarray, ...]] = []
+
+    def rows(shape: tuple[int, ...], lower, upper) -> np.ndarray:
+        """Indices of the next block of rows, which get the given bounds."""
+        start = sum(b.size for b in row_lower)
+        row_lower.append(np.broadcast_to(lower, shape).ravel())
+        row_upper.append(np.broadcast_to(upper, shape).ravel())
+        return start + np.arange(row_lower[-1].size).reshape(shape)
+
+    def add(row, col, val) -> None:
+        entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
+
+    # balance: d_da + d_bal = forecast + error
+    r = rows((S, T), k_mat, k_mat)
+    add(r, d_da, 1.0)
+    add(r, d_bal, 1.0)
+
+    # CVaR rows: scenario cost (via linearized terms) - zeta <= eta_s
+    r = rows((S,), -INF, 0.0)
+    add(r, col_zeta, -1.0)
+    add(r, eta, -1.0)
+    r = r[:, None, None]
+    add(r, c_da, da_prices)
+    add(r, u_da, cost_u_da)
+    add(r, c_bal, bal_prices[:, None, :])
+    add(r, u_bal, cost_u_bal)
+
+    # bracket selection: chosen level within half a spacing of total demand
+    half_da = inst.da_curve.delta / 2.0
+    base = inst.exogenous.d_sys_base
+    r = rows((T,), base - half_da, base + half_da)
+    add(r[:, None], u_da, inst.da_curve.demand_levels)
+    add(r, d_da, -1.0)
+    half_bal = np.array([c.delta for c in inst.bal_curves])[:, None] / 2.0
+    base = inst.exogenous.d_imb_base
+    r = rows((S, T), base - half_bal, base + half_bal)
+    add(r[:, :, None], u_bal, np.vstack([c.demand_levels for c in inst.bal_curves])[:, None, :])
+    add(r, d_bal, -1.0)
+
+    # exactly one bracket per market and period
+    add(rows((T,), 1.0, 1.0)[:, None], u_da, 1.0)
+    add(rows((S, T), 1.0, 1.0)[:, :, None], u_bal, 1.0)
+
+    # linearization of u * (d - lower bound), three rows per term: c <= M u,
+    # c <= d - lower, c >= d - lower - M (1 - u); c >= 0 is the column bound
+    for c, u, d, lower, m in (
+        (c_da, u_da, d_da[:, None], lo[:, None], big_m[:, None]),
+        (c_bal, u_bal, d_bal[:, :, None], lo_bal[:, :, None], big_m[None, :, None]),
+    ):
+        r = rows(
+            c.shape + (3,),
+            np.stack(np.broadcast_arrays(-INF, -INF, -lower - m), axis=-1),
+            np.stack(np.broadcast_arrays(0.0, -lower, INF), axis=-1),
+        )
+        ub_u, ub_d, lb = r[..., 0], r[..., 1], r[..., 2]
+        add(ub_u, c, 1.0)
+        add(ub_u, u, -m)
+        add(ub_d, c, 1.0)
+        add(ub_d, d, -1.0)
+        add(lb, c, 1.0)
+        add(lb, d, -1.0)
+        add(lb, u, -m)
+
+    row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
+    ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
+    keep = v != 0.0
+    lp = LinearMip(
+        col_lower=col_lower,
+        col_upper=col_upper,
+        obj=obj,
+        is_integer=is_integer,
+        row_matrix=SparseMatrix.from_coo(row_lower.size, n_cols, ri[keep], ci[keep], v[keep]),
+        row_lower=row_lower,
+        row_upper=row_upper,
+    )
+    return MilpModel(
+        lp=lp,
         instance=inst,
         T=T,
         S=S,
@@ -292,112 +393,6 @@ def build_milp(inst: ProcurementInstance) -> MilpModel:
         big_m=big_m,
         k_mat=k_mat,
     )
-
-    da_prices = inst.da_curve.prices
-    da_levels = inst.da_curve.demand_levels
-    half_da = inst.da_curve.delta / 2.0
-
-    # objective: day-ahead cost via c_da + lo * u_da
-    for t in range(T):
-        for bb in range(B):
-            b.add_obj(model.c_da_col(t, bb), da_prices[bb])
-            b.add_obj(model.u_da_col(t, bb), da_prices[bb] * lo[t])
-    for s in range(S):
-        prices_s = inst.bal_curves[s].prices
-        for t in range(T):
-            lo_bal = k_mat[s, t] - hi[t]
-            for f in range(F):
-                b.add_obj(model.c_bal_col(s, t, f), probs[s] * prices_s[f])
-                b.add_obj(model.u_bal_col(s, t, f), probs[s] * prices_s[f] * lo_bal)
-
-    # balance: d_da + d_bal = forecast + error
-    for s in range(S):
-        for t in range(T):
-            b.add_row(
-                f"balance[{s},{t}]",
-                {off_d_da + t: 1.0, model.d_bal_col(s, t): 1.0},
-                k_mat[s, t],
-                k_mat[s, t],
-            )
-
-    # CVaR rows: scenario cost (via linearized terms) - zeta <= eta_s
-    for s in range(S):
-        prices_s = inst.bal_curves[s].prices
-        coeffs = {col_zeta: -1.0, off_eta + s: -1.0}
-        for t in range(T):
-            for bb in range(B):
-                coeffs[model.c_da_col(t, bb)] = da_prices[bb]
-                coeffs[model.u_da_col(t, bb)] = da_prices[bb] * lo[t]
-            lo_bal = k_mat[s, t] - hi[t]
-            for f in range(F):
-                coeffs[model.c_bal_col(s, t, f)] = prices_s[f]
-                coeffs[model.u_bal_col(s, t, f)] = prices_s[f] * lo_bal
-        b.add_row(f"cvar[{s}]", coeffs, -INF, 0.0)
-
-    # bracket selection: chosen level within half a spacing of total demand
-    for t in range(T):
-        coeffs = {model.u_da_col(t, bb): float(da_levels[bb]) for bb in range(B)}
-        coeffs[off_d_da + t] = -1.0
-        base = inst.exogenous.d_sys_base[t]
-        b.add_row(f"bracket_da[{t}]", coeffs, base - half_da, base + half_da)
-    for s in range(S):
-        levels_s = inst.bal_curves[s].demand_levels
-        half_bal = inst.bal_curves[s].delta / 2.0
-        for t in range(T):
-            coeffs = {model.u_bal_col(s, t, f): float(levels_s[f]) for f in range(F)}
-            coeffs[model.d_bal_col(s, t)] = -1.0
-            base = inst.exogenous.d_imb_base[s, t]
-            b.add_row(f"bracket_bal[{s},{t}]", coeffs, base - half_bal, base + half_bal)
-
-    # exactly one bracket per market and period
-    for t in range(T):
-        b.add_row(
-            f"sos1_da[{t}]", {model.u_da_col(t, bb): 1.0 for bb in range(B)}, 1.0, 1.0
-        )
-    for s in range(S):
-        for t in range(T):
-            b.add_row(
-                f"sos1_bal[{s},{t}]",
-                {model.u_bal_col(s, t, f): 1.0 for f in range(F)},
-                1.0,
-                1.0,
-            )
-
-    # linearization of u * (d - lower bound); c >= 0 lives in the column bound
-    for t in range(T):
-        for bb in range(B):
-            c_col = model.c_da_col(t, bb)
-            u_col = model.u_da_col(t, bb)
-            b.add_row(f"lin_ub_u_da[{t},{bb}]", {c_col: 1.0, u_col: -big_m[t]}, -INF, 0.0)
-            b.add_row(f"lin_ub_d_da[{t},{bb}]", {c_col: 1.0, off_d_da + t: -1.0}, -INF, -lo[t])
-            b.add_row(
-                f"lin_lb_da[{t},{bb}]",
-                {c_col: 1.0, off_d_da + t: -1.0, u_col: -big_m[t]},
-                -lo[t] - big_m[t],
-                INF,
-            )
-    for s in range(S):
-        for t in range(T):
-            lo_bal = k_mat[s, t] - hi[t]
-            for f in range(F):
-                c_col = model.c_bal_col(s, t, f)
-                u_col = model.u_bal_col(s, t, f)
-                d_col = model.d_bal_col(s, t)
-                b.add_row(
-                    f"lin_ub_u_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -big_m[t]}, -INF, 0.0
-                )
-                b.add_row(
-                    f"lin_ub_d_bal[{s},{t},{f}]", {c_col: 1.0, d_col: -1.0}, -INF, -lo_bal
-                )
-                b.add_row(
-                    f"lin_lb_bal[{s},{t},{f}]",
-                    {c_col: 1.0, d_col: -1.0, u_col: -big_m[t]},
-                    -lo_bal - big_m[t],
-                    INF,
-                )
-
-    model.lp = b.build()
-    return model
 
 
 # --------------------------------------------------------------------------
@@ -692,19 +687,13 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
 
     reduced = b.build()
 
+    imb_demand = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
+
     def selection_from_d(d_da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b_sel = np.empty(T, dtype=np.int64)
-        for t in range(T):
-            b_sel[t] = bracket_index(
-                inst.da_curve, inst.exogenous.d_sys_base[t] + float(d_da[t])
-            )
-        f_sel = np.empty((S, T), dtype=np.int64)
-        for s in range(S):
-            for t in range(T):
-                f_sel[s, t] = bracket_index(
-                    inst.bal_curves[s],
-                    inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - float(d_da[t]),
-                )
+        b_sel = bracket_indices(inst.da_curve, inst.exogenous.d_sys_base + d_da)
+        f_sel = np.vstack(
+            [bracket_indices(c, imb_demand[s] - d_da) for s, c in enumerate(inst.bal_curves)]
+        )
         return b_sel, f_sel
 
     def heuristic(x: np.ndarray):

@@ -9,6 +9,7 @@ from dpmeter.market import (
     PriceCurve,
     build_curve,
     bracket_index,
+    bracket_indices,
     price_at,
     read_ladder_csv,
     write_curve_csv,
@@ -87,6 +88,46 @@ class TestPriceAt:
         demands = np.linspace(curve.lo, curve.hi, 200)
         prices = [price_at(curve, d) for d in demands]
         assert np.all(np.diff(prices) >= 0)
+
+
+class TestBracketIndices:
+    def curve(self):
+        return PriceCurve(-40.0 + 8.0 * np.arange(12), np.arange(12.0), 8.0)
+
+    def test_matches_nearest_level(self):
+        rng = np.random.default_rng(2)
+        curve = self.curve()
+        boundaries = curve.demand_levels[:-1] + curve.delta / 2.0  # exact in binary
+        demand = np.concatenate(
+            [
+                rng.uniform(curve.lo, curve.hi, 2000),
+                boundaries,
+                curve.demand_levels,
+                [curve.lo, curve.hi],
+            ]
+        )
+        rng.shuffle(demand)
+        got = bracket_indices(curve, demand)
+        dists = np.abs(curve.demand_levels[None, :] - demand[:, None])
+        # the first level within round-off of the nearest: ties go lower
+        want = np.argmax(dists <= dists.min(axis=1, keepdims=True) + 1e-12, axis=1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got[demand == curve.lo].tolist() == [0]
+        assert got[demand == curve.hi].tolist() == [curve.n_levels - 1]
+        assert np.array_equal(np.sort(got[np.isin(demand, boundaries)]), np.arange(11))
+        assert [bracket_index(curve, d) for d in demand] == want.tolist()
+        grid = bracket_indices(curve, demand[:6].reshape(2, 3))
+        assert np.array_equal(grid, want[:6].reshape(2, 3))
+
+    def test_one_off_grid_element_raises(self):
+        curve = self.curve()
+        demand = np.linspace(curve.lo, curve.hi, 50)
+        for bad in (curve.hi + 0.01, curve.lo - 0.01, np.nan):
+            off = demand.copy()
+            off[17] = bad
+            with pytest.raises(ValueError, match="outside"):
+                bracket_indices(curve, off)
 
 
 class TestLadderIo:

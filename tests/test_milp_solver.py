@@ -1,5 +1,7 @@
 """Simplex and branch-and-bound checks against scipy as an independent oracle."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog, milp
@@ -102,6 +104,19 @@ class TestSimplexAgainstScipy:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-12.0 - 0.0)
         assert res.x[y] == pytest.approx(6.0)
+
+    def test_pivots_logged_at_debug_only(self, caplog):
+        b = MipBuilder()
+        x = b.add_col("x", 0, 10, obj=-1.0)
+        y = b.add_col("y", 0, 10, obj=-2.0)
+        b.add_row("cap", {x: 1.0, y: 1.0}, -np.inf, 6.0)
+        lp = b.build()
+        with caplog.at_level(logging.INFO, logger="dpmeter.milp.simplex"):
+            solve_lp(lp)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="dpmeter.milp.simplex"):
+            solve_lp(lp)
+        assert caplog.records and caplog.records[0].getMessage().startswith("it=0 phase1=")
 
     def test_infeasible_lp(self):
         b = MipBuilder()

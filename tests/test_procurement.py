@@ -1,5 +1,6 @@
 """Procurement model, solver, CVaR machinery, and oracle cross-checks."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from dpmeter.procurement import (
 )
 from dpmeter.scenario import ErrorScenarioSet
 
-from helpers import random_instance, uniform_curve
+from helpers import loop_build_milp, loop_check_coverage, random_instance, uniform_curve
 
 
 def flat_instance(beta=0.0, price=50.0):
@@ -113,6 +114,104 @@ class TestBuildMilp:
         )
         with pytest.raises(ValueError, match="period 0"):
             build_milp(bad)
+
+    def test_uncovered_balancing_grid_raises_with_scenario(self):
+        # two uncovered groups, (s=1, t=0) and (s=0, t=1): scenario-major
+        # order names the second one first
+        inst = flat_instance()
+        bad = dataclasses.replace(
+            inst,
+            d_fore=np.array([10.0, 10.0]),
+            scenarios=ErrorScenarioSet(np.zeros((2, 2)), np.full(2, 0.5)),
+            bal_curves=inst.bal_curves * 2,
+            exogenous=SystemExogenous(np.full(2, 50.0), np.array([[0.0, 9.0], [9.0, 0.0]])),
+            d_da_lower=np.full(2, -5.0),
+            d_da_upper=np.full(2, 15.0),
+        )
+        with pytest.raises(ValueError, match="scenario 0, period 1") as got:
+            build_milp(bad)
+        with pytest.raises(ValueError) as want:
+            loop_check_coverage(bad)
+        assert str(got.value) == str(want.value)
+
+
+def assert_same_model(got, want):
+    """Every array of the two models equal bit for bit; ``got`` has no names."""
+    for name in ("col_lower", "col_upper", "obj", "is_integer", "row_lower", "row_upper"):
+        a, b = getattr(got.lp, name), getattr(want.lp, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.lp.row_matrix, name), getattr(want.lp.row_matrix, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("T", "S", "B", "F", "off_d_da", "off_d_bal", "col_zeta", "off_eta",
+                 "off_c_da", "off_c_bal", "off_u_da", "off_u_bal"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.big_m.tobytes() == want.big_m.tobytes()
+    assert got.k_mat.tobytes() == want.k_mat.tobytes()
+    assert got.lp.obj_offset == want.lp.obj_offset
+    assert got.lp.col_names == [] and got.lp.row_names == []
+
+
+class TestArrayBuild:
+    """``build_milp`` fills the model block by block with numpy; it must
+    equal the per-entry loop build in ``helpers.loop_build_milp``."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            inst = random_instance(rng)
+            assert_same_model(build_milp(inst), loop_build_milp(inst))
+        inst = random_instance(rng, T=3, S=4, B=5, F=6)
+        assert_same_model(build_milp(inst), loop_build_milp(inst))
+
+    def test_exact_zero_coefficients_dropped(self):
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng, T=3, S=2, B=3, F=3)
+        lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
+        lo[0] = 0.0  # u_da cost coefficients da_price * lo vanish
+        lo[1] = hi[1] = 1.0  # big_m = 0: the -M coefficients vanish
+        prices = inst.da_curve.prices.copy()
+        prices[0] = 0.0  # c_da cost coefficients vanish
+        inst = dataclasses.replace(
+            inst,
+            d_da_lower=lo,
+            d_da_upper=hi,
+            da_curve=dataclasses.replace(inst.da_curve, prices=prices),
+        )
+        model = build_milp(inst)
+        assert_same_model(model, loop_build_milp(inst))
+        assert np.all(model.lp.row_matrix.data != 0.0)
+        assert model.lp.obj[model.u_da_col(0, 1)] == 0.0
+        assert model.lp.col_upper[model.c_da_col(1, 0)] == 0.0
+
+    def test_c11_instance(self):
+        inst = read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json")
+        assert_same_model(build_milp(inst), loop_build_milp(inst))
+
+    def test_coverage_messages_match_loop_check(self):
+        rng = np.random.default_rng(9)
+        n_raised = 0
+        for _ in range(30):
+            inst = random_instance(rng, T=3, S=3)
+            shift = rng.normal(0, 4, inst.exogenous.d_imb_base.shape)
+            bad = dataclasses.replace(
+                inst,
+                exogenous=SystemExogenous(
+                    inst.exogenous.d_sys_base + rng.normal(0, 2, inst.n_periods),
+                    inst.exogenous.d_imb_base + shift,
+                ),
+            )
+            try:
+                loop_check_coverage(bad)
+            except ValueError as exc:
+                n_raised += 1
+                with pytest.raises(ValueError) as got:
+                    build_milp(bad)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_model(build_milp(bad), loop_build_milp(bad))
+        assert n_raised >= 10
 
 
 class TestSolve:
