@@ -252,16 +252,7 @@ def settled_load(
     """
     if scheme.kind != NHHS:
         return actual_hh
-    totals = daily_energy(actual_hh)
-    spread = np.empty(len(actual_hh))
-    for d, e_day in enumerate(totals):
-        t0 = actual_hh.start + d * PERIODS_PER_DAY
-        slots = (t0 + np.arange(PERIODS_PER_DAY)) % PERIODS_PER_WEEK
-        weights = dlc_sys.mu[slots]
-        wsum = weights.sum()
-        if wsum <= 0:
-            raise ValueError(f"system profile has non-positive mass on day {d}")
-        spread[d * PERIODS_PER_DAY : (d + 1) * PERIODS_PER_DAY] = e_day * weights / wsum
+    spread = _spread(daily_energy(actual_hh), actual_hh.start, dlc_sys)
     return LoadSeries("settled-nhhs", actual_hh.start, spread)
 
 
@@ -273,17 +264,19 @@ def spread_daily(
     Same per-day renormalization as NHHS settlement; used by the daily
     forecasting pipeline to produce half-hourly forecasts.
     """
+    return LoadSeries("daily-spread", start, _spread(daily_kwh, start, dlc))
+
+
+def _spread(daily_kwh, start: int, dlc: DlcProfile) -> np.ndarray:
+    """Each day's energy shared over its slots by ``dlc.mu``, renormalized per day."""
     daily_kwh = np.asarray(daily_kwh, dtype=float)
-    out = np.empty(daily_kwh.size * PERIODS_PER_DAY)
-    for d, e_day in enumerate(daily_kwh):
-        t0 = start + d * PERIODS_PER_DAY
-        slots = (t0 + np.arange(PERIODS_PER_DAY)) % PERIODS_PER_WEEK
-        weights = dlc.mu[slots]
-        wsum = weights.sum()
-        if wsum <= 0:
-            raise ValueError(f"profile has non-positive mass on day {d}")
-        out[d * PERIODS_PER_DAY : (d + 1) * PERIODS_PER_DAY] = e_day * weights / wsum
-    return LoadSeries("daily-spread", start, out)
+    slots = (start + np.arange(daily_kwh.size * PERIODS_PER_DAY)) % PERIODS_PER_WEEK
+    weights = dlc.mu[slots].reshape(-1, PERIODS_PER_DAY)
+    wsum = weights.sum(axis=1, keepdims=True)
+    if np.any(wsum <= 0):
+        bad = int(np.argmax(wsum[:, 0] <= 0))
+        raise ValueError(f"profile has non-positive mass on day {bad}")
+    return (daily_kwh[:, None] * weights / wsum).ravel()
 
 
 def read_meter_csv(path) -> MeterPanel:

@@ -1,11 +1,13 @@
 """End-to-end experiment orchestration.
 
-One cell = (scheme, epsilon, gamma, heterogeneity fraction, seed).  Each
-cell forecasts the selected consumer group under its scheme, scales the
-volumes to system level, samples forecast-error scenarios, prices them
-through the procurement program, and appends one result row.  The market
-(price curves, exogenous demand and imbalance) is built once per
-experiment so schemes compete under identical conditions.
+One cell = (scheme, epsilon, gamma, seed).  Each cell forecasts the
+selected consumer group under its scheme, scales the volumes to system
+level, samples forecast-error scenarios, prices them through the
+procurement program, and appends one result row.  The panel, the group and
+the market (price curves, exogenous demand and imbalance) are built once
+per experiment, so schemes compete under identical conditions; the
+heterogeneity sweep shares that market and takes its p = 0 and p = 1
+endpoints from the hhs-ehh and hhs-ddp cells.
 
 Cells are isolated: a failing cell is logged and skipped, other cells run,
 and the caller decides the exit code from the failure list.
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .domain import (
-    HHS_DDP,
     PERIODS_PER_DAY,
     DlcProfile,
     LoadSeries,
@@ -33,11 +34,11 @@ from .domain import (
     compute_dlc,
     read_meter_csv,
 )
-from .forecast import BACKTEST_DAYS, ForecastResult, TrainConfig, forecast_scheme
+from .forecast import BACKTEST_DAYS, TrainConfig, forecast_scheme
 from .market import PriceCurve, SystemExogenous, build_curve, read_ladder_csv
 from .metrics import wape
 from .privacy import PrivacyParams
-from .procurement import ProcurementInstance, Solution, build_milp, solve
+from .procurement import ProcurementInstance, build_milp, solve
 from .scenario import generate_scenarios
 from .synth import SynthConfig, generate_panel, kmeans_groups, sample_group
 
@@ -108,12 +109,15 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in ("nhhs", "hhs-dlcsys", "hhs-ehh", "hhs-ddp"):
                 raise ValueError(f"unknown scheme {s!r}")
-        if "hhs-ddp" in self.schemes and (not self.epsilon_grid or not self.gamma_grid):
-            raise ValueError("hhs-ddp requires epsilon and gamma grids")
+        needs_grids = "hhs-ddp" in self.schemes or self.hetero_p
+        if needs_grids and (not self.epsilon_grid or not self.gamma_grid):
+            raise ValueError("hhs-ddp and hetero_p require epsilon and gamma grids")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.n_scenarios < 1:
             raise ValueError("need at least one scenario")
+        if not all(0.0 <= p <= 1.0 for p in self.hetero_p):
+            raise ValueError("heterogeneity fractions must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -296,21 +300,67 @@ def _cell_seeds(seed: int) -> tuple[int, int]:
     return seed, int(np.random.default_rng(children[1]).integers(2**31 - 1))
 
 
+Cell = tuple[str, float | None, float | None, int]  # (scheme, epsilon, gamma, seed)
+
+
+@dataclass(frozen=True)
+class ExperimentContext:
+    """What every cell of one experiment shares; built once by run_experiment."""
+
+    dlc_sys: DlcProfile
+    group_panel: MeterPanel
+    group_label: str
+    group_kld: float
+    market: tuple
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """The numbers a result row takes from one forecast and solve."""
+
+    wape: float
+    expected_cost: float
+    cvar: float
+    objective: float
+
+
 def run_cell(
-    scheme: SettlementScheme,
-    group_panel: MeterPanel,
-    dlc_sys: DlcProfile,
-    market: tuple,
-    cfg: ExperimentConfig,
-    seed: int,
-) -> tuple[ForecastResult, Solution]:
+    cell: Cell, ctx: ExperimentContext, cfg: ExperimentConfig, n_priv: int | None = None
+) -> CellOutcome | Exception:
+    """Forecast, price and solve one cell; a failure is returned, not raised.
+
+    With ``n_priv`` the group is split: that many meters are forecast under
+    the cell's scheme and the rest under hhs-ehh (see ``_hetero_forecast``).
+    """
+    name, eps, gam, seed = cell
     fc_seed, scen_seed = _cell_seeds(seed)
-    fc = forecast_scheme(scheme, group_panel, dlc_sys, cfg.train, fc_seed)
-    inst = forecast_to_instance(fc.forecast, fc.wape_backtest.value, market, cfg, scen_seed)
-    sol = solve(build_milp(inst), tol=cfg.solver_tol)
-    if sol.status != "optimal":
-        raise RuntimeError(f"procurement {sol.status}: {sol.infeasible_row}")
-    return fc, sol
+    try:
+        scheme = _scheme_of(name, eps, gam)
+        if n_priv is None:
+            fc = forecast_scheme(scheme, ctx.group_panel, ctx.dlc_sys, cfg.train, fc_seed)
+            forecast, wape_value = fc.forecast, fc.wape_backtest.value
+        else:
+            forecast, wape_value = _hetero_forecast(ctx, scheme, n_priv, cfg, seed)
+        inst = forecast_to_instance(forecast, wape_value, ctx.market, cfg, scen_seed)
+        sol = solve(build_milp(inst), tol=cfg.solver_tol)
+        if sol.status != "optimal":
+            raise RuntimeError(f"procurement {sol.status}: {sol.infeasible_row}")
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return exc
+    return CellOutcome(wape_value, sol.expected_cost, sol.cvar, sol.objective)
+
+
+def _add_row(results, failures, label: str, out, ctx: ExperimentContext, **fields) -> None:
+    """Append the row built from ``out``, or the failure that stops it."""
+    if not isinstance(out, Exception):
+        try:
+            row = SchemeResult(group=ctx.group_label, kld=ctx.group_kld, **fields, **vars(out))
+            results.append(row)
+            return
+        except ValueError as exc:  # a number that is not finite
+            out = exc
+    failures.append(f"{label}: {out}")
+    _log.warning("cell failed: %s: %s", label, out)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]]:
@@ -320,8 +370,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
     group_panel, group_label, group_kld = select_group(cfg, panel)
     reference = _reference_day(group_panel, cfg.market.sample_share)
     market = make_market(reference, cfg.n_scenarios, cfg.market, cfg.group_seed)
+    ctx = ExperimentContext(dlc_sys, group_panel, group_label, group_kld, market)
 
-    cells: list[tuple[str, float | None, float | None, int]] = []
+    cells: list[Cell] = []
     for name in cfg.schemes:
         if name == "hhs-ddp":
             for eps in cfg.epsilon_grid:
@@ -332,163 +383,95 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
 
     results: list[SchemeResult] = []
     failures: list[str] = []
-    for name, eps, gam, seed in cells:
+    outcomes: dict[Cell, CellOutcome | Exception] = {}
+    for cell in cells:
+        name, eps, gam, seed = cell
+        outcomes[cell] = run_cell(cell, ctx, cfg)
         label = f"{name}(eps={eps},gamma={gam},seed={seed})"
-        try:
-            scheme = _scheme_of(name, eps, gam)
-            fc, sol = run_cell(scheme, group_panel, dlc_sys, market, cfg, seed)
-            results.append(
-                SchemeResult(
-                    scheme=name,
-                    group=group_label,
-                    epsilon=eps,
-                    gamma=gam,
-                    p=None,
-                    seed=seed,
-                    kld=group_kld,
-                    wape=fc.wape_backtest.value,
-                    expected_cost=sol.expected_cost,
-                    cvar=sol.cvar,
-                    objective=sol.objective,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            failures.append(f"{label}: {exc}")
-            _log.warning("cell failed: %s: %s", label, exc)
+        fields = dict(scheme=name, epsilon=eps, gamma=gam, p=None, seed=seed)
+        _add_row(results, failures, label, outcomes[cell], ctx, **fields)
     results.sort(key=SchemeResult.sort_key)
     if cfg.hetero_p:
-        params = PrivacyParams(cfg.epsilon_grid[0], cfg.gamma_grid[0])
-        hetero, hfail = heterogeneity_sweep(cfg, cfg.hetero_p, params)
+        hetero, hfail = heterogeneity_sweep(ctx, cfg, outcomes)
         results.extend(hetero)
         failures.extend(hfail)
     return results, failures
 
 
 def _hetero_forecast(
-    group_panel: MeterPanel,
-    dlc_sys: DlcProfile,
-    params: PrivacyParams,
-    p: float,
-    cfg: ExperimentConfig,
-    seed: int,
-) -> tuple[LoadSeries, float, LoadSeries]:
-    """Sum of raw and privatized sub-aggregate forecasts; backtest WAPE.
+    ctx: ExperimentContext, scheme: SettlementScheme, n_priv: int, cfg: ExperimentConfig, seed: int
+) -> tuple[LoadSeries, float]:
+    """Sum of private and raw sub-aggregate forecasts; its backtest WAPE.
 
-    At p = 0 or p = 1 the split is skipped entirely, so those endpoints
-    reproduce the plain pipelines bit for bit under a shared seed.
+    ``n_priv`` meters, 0 < n_priv < n, drawn from the seed, are forecast
+    under ``scheme`` and the rest under hhs-ehh.
     """
     fc_seed, _ = _cell_seeds(seed)
-    n = group_panel.n_meters
-    n_priv = int(round(p * n))
-    if n_priv == 0:
-        fc = forecast_scheme(
-            SettlementScheme.hhs_ehh(), group_panel, dlc_sys, cfg.train, fc_seed
-        )
-        return fc.forecast, fc.wape_backtest.value, fc.backtest
-    if n_priv == n:
-        fc = forecast_scheme(
-            SettlementScheme.hhs_ddp(params), group_panel, dlc_sys, cfg.train, fc_seed
-        )
-        return fc.forecast, fc.wape_backtest.value, fc.backtest
+    group_panel = ctx.group_panel
     split_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-    priv_idx = np.sort(split_rng.choice(n, size=n_priv, replace=False))
+    priv_idx = np.sort(split_rng.choice(group_panel.n_meters, size=n_priv, replace=False))
+    priv = set(priv_idx.tolist())
     priv_ids = [group_panel.meters[i].meter_id for i in priv_idx]
-    rest_ids = [m.meter_id for i, m in enumerate(group_panel.meters) if i not in set(priv_idx)]
+    rest_ids = [m.meter_id for i, m in enumerate(group_panel.meters) if i not in priv]
     fc_priv = forecast_scheme(
-        SettlementScheme.hhs_ddp(params),
-        group_panel.subset(priv_ids),
-        dlc_sys,
-        cfg.train,
-        fc_seed,
+        scheme, group_panel.subset(priv_ids), ctx.dlc_sys, cfg.train, fc_seed
     )
     fc_rest = forecast_scheme(
-        SettlementScheme.hhs_ehh(), group_panel.subset(rest_ids), dlc_sys, cfg.train, fc_seed
+        SettlementScheme.hhs_ehh(), group_panel.subset(rest_ids), ctx.dlc_sys, cfg.train, fc_seed
     )
     combined = LoadSeries(
         "hetero-forecast",
         fc_priv.forecast.start,
         fc_priv.forecast.values + fc_rest.forecast.values,
     )
-    backtest = LoadSeries(
-        "hetero-backtest",
-        fc_priv.backtest.start,
-        fc_priv.backtest.values + fc_rest.backtest.values,
-    )
     truth = aggregate_panel(group_panel)
     holdout = truth.values[-BACKTEST_DAYS * PERIODS_PER_DAY :]
-    return combined, wape(holdout, backtest.values).value, backtest
+    backtest = fc_priv.backtest.values + fc_rest.backtest.values
+    return combined, wape(holdout, backtest).value
 
 
 def heterogeneity_sweep(
-    cfg: ExperimentConfig,
-    p_values,
-    params: PrivacyParams,
+    ctx: ExperimentContext, cfg: ExperimentConfig, outcomes: dict[Cell, CellOutcome | Exception]
 ) -> tuple[list[SchemeResult], list[str]]:
     """Cost of serving a group where only a fraction p demands privacy.
 
-    Also reports the probability-weighted reference cost
+    Privacy is that of the grid's first epsilon and gamma.  The endpoints
+    p = 0 and p = 1 are the hhs-ehh and hhs-ddp cells, read from
+    ``outcomes``; an endpoint the grid did not run is run here and reports
+    no row of its own.  A p whose split rounds to none or all of the group
+    is that endpoint.  Also reports the probability-weighted reference cost
     ``p * cost(all private) + (1 - p) * cost(none private)`` per seed.
     """
-    panel = load_panel(cfg)
-    dlc_sys = compute_dlc(panel)
-    group_panel, group_label, group_kld = select_group(cfg, panel)
-    reference = _reference_day(group_panel, cfg.market.sample_share)
-    market = make_market(reference, cfg.n_scenarios, cfg.market, cfg.group_seed)
-
+    eps, gam = cfg.epsilon_grid[0], cfg.gamma_grid[0]
+    n = ctx.group_panel.n_meters
     results: list[SchemeResult] = []
     failures: list[str] = []
-    endpoints: dict[tuple[int, float], float] = {}
-
-    def solve_for(p: float, seed: int):
-        forecast, wape_value, _ = _hetero_forecast(
-            group_panel, dlc_sys, params, p, cfg, seed
-        )
-        _, scen_seed = _cell_seeds(seed)
-        inst = forecast_to_instance(forecast, wape_value, market, cfg, scen_seed)
-        sol = solve(build_milp(inst), tol=cfg.solver_tol)
-        if sol.status != "optimal":
-            raise RuntimeError(f"procurement {sol.status}: {sol.infeasible_row}")
-        return wape_value, sol
+    endpoints: dict[tuple[int, float], CellOutcome] = {}
 
     for seed in cfg.seeds:
-        for p in (0.0, 1.0):
-            try:
-                _, sol = solve_for(p, seed)
-                endpoints[(seed, p)] = sol.expected_cost
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"hetero endpoint p={p} seed={seed}: {exc}")
-                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, exc)
+        for p, cell in ((0.0, ("hhs-ehh", None, None, seed)), (1.0, ("hhs-ddp", eps, gam, seed))):
+            if cell not in outcomes:
+                outcomes[cell] = run_cell(cell, ctx, cfg)
+            if isinstance(outcomes[cell], Exception):
+                failures.append(f"hetero endpoint p={p} seed={seed}: {outcomes[cell]}")
+                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, outcomes[cell])
+            else:
+                endpoints[(seed, p)] = outcomes[cell]
 
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("heterogeneity fractions must lie in [0, 1]")
+    for p in cfg.hetero_p:
+        n_priv = int(round(p * n))
         for seed in cfg.seeds:
             if (seed, 0.0) not in endpoints or (seed, 1.0) not in endpoints:
                 continue
-            try:
-                wape_value, sol = solve_for(float(p), seed)
-                omega_exp = (
-                    p * endpoints[(seed, 1.0)] + (1.0 - p) * endpoints[(seed, 0.0)]
-                )
-                results.append(
-                    SchemeResult(
-                        scheme="hetero",
-                        group=group_label,
-                        epsilon=params.epsilon,
-                        gamma=params.gamma,
-                        p=float(p),
-                        seed=seed,
-                        kld=group_kld,
-                        wape=wape_value,
-                        expected_cost=sol.expected_cost,
-                        cvar=sol.cvar,
-                        objective=sol.objective,
-                        omega_exp=omega_exp,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"hetero p={p} seed={seed}: {exc}")
-                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, exc)
+            ehh, ddp = endpoints[(seed, 0.0)], endpoints[(seed, 1.0)]
+            if 0 < n_priv < n:
+                out = run_cell(("hhs-ddp", eps, gam, seed), ctx, cfg, n_priv)
+            else:
+                out = ddp if n_priv == n else ehh
+            omega_exp = p * ddp.expected_cost + (1.0 - p) * ehh.expected_cost
+            fields = dict(scheme="hetero", epsilon=eps, gamma=gam, p=float(p), seed=seed)
+            label = f"hetero p={p} seed={seed}"
+            _add_row(results, failures, label, out, ctx, omega_exp=omega_exp, **fields)
     results.sort(key=SchemeResult.sort_key)
     return results, failures
 

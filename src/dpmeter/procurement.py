@@ -40,12 +40,15 @@ INF = float("inf")
 # --------------------------------------------------------------------------
 
 
-def cvar_batch(costs: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact CVaR_alpha per row of a (P, S) cost matrix.
+def cvar_kinks(
+    costs: np.ndarray, probs: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact CVaR_alpha and a minimizing zeta per row of a (P, S) cost matrix.
 
     Evaluates ``zeta + (1/(1-alpha)) * sum_s pi_s * max(cost_s - zeta, 0)``
     at every sorted cost value and takes the minimum, which is attained at
-    a kink of this convex piecewise-linear function.
+    a kink of this convex piecewise-linear function (Rockafellar & Uryasev
+    2000).  A 1-D cost vector is one row.
     """
     costs = np.atleast_2d(np.asarray(costs, dtype=float))
     order = np.argsort(costs, axis=1)
@@ -54,19 +57,8 @@ def cvar_batch(costs: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray
     sp = np.cumsum(p_sorted[:, ::-1], axis=1)[:, ::-1]
     spc = np.cumsum((p_sorted * c_sorted)[:, ::-1], axis=1)[:, ::-1]
     vals = c_sorted + (spc - c_sorted * sp) / (1.0 - alpha)
-    return vals.min(axis=1)
-
-
-def _cvar_with_zeta(costs: np.ndarray, probs: np.ndarray, alpha: float) -> tuple[float, float]:
-    costs = np.asarray(costs, dtype=float)
-    order = np.argsort(costs)
-    c_sorted = costs[order]
-    p_sorted = np.asarray(probs, dtype=float)[order]
-    sp = np.cumsum(p_sorted[::-1])[::-1]
-    spc = np.cumsum((p_sorted * c_sorted)[::-1])[::-1]
-    vals = c_sorted + (spc - c_sorted * sp) / (1.0 - alpha)
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(c_sorted[k])
+    rows, k = np.arange(vals.shape[0]), np.argmin(vals, axis=1)
+    return vals[rows, k], c_sorted[rows, k]
 
 
 def cvar_of_costs(costs, probs, alpha: float) -> float:
@@ -76,8 +68,7 @@ def cvar_of_costs(costs, probs, alpha: float) -> float:
         raise ValueError("probabilities must sum to 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    value, _ = _cvar_with_zeta(np.asarray(costs, dtype=float), probs, alpha)
-    return value
+    return float(cvar_kinks(costs, probs, alpha)[0][0])
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +454,8 @@ def evaluate_selection(
     costs = da_cost + (price_bal * d_bal).sum(axis=1)
     probs = inst.scenarios.probabilities
     expected = float(probs @ costs)
-    cvar, zeta = _cvar_with_zeta(costs, probs, inst.alpha)
+    cvars, zetas = cvar_kinks(costs, probs, inst.alpha)
+    cvar, zeta = float(cvars[0]), float(zetas[0])
     eta = np.maximum(costs - zeta, 0.0)
     objective = expected + inst.beta * cvar
     return objective, expected, cvar, zeta, costs, eta, price_da, price_bal
@@ -949,7 +941,7 @@ def brute_force_oracle(
                 da_cost = pts @ lam_da
                 resid = k_mat[None, :, :] - pts[:, None, :]
                 costs = da_cost[:, None] + np.einsum("pst,st->ps", resid, lam_bal)
-                obj = costs @ probs + inst.beta * cvar_batch(costs, probs, inst.alpha)
+                obj = costs @ probs + inst.beta * cvar_kinks(costs, probs, inst.alpha)[0]
                 k = int(np.argmin(obj))
                 if obj[k] < local_best:
                     local_best, local_pt = float(obj[k]), pts[k].copy()

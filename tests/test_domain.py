@@ -139,6 +139,15 @@ class TestComputeDlc:
             compute_dlc(panel_from_rows(rows))
 
 
+def loop_spread(daily, start, mu):
+    """The per-day loop that spread_daily and settled_load once ran; reference."""
+    out = np.empty(len(daily) * 48)
+    for d, e_day in enumerate(daily):
+        weights = mu[(start + 48 * d + np.arange(48)) % 336]
+        out[48 * d : 48 * (d + 1)] = e_day * weights / weights.sum()
+    return out
+
+
 class TestSettledLoad:
     def _dlc(self, mu=None):
         mu = np.full(336, 1.0 / 336) if mu is None else mu
@@ -177,6 +186,29 @@ class TestSettledLoad:
     def test_spread_daily_length(self):
         out = spread_daily([10.0, 20.0], 336, self._dlc())
         assert len(out) == 96 and out.start == 336
+
+    def test_spread_matches_per_day_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            mu = rng.uniform(0.0, 2.0, 336)
+            mu /= mu.sum()
+            days, start = int(rng.integers(1, 16)), int(rng.integers(0, 2000))
+            daily = rng.uniform(0, 500, days)
+            out = spread_daily(daily, start, self._dlc(mu))
+            np.testing.assert_array_equal(out.values, loop_spread(daily, start, mu))
+            series = LoadSeries("x", start, rng.uniform(0, 3, 48 * days))
+            settled = settled_load(SettlementScheme.nhhs(), series, self._dlc(mu))
+            expected = loop_spread(daily_energy(series), start, mu)
+            np.testing.assert_array_equal(settled.values, expected)
+
+    def test_day_without_profile_mass_rejected(self):
+        mu = np.full(336, 1.0 / 288)
+        mu[48:96] = 0.0  # the second day of the week has no mass
+        with pytest.raises(ValueError, match="non-positive mass on day 1"):
+            spread_daily([10.0, 20.0, 30.0], 0, self._dlc(mu))
+        series = LoadSeries("x", 336 + 48, np.ones(3 * 48))
+        with pytest.raises(ValueError, match="non-positive mass on day 0"):
+            settled_load(SettlementScheme.nhhs(), series, self._dlc(mu))
 
 
 class TestMeterCsv:

@@ -54,6 +54,17 @@ class TestConfig:
     def test_ddp_needs_grids(self):
         with pytest.raises(ValueError):
             clone(FAST_CFG, schemes=("hhs-ddp",), epsilon_grid=())
+        with pytest.raises(ValueError, match="epsilon and gamma grids"):
+            clone(FAST_CFG, hetero_p=(0.5,), gamma_grid=())
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_hetero_fraction_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"fractions must lie in \[0, 1\]"):
+            clone(FAST_CFG, hetero_p=(0.5, bad))
+        doc = json.loads(config_to_json(FAST_CFG))
+        doc["hetero_p"] = [0.5, bad]
+        with pytest.raises(ValueError, match=r"fractions must lie in \[0, 1\]"):
+            config_from_json(json.dumps(doc))
 
 
 class TestMarket:
@@ -168,11 +179,39 @@ class TestHeterogeneity:
         h = {r.p: r for r in results if r.scheme == "hetero"}
         assert h[0.0].wape == plain.wape  # bit-exact reuse of the pipeline
         assert h[0.0].expected_cost == plain.expected_cost
-        # p = 1 equals a plain full-DDP run under the same seed
+        # p = 1 equals a plain full-DDP run under the same seed; the sweep
+        # runs that endpoint itself and reports no hhs-ddp row for it
+        assert {r.scheme for r in results} == {"hhs-ehh", "hetero"}
         ddp_cfg = clone(cfg, schemes=("hhs-ddp",), hetero_p=())
         ddp_row = run_experiment(ddp_cfg)[0][0]
         assert h[1.0].wape == ddp_row.wape
         assert h[1.0].expected_cost == ddp_row.expected_cost
+
+    def test_context_and_endpoints_built_once(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        calls = {}
+        for name in ("load_panel", "select_group", "make_market", "forecast_scheme", "solve"):
+            original = getattr(experiment, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counted)
+        cfg = clone(FAST_CFG, schemes=("hhs-ehh", "hhs-ddp"), hetero_p=(0.0, 0.5, 1.0))
+        results, failures = run_experiment(cfg)
+        assert not failures
+        assert len(results) == 5
+        # 2 scheme cells plus the p = 0.5 split (2 forecasts, 1 solve); the
+        # p = 0 and p = 1 rows are the hhs-ehh and hhs-ddp cells
+        assert calls == {
+            "load_panel": 1,
+            "select_group": 1,
+            "make_market": 1,
+            "forecast_scheme": 4,
+            "solve": 3,
+        }
 
     def test_midpoint_reports_both_costs(self):
         results, failures = run_experiment(self.hetero_cfg())
@@ -182,8 +221,8 @@ class TestHeterogeneity:
 
 
 class TestReport:
-    def run_rows(self):
-        cfg = clone(FAST_CFG, schemes=("hhs-ehh", "hhs-dlcsys"))
+    def run_rows(self, **overrides):
+        cfg = clone(FAST_CFG, schemes=("hhs-ehh", "hhs-dlcsys"), **overrides)
         results, failures = run_experiment(cfg)
         assert not failures
         return cfg, results
@@ -207,11 +246,12 @@ class TestReport:
         assert meta["kld_log_base"] == "e"
 
     def test_byte_identical_rerun(self, tmp_path):
-        cfg, results = self.run_rows()
+        cfg, results = self.run_rows(hetero_p=(0.5,))
+        assert [r.p for r in results if r.scheme == "hetero"] == [0.5]
         report(results, tmp_path / "a", cfg)
-        cfg2, results2 = self.run_rows()
+        cfg2, results2 = self.run_rows(hetero_p=(0.5,))
         report(results2, tmp_path / "b", cfg2)
-        for name in ("results.csv", "costs.csv", "kld_wape.csv", "metadata.json"):
+        for name in ("results.csv", "costs.csv", "kld_wape.csv", "hetero.csv", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name

@@ -14,6 +14,7 @@ from dpmeter.procurement import (
     ProcurementInstance,
     brute_force_oracle,
     build_milp,
+    cvar_kinks,
     cvar_of_costs,
     default_volume_bounds,
     evaluate_selection,
@@ -70,6 +71,22 @@ class TestCvar:
     def test_bad_probs_rejected(self):
         with pytest.raises(ValueError):
             cvar_of_costs([1.0], [0.5], 0.9)
+
+    def test_kinks_rows_and_minimizing_zeta(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            costs = rng.integers(0, 5, (6, n)) * rng.normal(100, 30)  # many ties
+            costs[:3] += rng.normal(0, 10, (3, n))
+            probs = rng.dirichlet(np.ones(n))
+            alpha = float(rng.uniform(0.5, 0.99))
+            values, zetas = cvar_kinks(costs, probs, alpha)
+            assert values.shape == zetas.shape == (6,)
+            for row, value, zeta in zip(costs, values, zetas):
+                assert value == cvar_of_costs(row, probs, alpha)
+                assert zeta in row
+                at_zeta = zeta + probs @ np.maximum(row - zeta, 0.0) / (1 - alpha)
+                assert at_zeta == pytest.approx(value, rel=1e-12, abs=1e-9)
 
 
 class TestBuildMilp:
