@@ -5,13 +5,15 @@ Subcommands mirror the pipeline stages: ``synth`` emits a meter panel,
 ``scenarios`` calibrated error paths, ``procure`` solves one procurement
 instance, ``experiment`` runs the full grid, and ``report`` re-emits the
 plot-ready tables from a saved result table.  Exit code 0 means every cell
-succeeded.
+succeeded; as for a usage error, an unreadable or invalid input file prints
+one ``dpmeter: error:`` line and exits with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -32,6 +34,15 @@ from .privacy import PrivacyParams, privatize_aggregate
 from .procurement import build_milp, read_instance, solve
 from .scenario import generate_scenarios, read_scenario_csv, write_scenario_csv
 from .synth import SynthConfig, generate_panel, kmeans_groups, write_group_csv
+
+
+def _load(reader, path):
+    """``reader(path)``; an unreadable or invalid file is a usage error."""
+    try:
+        return reader(path)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"dpmeter: error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
 
 
 def _out_dir(args) -> Path:
@@ -107,8 +118,9 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_procure(args) -> int:
-    inst = read_instance(args.instance)
-    sol = solve(build_milp(inst), tol=args.tol)
+    model = _load(lambda path: build_milp(read_instance(path)), args.instance)
+    inst = model.instance
+    sol = solve(model, tol=args.tol)
     if sol.status != "optimal":
         print(f"infeasible: {sol.infeasible_row}", file=sys.stderr)
         return 1
@@ -138,9 +150,9 @@ def cmd_procure(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = _load(load_config, args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seeds": (args.seed,)})
+        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     results, failures = run_experiment(cfg)
     out = _out_dir(args)
     if results:
@@ -152,8 +164,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    results = read_results_csv(args.results)
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    results = _load(read_results_csv, args.results)
+    cfg = _load(load_config, args.config) if args.config else ExperimentConfig()
     written = report(results, _out_dir(args), cfg)
     print("wrote " + ", ".join(written))
     return 0

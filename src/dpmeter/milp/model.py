@@ -19,9 +19,9 @@ INF = float("inf")
 @dataclass
 class LinearMip:
     """A bounded-variable MILP in arrays.  ``col_names``/``row_names`` label
-    its columns and rows when it was built with names (``MipBuilder`` always
-    names them); a model assembled directly from arrays may leave both lists
-    empty."""
+    its columns and rows when they were given names, as ``MipBuilder``
+    gives them; the procurement models are assembled directly from arrays
+    and leave both lists empty."""
 
     col_lower: np.ndarray
     col_upper: np.ndarray

@@ -13,22 +13,27 @@ bound so signed volumes stay exact.  Risk aversion enters as
 reachability (bounds on the LSE's volume make most bracket binaries
 impossible, and a forced bracket lets its auxiliary columns be substituted
 out), then runs branch and bound with a rounding heuristic that turns any
-LP point into a feasible incumbent.  ``brute_force_oracle`` independently
-minimizes over an explicit partition of the decision box for small
-instances.
+LP point into a feasible incumbent.  Both models are filled from numpy
+arrays by index arithmetic; in the reduced one each free bracket group
+(one market and period, or scenario and period, with several reachable
+brackets) is a contiguous range of columns.  All balancing curves share
+one demand grid.  ``brute_force_oracle`` independently minimizes over an
+explicit partition of the decision box for small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .domain import _freeze
-from .market import PriceCurve, SystemExogenous, bracket_index, bracket_indices
-from .milp import LinearMip, MipBuilder, solve_milp
+from .market import PriceCurve, SystemExogenous, bracket_indices
+from .milp import LinearMip, solve_milp
 from .milp._sparse import SparseMatrix
 from .scenario import ErrorScenarioSet
 
@@ -83,7 +88,7 @@ class ProcurementInstance:
     d_fore: np.ndarray  # (T,)
     scenarios: ErrorScenarioSet  # errors (S, T), MWh
     da_curve: PriceCurve
-    bal_curves: tuple[PriceCurve, ...]  # length S, shared grid
+    bal_curves: tuple[PriceCurve, ...]  # length S, one demand grid
     exogenous: SystemExogenous
     beta: float
     alpha: float
@@ -101,12 +106,12 @@ class ProcurementInstance:
             raise ValueError("scenario periods do not match the forecast")
         if len(self.bal_curves) != S:
             raise ValueError("need one balancing curve per scenario")
-        base = self.bal_curves[0]
-        for c in self.bal_curves[1:]:
-            if c.n_levels != base.n_levels or abs(c.delta - base.delta) > 1e-9 or abs(
-                c.demand_levels[0] - base.demand_levels[0]
-            ) > 1e-9:
-                raise ValueError("balancing curves must share one demand grid")
+        grid = self.bal_curves[0]
+        if any(
+            c.delta != grid.delta or not np.array_equal(c.demand_levels, grid.demand_levels)
+            for c in self.bal_curves[1:]
+        ):
+            raise ValueError("balancing curves must share one demand grid")
         if self.exogenous.d_sys_base.shape != (T,):
             raise ValueError("exogenous system demand must have T entries")
         if self.exogenous.d_imb_base.shape != (S, T):
@@ -133,6 +138,11 @@ class ProcurementInstance:
     def realized_demand(self) -> np.ndarray:
         """forecast + error per (s, t); what must be procured in total."""
         return self.d_fore[None, :] + self.scenarios.errors
+
+    @cached_property
+    def bal_prices(self) -> np.ndarray:
+        """(S, F) balancing prices over the shared grid ``bal_curves[0]``."""
+        return _freeze(np.vstack([c.prices for c in self.bal_curves]))
 
 
 def default_volume_bounds(d_fore: np.ndarray, mult: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
@@ -204,16 +214,14 @@ def _check_coverage(inst: ProcurementInstance) -> None:
     imb = inst.exogenous.d_imb_base + inst.realized_demand()
     bal_lo = imb - inst.d_da_upper
     bal_hi = imb - inst.d_da_lower
-    curve_lo = np.array([c.lo for c in inst.bal_curves])[:, None]
-    curve_hi = np.array([c.hi for c in inst.bal_curves])[:, None]
-    bad = np.argwhere((bal_lo < curve_lo - tol) | (bal_hi > curve_hi + tol))
+    grid = inst.bal_curves[0]
+    bad = np.argwhere((bal_lo < grid.lo - tol) | (bal_hi > grid.hi + tol))
     if bad.size:
         s, t = (int(i) for i in bad[0])
-        curve = inst.bal_curves[s]
         raise ValueError(
             f"balancing price grid does not cover scenario {s}, period {t}: "
             f"reachable imbalance [{bal_lo[s, t]:.6g}, {bal_hi[s, t]:.6g}] vs curve "
-            f"[{curve.lo:.6g}, {curve.hi:.6g}]"
+            f"[{grid.lo:.6g}, {grid.hi:.6g}]"
         )
 
 
@@ -224,7 +232,7 @@ def _cost_bound(inst: ProcurementInstance) -> float:
         np.abs(k_mat - inst.d_da_lower[None, :]), np.abs(k_mat - inst.d_da_upper[None, :])
     ).max(axis=0)
     da_p = float(np.abs(inst.da_curve.prices).max())
-    bal_p = max(float(np.abs(c.prices).max()) for c in inst.bal_curves)
+    bal_p = float(np.abs(inst.bal_prices).max())
     return float(da_p * dmax.sum() + bal_p * balmax.sum()) + 1.0
 
 
@@ -243,7 +251,8 @@ def build_milp(inst: ProcurementInstance) -> MilpModel:
     _check_coverage(inst)
     T, S = inst.n_periods, inst.n_scenarios
     B = inst.da_curve.n_levels
-    F = inst.bal_curves[0].n_levels
+    grid = inst.bal_curves[0]
+    F = grid.n_levels
     k_mat = inst.realized_demand()
     lo, hi = inst.d_da_lower, inst.d_da_upper
     big_m = hi - lo
@@ -277,7 +286,7 @@ def build_milp(inst: ProcurementInstance) -> MilpModel:
     # scenario cost per linearized term: c_da + lo * u_da and c_bal + lo_bal
     # * u_bal; the objective weighs the balancing terms by probability
     da_prices = inst.da_curve.prices
-    bal_prices = np.vstack([c.prices for c in inst.bal_curves])  # (S, F)
+    bal_prices = inst.bal_prices
     cost_u_da = da_prices[None, :] * lo[:, None]
     cost_u_bal = bal_prices[:, None, :] * lo_bal[:, :, None]
     w_bal = probs[:, None] * bal_prices
@@ -324,10 +333,10 @@ def build_milp(inst: ProcurementInstance) -> MilpModel:
     r = rows((T,), base - half_da, base + half_da)
     add(r[:, None], u_da, inst.da_curve.demand_levels)
     add(r, d_da, -1.0)
-    half_bal = np.array([c.delta for c in inst.bal_curves])[:, None] / 2.0
+    half_bal = grid.delta / 2.0
     base = inst.exogenous.d_imb_base
     r = rows((S, T), base - half_bal, base + half_bal)
-    add(r[:, :, None], u_bal, np.vstack([c.demand_levels for c in inst.bal_curves])[:, None, :])
+    add(r[:, :, None], u_bal, grid.demand_levels)
     add(r, d_bal, -1.0)
 
     # exactly one bracket per market and period
@@ -447,9 +456,7 @@ def evaluate_selection(
     k_mat = inst.realized_demand()
     d_bal = k_mat - d_da[None, :]
     price_da = inst.da_curve.prices[b_sel]
-    price_bal = np.vstack(
-        [inst.bal_curves[s].prices[f_sel[s]] for s in range(inst.n_scenarios)]
-    )
+    price_bal = inst.bal_prices[np.arange(inst.n_scenarios)[:, None], f_sel]
     da_cost = float(price_da @ d_da)
     costs = da_cost + (price_bal * d_bal).sum(axis=1)
     probs = inst.scenarios.probabilities
@@ -470,71 +477,245 @@ def evaluate_selection(
 class _Reduction:
     lo: np.ndarray  # tightened d_da bounds (T,)
     hi: np.ndarray
-    da_range: list[tuple[int, int]]  # inclusive reachable bracket range per t
-    bal_range: list[list[tuple[int, int]]]  # per s, per t
+    da_min: np.ndarray  # (T,) inclusive reachable day-ahead bracket range
+    da_max: np.ndarray
+    bal_min: np.ndarray  # (S, T) inclusive reachable balancing bracket range
+    bal_max: np.ndarray
     infeasible_group: str | None = None
 
 
-def _reachable(curve: PriceCurve, demand_lo: float, demand_hi: float) -> tuple[int, int]:
+def _reachable(curve: PriceCurve, demand_lo, demand_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive range of the brackets whose cells meet [demand_lo,
+    demand_hi], elementwise; empty (min > max) where none does."""
     tol = 1e-9
-    lo_idx = int(np.ceil((demand_lo - curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta - tol))
-    hi_idx = int(np.floor((demand_hi + curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta + tol))
-    return max(lo_idx, 0), min(hi_idx, curve.n_levels - 1)
+    lo_idx = np.ceil((demand_lo - curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta - tol)
+    hi_idx = np.floor((demand_hi + curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta + tol)
+    return (
+        np.maximum(lo_idx, 0).astype(np.int64),
+        np.minimum(hi_idx, curve.n_levels - 1).astype(np.int64),
+    )
+
+
+def _clip_to_cells(lo, hi, forced, cell_lo, cell_hi) -> np.ndarray:
+    """Narrow each period's [lo, hi] into the cells, in d_da terms, of its
+    groups forced to one bracket (axis 0 of the 2-D arrays runs over the
+    groups sharing a period).  A period whose bounds move by no more than
+    1e-12 keeps them.  Returns the periods that moved."""
+    forced, cell_lo, cell_hi = np.atleast_2d(forced, cell_lo, cell_hi)
+    new_lo = np.maximum(lo, np.where(forced, cell_lo, -INF).max(axis=0))
+    new_hi = np.minimum(hi, np.where(forced, cell_hi, INF).min(axis=0))
+    moved = (new_lo > lo + 1e-12) | (new_hi < hi - 1e-12)
+    lo[moved], hi[moved] = new_lo[moved], new_hi[moved]
+    return moved
 
 
 def _reduce(inst: ProcurementInstance) -> _Reduction:
+    """Reachable bracket ranges under the d_da bounds.  A group with one
+    reachable bracket clips the bounds into that bracket's cell; passes
+    repeat while a bound moves.  Each pass takes every day-ahead period at
+    once, then every balancing (s, t) group at once against the shared grid."""
+    da, grid = inst.da_curve, inst.bal_curves[0]
+    sys_base, imb_base = inst.exogenous.d_sys_base, inst.exogenous.d_imb_base
+    k_mat = inst.realized_demand()
+    lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
+    bal_min = bal_max = np.zeros(k_mat.shape, dtype=np.int64)
+    for _ in range(2 + inst.n_scenarios):
+        da_min, da_max = _reachable(da, sys_base + lo, sys_base + hi)
+        bad = np.argwhere(da_min > da_max)
+        if not bad.size:
+            forced = da_min == da_max
+            level = da.demand_levels[da_min]
+            moved = _clip_to_cells(
+                lo, hi, forced, level - da.delta / 2.0 - sys_base, level + da.delta / 2.0 - sys_base
+            )
+            bad = np.argwhere(forced & (lo > hi + 1e-9))
+        if bad.size:
+            return _Reduction(lo, hi, da_min, da_max, bal_min, bal_max, f"bracket_da[{bad[0, 0]}]")
+        bal_min, bal_max = _reachable(grid, imb_base + (k_mat - hi), imb_base + (k_mat - lo))
+        bad = np.argwhere(bal_min > bal_max)
+        if not bad.size:
+            forced = bal_min == bal_max
+            level = grid.demand_levels[bal_min]
+            cell_lo = level - grid.delta / 2.0 - imb_base
+            cell_hi = level + grid.delta / 2.0 - imb_base
+            moved |= _clip_to_cells(lo, hi, forced, k_mat - cell_hi, k_mat - cell_lo)
+            bad = np.argwhere(forced & (lo > hi + 1e-9))
+        if bad.size:
+            s, t = bad[0]
+            return _Reduction(lo, hi, da_min, da_max, bal_min, bal_max, f"bracket_bal[{s},{t}]")
+        if not moved.any():
+            break
+    return _Reduction(lo, hi, da_min, da_max, bal_min, bal_max)
+
+
+# --------------------------------------------------------------------------
+# Reduced model
+# --------------------------------------------------------------------------
+
+
+class _Groups(NamedTuple):
+    """One market's free bracket groups (more than one reachable bracket),
+    flattened to elements: one per reachable bracket, group after group.
+    Each group's u and c columns are a contiguous range."""
+
+    index: tuple[np.ndarray, ...]  # (t,) or (s, t) of each free group, row-major
+    at: tuple[np.ndarray, ...]  # per element: the index of its group
+    group: np.ndarray  # per element: its group's position in ``index``
+    pos: np.ndarray  # its position within the group
+    bracket: np.ndarray  # its bracket
+    u: np.ndarray | None = None  # its bracket-selector column
+    c: np.ndarray | None = None  # its column for the shifted volume in that bracket
+
+
+def _free_groups(bmin: np.ndarray, bmax: np.ndarray) -> _Groups:
+    index = np.nonzero(bmin < bmax)
+    width = bmax[index] - bmin[index] + 1
+    group = np.repeat(np.arange(width.size), width)
+    pos = np.arange(group.size) - (np.cumsum(width) - width)[group]
+    at = tuple(i[group] for i in index)
+    return _Groups(index, at, group, pos, bmin[at] + pos)
+
+
+def _group_argmax(values: np.ndarray, g: _Groups) -> np.ndarray:
+    """Per group, the position of its largest value (the first of ties)."""
+    table = np.full((g.index[0].size, g.pos.max(initial=0) + 1), -INF)
+    table[g.group, g.pos] = values
+    return np.argmax(table, axis=1)
+
+
+def _running_sum(start, terms: np.ndarray) -> np.ndarray:
+    """``start + terms[0] + terms[1] + ...`` added in order along axis 0, as
+    an accumulating loop does (``np.sum`` adds pairwise)."""
+    return np.cumsum(np.concatenate([np.expand_dims(start, 0), terms]), axis=0)[-1]
+
+
+def _reduced_model(inst: ProcurementInstance, red: _Reduction) -> tuple[LinearMip, _Groups, _Groups]:
+    """The model ``solve`` branches on.  A forced group prices its volume at
+    its one bracket.  A free group keeps a u and a c column per reachable
+    bracket and, instead of the big-M linearization, the exact per-group
+    hull: the c sum to the shifted volume and each c lies in its bracket's
+    cell.  Integer-feasible points are the full model's; the LP bound is
+    far tighter.  Columns: ``d_da[t]``, ``zeta``, ``eta[s]``, then ``u_da``,
+    ``u_bal``, ``c_da`` and ``c_bal`` over the free groups.  Rows:
+    ``cvar[s]``, then the hull rows of each market's free groups.
+    Exact-zero coefficients are left out, and the model carries no names."""
     T, S = inst.n_periods, inst.n_scenarios
     k_mat = inst.realized_demand()
-    lo = inst.d_da_lower.copy()
-    hi = inst.d_da_upper.copy()
-    da_range = [(0, 0)] * T
-    bal_range = [[(0, 0)] * T for _ in range(S)]
-    for _ in range(2 + S):
-        changed = False
-        for t in range(T):
-            base = inst.exogenous.d_sys_base[t]
-            bmin, bmax = _reachable(inst.da_curve, base + lo[t], base + hi[t])
-            if bmin > bmax:
-                return _Reduction(lo, hi, da_range, bal_range, f"bracket_da[{t}]")
-            da_range[t] = (bmin, bmax)
-            if bmin == bmax:
-                level = inst.da_curve.demand_levels[bmin]
-                new_lo = max(lo[t], level - inst.da_curve.delta / 2.0 - base)
-                new_hi = min(hi[t], level + inst.da_curve.delta / 2.0 - base)
-                if new_lo > lo[t] + 1e-12 or new_hi < hi[t] - 1e-12:
-                    lo[t], hi[t] = new_lo, new_hi
-                    changed = True
-                if lo[t] > hi[t] + 1e-9:
-                    return _Reduction(lo, hi, da_range, bal_range, f"bracket_da[{t}]")
-        for s in range(S):
-            curve = inst.bal_curves[s]
-            for t in range(T):
-                base = inst.exogenous.d_imb_base[s, t]
-                bal_lo = k_mat[s, t] - hi[t]
-                bal_hi = k_mat[s, t] - lo[t]
-                fmin, fmax = _reachable(curve, base + bal_lo, base + bal_hi)
-                if fmin > fmax:
-                    return _Reduction(lo, hi, da_range, bal_range, f"bracket_bal[{s},{t}]")
-                bal_range[s][t] = (fmin, fmax)
-                if fmin == fmax:
-                    level = curve.demand_levels[fmin]
-                    cell_lo = level - curve.delta / 2.0 - base
-                    cell_hi = level + curve.delta / 2.0 - base
-                    new_lo = max(lo[t], k_mat[s, t] - cell_hi)
-                    new_hi = min(hi[t], k_mat[s, t] - cell_lo)
-                    if new_lo > lo[t] + 1e-12 or new_hi < hi[t] - 1e-12:
-                        lo[t], hi[t] = new_lo, new_hi
-                        changed = True
-                    if lo[t] > hi[t] + 1e-9:
-                        return _Reduction(lo, hi, da_range, bal_range, f"bracket_bal[{s},{t}]")
-        if not changed:
-            break
-    return _Reduction(lo, hi, da_range, bal_range)
+    lo, hi = red.lo, red.hi
+    big_m = hi - lo
+    lo_bal = k_mat - hi  # (S, T) lower bound of d_bal
+    probs = inst.scenarios.probabilities
+    m_cost = _cost_bound(inst)
+    da_curve, grid = inst.da_curve, inst.bal_curves[0]
+    da_prices, bal_prices = da_curve.prices, inst.bal_prices
+
+    da, bal = _free_groups(red.da_min, red.da_max), _free_groups(red.bal_min, red.bal_max)
+    n_da, n_bal = da.group.size, bal.group.size
+    off_u_da, off_u_bal, off_c_da, off_c_bal, n_cols = itertools.accumulate(
+        (n_da, n_bal, n_da, n_bal), initial=T + 1 + S
+    )
+    da = da._replace(u=off_u_da + np.arange(n_da), c=off_c_da + np.arange(n_da))
+    bal = bal._replace(u=off_u_bal + np.arange(n_bal), c=off_c_bal + np.arange(n_bal))
+    (t_da,), t_bal = da.at, bal.at[1]
+    col_zeta, eta = T, T + 1 + np.arange(S)
+
+    col_lower = np.zeros(n_cols)
+    col_upper = np.ones(n_cols)  # the binaries keep these bounds
+    col_lower[:T], col_upper[:T] = lo, hi
+    col_lower[col_zeta], col_upper[col_zeta] = -m_cost, m_cost
+    col_upper[eta] = 2.0 * m_cost
+    col_upper[da.c] = big_m[t_da]
+    col_upper[bal.c] = big_m[t_bal]
+    is_integer = np.zeros(n_cols, dtype=bool)
+    is_integer[off_u_da:off_c_da] = True
+
+    # a forced day-ahead group costs price * d_da; a forced balancing group
+    # lambda * (K - d_da), whose constant goes to the offset and the CVaR bound
+    forced_bal = red.bal_min == red.bal_max
+    p_da = np.where(red.da_min == red.da_max, da_prices[red.da_min], 0.0)
+    lam = bal_prices[np.arange(S)[:, None], red.bal_min]
+    price_da = da_prices[da.bracket]
+    price_bal = bal_prices[bal.at[0], bal.bracket]
+    obj = np.zeros(n_cols)
+    obj[:T] += p_da
+    obj[:T] = _running_sum(obj[:T], np.where(forced_bal, -probs[:, None] * lam, 0.0))
+    obj[col_zeta] = inst.beta
+    obj[eta] = inst.beta * probs / (1.0 - inst.alpha)
+    obj[da.c] += price_da
+    obj[da.u] += price_da * lo[t_da]
+    obj[bal.c] += price_bal * probs[bal.at[0]]
+    obj[bal.u] += price_bal * lo_bal[bal.at] * probs[bal.at[0]]
+    obj_offset = _running_sum(0.0, np.where(forced_bal, probs[:, None] * lam * k_mat, 0.0).ravel())
+    cvar_const = _running_sum(np.zeros(S), np.where(forced_bal, -lam * k_mat, 0.0).T)
+
+    n_rows = S + 2 * (da.index[0].size + n_da + bal.index[0].size + n_bal)
+    row_lower, row_upper = np.empty(n_rows), np.empty(n_rows)
+    entries: list[tuple[np.ndarray, ...]] = []
+
+    def add(row, col, val) -> None:
+        entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
+
+    # CVaR rows: scenario cost - zeta <= eta_s, constants moved to the bound
+    row_lower[:S], row_upper[:S] = -INF, cvar_const
+    r = np.arange(S)
+    add(r, col_zeta, -1.0)
+    add(r, eta, -1.0)
+    r = r[:, None]
+    add(r, np.arange(T), p_da - np.where(forced_bal, lam, 0.0))
+    add(r, da.c, price_da)
+    add(r, da.u, price_da * lo[t_da])
+    add(bal.at[0], bal.c, price_bal)
+    add(bal.at[0], bal.u, price_bal * lo_bal[bal.at])
+
+    def hull(g: _Groups, row0: int, curve: PriceCurve, base, lower, d_coef: float, rhs) -> None:
+        """Rows of one market's free groups from ``row0``, group after group:
+        ``sos1`` (one bracket), the tie row (``sum c + d_coef * d_da ==
+        rhs``), then per bracket ``lin_ub`` and ``lin_lb``: c lies in the
+        bracket's cell, shifted by ``lower`` and within [0, big_m]."""
+        level, half = curve.demand_levels[g.bracket], curve.delta / 2.0
+        lin_ub = row0 + 2 * (g.group + np.arange(g.group.size) + 1)
+        sos1 = lin_ub - 2 * (g.pos + 1)  # per element: its group's first row
+        first = sos1[g.pos == 0]
+        row_lower[first], row_upper[first] = 1.0, 1.0
+        row_lower[first + 1], row_upper[first + 1] = rhs, rhs
+        row_lower[lin_ub], row_upper[lin_ub] = -INF, 0.0
+        row_lower[lin_ub + 1], row_upper[lin_ub + 1] = 0.0, INF
+        add(sos1, g.u, 1.0)
+        add(sos1 + 1, g.c, 1.0)
+        add(first + 1, g.index[-1], d_coef)
+        add(lin_ub, g.c, 1.0)
+        add(lin_ub, g.u, -np.minimum(big_m[g.at[-1]], level + half - base - lower))
+        add(lin_ub + 1, g.c, 1.0)
+        add(lin_ub + 1, g.u, -np.maximum(0.0, level - half - base - lower))
+
+    hull(da, S, da_curve, inst.exogenous.d_sys_base[t_da], lo[t_da], -1.0, -lo[da.index[0]])
+    hull(
+        bal, S + 2 * (da.index[0].size + n_da), grid, inst.exogenous.d_imb_base[bal.at],
+        lo_bal[bal.at], 1.0, hi[bal.index[1]],
+    )
+
+    ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
+    keep = v != 0.0
+    lp = LinearMip(
+        col_lower=col_lower,
+        col_upper=col_upper,
+        obj=obj,
+        is_integer=is_integer,
+        row_matrix=SparseMatrix.from_coo(n_rows, n_cols, ri[keep], ci[keep], v[keep]),
+        row_lower=row_lower,
+        row_upper=row_upper,
+        obj_offset=float(obj_offset),
+    )
+    return lp, da, bal
 
 
 # --------------------------------------------------------------------------
 # Solve
 # --------------------------------------------------------------------------
+
+
+def _one_hot(sel: np.ndarray, n: int) -> np.ndarray:
+    return (sel[..., None] == np.arange(n)).astype(float)
 
 
 def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
@@ -544,232 +725,61 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     red = _reduce(inst)
     if red.infeasible_group is not None:
         return _empty_solution("infeasible", red.infeasible_group)
-
-    k_mat = model.k_mat
+    reduced, da, bal = _reduced_model(inst, red)
     lo, hi = red.lo, red.hi
-    big_m = hi - lo
-    probs = inst.scenarios.probabilities
-    m_cost = _cost_bound(inst)
-    da_prices = inst.da_curve.prices
-    da_levels = inst.da_curve.demand_levels
-
-    b = MipBuilder()
-    d_cols = [b.add_col(f"d_da[{t}]", lo[t], hi[t]) for t in range(T)]
-    zeta_col = b.add_col("zeta", -m_cost, m_cost, obj=inst.beta)
-    eta_cols = [
-        b.add_col(f"eta[{s}]", 0.0, 2.0 * m_cost, obj=inst.beta * probs[s] / (1.0 - inst.alpha))
-        for s in range(S)
-    ]
-    cvar_coeffs: list[dict[int, float]] = [
-        {zeta_col: -1.0, eta_cols[s]: -1.0} for s in range(S)
-    ]
-    cvar_const = np.zeros(S)
-
-    free_da = [t for t in range(T) if red.da_range[t][0] < red.da_range[t][1]]
-    free_bal = [
-        (s, t)
-        for s in range(S)
-        for t in range(T)
-        if red.bal_range[s][t][0] < red.bal_range[s][t][1]
-    ]
-
-    u_da_cols: dict[tuple[int, int], int] = {}
-    u_bal_cols: dict[tuple[int, int, int], int] = {}
-    for t in free_da:
-        bmin, bmax = red.da_range[t]
-        for bb in range(bmin, bmax + 1):
-            u_da_cols[(t, bb)] = b.add_col(f"u_da[{t},{bb}]", 0.0, 1.0, integer=True)
-    for s, t in free_bal:
-        fmin, fmax = red.bal_range[s][t]
-        for f in range(fmin, fmax + 1):
-            u_bal_cols[(s, t, f)] = b.add_col(f"u_bal[{s},{t},{f}]", 0.0, 1.0, integer=True)
-    c_da_cols: dict[tuple[int, int], int] = {}
-    c_bal_cols: dict[tuple[int, int, int], int] = {}
-    for t, bb in u_da_cols:
-        c_da_cols[(t, bb)] = b.add_col(f"c_da[{t},{bb}]", 0.0, big_m[t])
-    for s, t, f in u_bal_cols:
-        c_bal_cols[(s, t, f)] = b.add_col(f"c_bal[{s},{t},{f}]", 0.0, big_m[t])
-
-    def _add_cost(col: int, coef: float, s: int | None, weight: float) -> None:
-        """Add a cost coefficient to the objective and the CVaR rows."""
-        b.add_obj(col, coef * weight)
-        if s is None:
-            for row in cvar_coeffs:
-                row[col] = row.get(col, 0.0) + coef
-        else:
-            cvar_coeffs[s][col] = cvar_coeffs[s].get(col, 0.0) + coef
-
-    # day-ahead cost terms
-    for t in range(T):
-        bmin, bmax = red.da_range[t]
-        if bmin == bmax:
-            _add_cost(d_cols[t], float(da_prices[bmin]), None, 1.0)
-        else:
-            for bb in range(bmin, bmax + 1):
-                _add_cost(c_da_cols[(t, bb)], float(da_prices[bb]), None, 1.0)
-                _add_cost(u_da_cols[(t, bb)], float(da_prices[bb] * lo[t]), None, 1.0)
-    # balancing cost terms: lambda * (K - d_da) for resolved groups
-    for s in range(S):
-        prices_s = inst.bal_curves[s].prices
-        for t in range(T):
-            fmin, fmax = red.bal_range[s][t]
-            if fmin == fmax:
-                lam = float(prices_s[fmin])
-                b.add_obj(d_cols[t], -probs[s] * lam)
-                b.obj_offset += probs[s] * lam * k_mat[s, t]
-                cvar_coeffs[s][d_cols[t]] = cvar_coeffs[s].get(d_cols[t], 0.0) - lam
-                cvar_const[s] -= lam * k_mat[s, t]
-            else:
-                lo_bal = k_mat[s, t] - hi[t]
-                for f in range(fmin, fmax + 1):
-                    _add_cost(c_bal_cols[(s, t, f)], float(prices_s[f]), s, probs[s])
-                    _add_cost(u_bal_cols[(s, t, f)], float(prices_s[f] * lo_bal), s, probs[s])
-
-    for s in range(S):
-        b.add_row(f"cvar[{s}]", cvar_coeffs[s], -INF, float(cvar_const[s]))
-
-    # the reduced model replaces the big-M linearization with the exact
-    # per-group hull: sum of per-bracket contributions equals the shifted
-    # volume and each contribution lives in its cell-induced interval;
-    # integer-feasible points are identical but the LP bound is far tighter
-    half_da = inst.da_curve.delta / 2.0
-    for t in free_da:
-        bmin, bmax = red.da_range[t]
-        base = inst.exogenous.d_sys_base[t]
-        b.add_row(
-            f"sos1_da[{t}]",
-            {u_da_cols[(t, bb)]: 1.0 for bb in range(bmin, bmax + 1)},
-            1.0,
-            1.0,
-        )
-        tie = {c_da_cols[(t, bb)]: 1.0 for bb in range(bmin, bmax + 1)}
-        tie[d_cols[t]] = -1.0
-        b.add_row(f"bracket_da[{t}]", tie, -lo[t], -lo[t])
-        for bb in range(bmin, bmax + 1):
-            cell_lo = da_levels[bb] - half_da - base
-            cell_hi = da_levels[bb] + half_da - base
-            a_b = max(0.0, cell_lo - lo[t])
-            c_b = min(big_m[t], cell_hi - lo[t])
-            c_col, u_col = c_da_cols[(t, bb)], u_da_cols[(t, bb)]
-            b.add_row(f"lin_ub_da[{t},{bb}]", {c_col: 1.0, u_col: -c_b}, -INF, 0.0)
-            b.add_row(f"lin_lb_da[{t},{bb}]", {c_col: 1.0, u_col: -a_b}, 0.0, INF)
-    for s, t in free_bal:
-        curve = inst.bal_curves[s]
-        fmin, fmax = red.bal_range[s][t]
-        half_bal = curve.delta / 2.0
-        base = inst.exogenous.d_imb_base[s, t]
-        lo_bal = k_mat[s, t] - hi[t]
-        b.add_row(
-            f"sos1_bal[{s},{t}]",
-            {u_bal_cols[(s, t, f)]: 1.0 for f in range(fmin, fmax + 1)},
-            1.0,
-            1.0,
-        )
-        tie = {c_bal_cols[(s, t, f)]: 1.0 for f in range(fmin, fmax + 1)}
-        tie[d_cols[t]] = 1.0
-        b.add_row(f"bracket_bal[{s},{t}]", tie, hi[t], hi[t])
-        for f in range(fmin, fmax + 1):
-            cell_lo = curve.demand_levels[f] - half_bal - base
-            cell_hi = curve.demand_levels[f] + half_bal - base
-            a_f = max(0.0, cell_lo - lo_bal)
-            c_f = min(big_m[t], cell_hi - lo_bal)
-            c_col, u_col = c_bal_cols[(s, t, f)], u_bal_cols[(s, t, f)]
-            b.add_row(f"lin_ub_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -c_f}, -INF, 0.0)
-            b.add_row(f"lin_lb_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -a_f}, 0.0, INF)
-
-    reduced = b.build()
-
+    k_mat = model.k_mat
+    (t_da,), t_bal = da.at, bal.at[1]
+    eta = slice(T + 1, T + 1 + S)
     imb_demand = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
-
-    def selection_from_d(d_da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b_sel = bracket_indices(inst.da_curve, inst.exogenous.d_sys_base + d_da)
-        f_sel = np.vstack(
-            [bracket_indices(c, imb_demand[s] - d_da) for s, c in enumerate(inst.bal_curves)]
-        )
-        return b_sel, f_sel
 
     def heuristic(x: np.ndarray):
         d_da = np.clip(x[:T], lo, hi)
         try:
-            b_sel, f_sel = selection_from_d(d_da)
+            b_sel = bracket_indices(inst.da_curve, inst.exogenous.d_sys_base + d_da)
+            f_sel = bracket_indices(inst.bal_curves[0], imb_demand - d_da)
         except ValueError:  # pragma: no cover - coverage was checked upfront
             return None
-        obj, _, _, zeta, costs, eta, _, _ = evaluate_selection(inst, d_da, b_sel, f_sel)
+        obj, _, _, zeta, _, eta_s, _, _ = evaluate_selection(inst, d_da, b_sel, f_sel)
         cand = np.zeros(reduced.n_cols)
         cand[:T] = d_da
-        cand[zeta_col] = zeta
-        cand[np.asarray(eta_cols)] = eta
-        for (t, bb), col in u_da_cols.items():
-            if bb == b_sel[t]:
-                cand[col] = 1.0
-                cand[c_da_cols[(t, bb)]] = d_da[t] - lo[t]
-        for (s, t, f), col in u_bal_cols.items():
-            if f == f_sel[s, t]:
-                cand[col] = 1.0
-                cand[c_bal_cols[(s, t, f)]] = hi[t] - d_da[t]
+        cand[T] = zeta
+        cand[eta] = eta_s
+        hit = da.bracket == b_sel[t_da]
+        cand[da.u[hit]] = 1.0
+        cand[da.c[hit]] = (d_da - lo)[t_da[hit]]
+        hit = bal.bracket == f_sel[bal.at]
+        cand[bal.u[hit]] = 1.0
+        cand[bal.c[hit]] = (hi - d_da)[t_bal[hit]]
         return obj, cand  # objectives carry the model's constant offset
 
     result = solve_milp(reduced, gap_tol=tol, heuristic=heuristic)
     if result.status == "infeasible":
-        row = reduced.row_names[result.infeasible_row] if result.infeasible_row >= 0 else None
+        row = f"reduced row {result.infeasible_row}" if result.infeasible_row >= 0 else None
         return _empty_solution("infeasible", row)
 
     x = result.x
     d_da = np.clip(x[:T], lo, hi)
-    b_sel = np.empty(T, dtype=np.int64)
-    for t in range(T):
-        bmin, bmax = red.da_range[t]
-        if bmin == bmax:
-            b_sel[t] = bmin
-        else:
-            cols = [u_da_cols[(t, bb)] for bb in range(bmin, bmax + 1)]
-            b_sel[t] = bmin + int(np.argmax(x[cols]))
-    f_sel = np.empty((S, T), dtype=np.int64)
-    for s in range(S):
-        for t in range(T):
-            fmin, fmax = red.bal_range[s][t]
-            if fmin == fmax:
-                f_sel[s, t] = fmin
-            else:
-                cols = [u_bal_cols[(s, t, f)] for f in range(fmin, fmax + 1)]
-                f_sel[s, t] = fmin + int(np.argmax(x[cols]))
-
-    objective, expected, cvar, zeta, costs, eta, price_da, price_bal = evaluate_selection(
+    b_sel, f_sel = red.da_min.copy(), red.bal_min.copy()
+    b_sel[da.index] += _group_argmax(x[da.u], da)
+    f_sel[bal.index] += _group_argmax(x[bal.u], bal)
+    objective, expected, cvar, zeta, costs, eta_s, price_da, price_bal = evaluate_selection(
         inst, d_da, b_sel, f_sel
     )
-
-    u_da = np.zeros((T, model.B))
-    u_da[np.arange(T), b_sel] = 1.0
-    u_bal = np.zeros((S, T, model.F))
-    for s in range(S):
-        u_bal[s, np.arange(T), f_sel[s]] = 1.0
     d_bal = k_mat - d_da[None, :]
+    u_da, u_bal = _one_hot(b_sel, model.B), _one_hot(f_sel, model.F)
 
-    # raw solver point mapped into the full model's column space
-    full = np.zeros(model.lp.n_cols)
-    full[model.off_d_da : model.off_d_da + T] = d_da
-    full[model.off_d_bal : model.off_d_bal + S * T] = d_bal.reshape(-1)
-    full[model.col_zeta] = x[zeta_col]
-    full[model.off_eta : model.off_eta + S] = x[np.asarray(eta_cols)]
-    for t in range(T):
-        bmin, bmax = red.da_range[t]
-        if bmin == bmax:
-            full[model.u_da_col(t, bmin)] = 1.0
-            full[model.c_da_col(t, bmin)] = d_da[t] - lo[t]
-        else:
-            for bb in range(bmin, bmax + 1):
-                full[model.u_da_col(t, bb)] = x[u_da_cols[(t, bb)]]
-                full[model.c_da_col(t, bb)] = x[c_da_cols[(t, bb)]]
-    for s in range(S):
-        for t in range(T):
-            fmin, fmax = red.bal_range[s][t]
-            if fmin == fmax:
-                full[model.u_bal_col(s, t, fmin)] = 1.0
-                full[model.c_bal_col(s, t, fmin)] = hi[t] - d_da[t]
-            else:
-                for f in range(fmin, fmax + 1):
-                    full[model.u_bal_col(s, t, f)] = x[u_bal_cols[(s, t, f)]]
-                    full[model.c_bal_col(s, t, f)] = x[c_bal_cols[(s, t, f)]]
+    # raw solver point mapped into the full model's column space: every
+    # group takes its selected bracket with the whole shifted volume, and
+    # the free groups' columns then take the solver's values
+    full = np.concatenate([
+        d_da, d_bal.ravel(), x[T : T + 1 + S],  # d_da, d_bal, zeta, eta
+        (u_da * (d_da - lo)[:, None]).ravel(), (u_bal * (hi - d_da)[:, None]).ravel(),
+        u_da.ravel(), u_bal.ravel(),
+    ])
+    full[model.u_da_col(t_da, da.bracket)] = x[da.u]
+    full[model.c_da_col(t_da, da.bracket)] = x[da.c]
+    full[model.u_bal_col(*bal.at, bal.bracket)] = x[bal.u]
+    full[model.c_bal_col(*bal.at, bal.bracket)] = x[bal.c]
 
     return Solution(
         status="optimal",
@@ -782,7 +792,7 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
         u_da=u_da,
         u_bal=u_bal,
         zeta=zeta,
-        eta=eta,
+        eta=eta_s,
         scenario_costs=costs,
         price_da=price_da,
         price_bal=price_bal,
@@ -796,15 +806,18 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
 # --------------------------------------------------------------------------
 
 
-def _feasible_cells(curve: PriceCurve, demand: float) -> list[int]:
-    """All levels within half a spacing of ``demand`` (two at a boundary)."""
+def _cheapest_cells(curve: PriceCurve, prices: np.ndarray, demand, volume) -> np.ndarray:
+    """Per entry, the bracket whose cell holds ``demand`` at the lowest cost
+    ``price * volume`` (the lower one of two at a cell boundary on a tie),
+    or -1 where no cell holds it.  ``prices`` is (levels,) or, with a
+    (S, T) ``demand``, (S, levels)."""
     r = (demand - curve.demand_levels[0]) / curve.delta
-    out = []
-    for k in (int(np.floor(r)), int(np.ceil(r))):
-        if 0 <= k < curve.n_levels and abs(curve.demand_levels[k] - demand) <= curve.delta / 2.0 + 1e-9:
-            if k not in out:
-                out.append(k)
-    return out
+    k = np.stack([np.floor(r), np.ceil(r)]).astype(np.int64)
+    kk = np.clip(k, 0, curve.n_levels - 1)
+    ok = (k == kk) & (np.abs(curve.demand_levels[kk] - demand) <= curve.delta / 2.0 + 1e-9)
+    cost = np.where(ok, np.take_along_axis(prices[None], kk, axis=-1) * volume, INF)
+    best = np.take_along_axis(kk, np.argmin(cost, axis=0)[None], axis=0)[0]
+    return np.where(ok.any(axis=0), best, -1)
 
 
 def _greedy_point(inst: ProcurementInstance, d_da: np.ndarray, k_mat: np.ndarray):
@@ -814,24 +827,16 @@ def _greedy_point(inst: ProcurementInstance, d_da: np.ndarray, k_mat: np.ndarray
     CVaR are both nondecreasing in every scenario cost, picking the cheaper
     contribution per market and period is optimal.
     """
-    T, S = inst.n_periods, inst.n_scenarios
-    b_sel = np.empty(T, dtype=np.int64)
-    for t in range(T):
-        cells = _feasible_cells(inst.da_curve, inst.exogenous.d_sys_base[t] + d_da[t])
-        if not cells:
-            return None
-        b_sel[t] = min(cells, key=lambda k: (inst.da_curve.prices[k] * d_da[t], k))
-    f_sel = np.empty((S, T), dtype=np.int64)
-    for s in range(S):
-        curve = inst.bal_curves[s]
-        for t in range(T):
-            d_bal = k_mat[s, t] - d_da[t]
-            cells = _feasible_cells(curve, inst.exogenous.d_imb_base[s, t] + d_bal)
-            if not cells:
-                return None
-            f_sel[s, t] = min(cells, key=lambda k: (curve.prices[k] * d_bal, k))
-    obj = evaluate_selection(inst, d_da, b_sel, f_sel)[0]
-    return obj, b_sel, f_sel
+    d_bal = k_mat - d_da[None, :]
+    b_sel = _cheapest_cells(
+        inst.da_curve, inst.da_curve.prices, inst.exogenous.d_sys_base + d_da, d_da
+    )
+    f_sel = _cheapest_cells(
+        inst.bal_curves[0], inst.bal_prices, inst.exogenous.d_imb_base + d_bal, d_bal
+    )
+    if (b_sel < 0).any() or (f_sel < 0).any():
+        return None
+    return evaluate_selection(inst, d_da, b_sel, f_sel)[0], b_sel, f_sel
 
 
 def brute_force_oracle(
@@ -854,12 +859,12 @@ def brute_force_oracle(
     lo, hi = inst.d_da_lower, inst.d_da_upper
     da_levels = inst.da_curve.demand_levels
     half_da = inst.da_curve.delta / 2.0
+    grid = inst.bal_curves[0]
+    edges = np.append(grid.demand_levels - grid.delta / 2.0, grid.demand_levels[-1] + grid.delta / 2.0)
+    imb_demand = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
 
-    reach = []
-    for t in range(T):
-        base = inst.exogenous.d_sys_base[t]
-        bmin, bmax = _reachable(inst.da_curve, base + lo[t], base + hi[t])
-        reach.append(range(bmin, bmax + 1))
+    bmin, bmax = _reachable(inst.da_curve, inst.exogenous.d_sys_base + lo, inst.exogenous.d_sys_base + hi)
+    reach = [range(a, b + 1) for a, b in zip(bmin, bmax)]
 
     best_val = INF
     best = None  # (d_da, b_sel (T,), f_sel (S,T))
@@ -877,19 +882,8 @@ def brute_force_oracle(
                 empty = True
                 break
             # split at balancing-cell edges so bracket choices are constant
-            cuts = {a, z}
-            for s in range(S):
-                curve = inst.bal_curves[s]
-                edges = np.concatenate(
-                    [
-                        curve.demand_levels - curve.delta / 2.0,
-                        [curve.demand_levels[-1] + curve.delta / 2.0],
-                    ]
-                )
-                d_bp = inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - edges
-                for v in d_bp:
-                    if a < v < z:
-                        cuts.add(float(v))
+            d_bp = imb_demand[:, t, None] - edges
+            cuts = {a, z, *(float(v) for v in d_bp[(a < d_bp) & (d_bp < z)])}
             pts = sorted(cuts)
             intervals.append(
                 [(pts[i], pts[i + 1]) for i in range(len(pts) - 1) if pts[i + 1] - pts[i] > 1e-12]
@@ -912,19 +906,11 @@ def brute_force_oracle(
                     best_val = got[0]
                     best = (np.asarray(corner), got[1], got[2])
             lam_da = inst.da_curve.prices[np.asarray(b_assign)]
-            lam_bal = np.empty((S, T))
-            f_sel = np.empty((S, T), dtype=np.int64)
             try:
-                for s in range(S):
-                    for t in range(T):
-                        f = bracket_index(
-                            inst.bal_curves[s],
-                            inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - mid[t],
-                        )
-                        f_sel[s, t] = f
-                        lam_bal[s, t] = inst.bal_curves[s].prices[f]
+                f_sel = bracket_indices(grid, imb_demand - mid)
             except ValueError:  # pragma: no cover - coverage was checked upfront
                 continue
+            lam_bal = inst.bal_prices[np.arange(S)[:, None], f_sel]
             # cheap lower bound: CVaR >= expected cost, expected cost is affine
             a_coef = lam_da - probs @ lam_bal
             const = float((probs[:, None] * lam_bal * k_mat).sum())
@@ -961,11 +947,6 @@ def brute_force_oracle(
     objective, expected, cvar, zeta, costs, eta, price_da, price_bal = evaluate_selection(
         inst, d_da, b_sel, f_sel
     )
-    u_da = np.zeros((T, inst.da_curve.n_levels))
-    u_da[np.arange(T), b_sel] = 1.0
-    u_bal = np.zeros((S, T, inst.bal_curves[0].n_levels))
-    for s in range(S):
-        u_bal[s, np.arange(T), f_sel[s]] = 1.0
     return Solution(
         status="optimal",
         objective=objective,
@@ -974,8 +955,8 @@ def brute_force_oracle(
         gap=0.0,
         d_da=d_da,
         d_bal=k_mat - d_da[None, :],
-        u_da=u_da,
-        u_bal=u_bal,
+        u_da=_one_hot(b_sel, inst.da_curve.n_levels),
+        u_bal=_one_hot(f_sel, grid.n_levels),
         zeta=zeta,
         eta=eta,
         scenario_costs=costs,

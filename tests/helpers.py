@@ -1,10 +1,12 @@
-"""Shared instance generators and the loop-built reference model for the
+"""Shared instance generators and the loop-built reference models for the
 procurement tests."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from dpmeter.market import PriceCurve, SystemExogenous
-from dpmeter.milp import MipBuilder
+from dpmeter.milp import LinearMip, MipBuilder
 from dpmeter.procurement import INF, MilpModel, ProcurementInstance, _cost_bound
 from dpmeter.scenario import ErrorScenarioSet
 
@@ -251,3 +253,207 @@ def loop_build_milp(inst: ProcurementInstance) -> MilpModel:
 
     model.lp = b.build()
     return model
+
+
+def loop_reachable(curve: PriceCurve, demand_lo: float, demand_hi: float) -> tuple[int, int]:
+    """Scalar form of ``procurement._reachable``."""
+    tol = 1e-9
+    lo_idx = int(np.ceil((demand_lo - curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta - tol))
+    hi_idx = int(np.floor((demand_hi + curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta + tol))
+    return max(lo_idx, 0), min(hi_idx, curve.n_levels - 1)
+
+
+class LoopReduction(NamedTuple):
+    lo: np.ndarray  # tightened d_da bounds (T,)
+    hi: np.ndarray
+    da_range: list[tuple[int, int]]  # inclusive reachable bracket range per t
+    bal_range: list[list[tuple[int, int]]]  # per s, per t
+    infeasible_group: str | None = None
+
+
+def loop_reduce(inst: ProcurementInstance) -> LoopReduction:
+    """Per-(s, t) loop form of ``procurement._reduce``: each sweep tightens
+    the bounds group by group, so a later group sees an earlier one's move."""
+    T, S = inst.n_periods, inst.n_scenarios
+    k_mat = inst.realized_demand()
+    lo = inst.d_da_lower.copy()
+    hi = inst.d_da_upper.copy()
+    da_range = [(0, 0)] * T
+    bal_range = [[(0, 0)] * T for _ in range(S)]
+    for _ in range(2 + S):
+        changed = False
+        for t in range(T):
+            base = inst.exogenous.d_sys_base[t]
+            bmin, bmax = loop_reachable(inst.da_curve, base + lo[t], base + hi[t])
+            if bmin > bmax:
+                return LoopReduction(lo, hi, da_range, bal_range, f"bracket_da[{t}]")
+            da_range[t] = (bmin, bmax)
+            if bmin == bmax:
+                level = inst.da_curve.demand_levels[bmin]
+                new_lo = max(lo[t], level - inst.da_curve.delta / 2.0 - base)
+                new_hi = min(hi[t], level + inst.da_curve.delta / 2.0 - base)
+                if new_lo > lo[t] + 1e-12 or new_hi < hi[t] - 1e-12:
+                    lo[t], hi[t] = new_lo, new_hi
+                    changed = True
+                if lo[t] > hi[t] + 1e-9:
+                    return LoopReduction(lo, hi, da_range, bal_range, f"bracket_da[{t}]")
+        for s in range(S):
+            curve = inst.bal_curves[s]
+            for t in range(T):
+                base = inst.exogenous.d_imb_base[s, t]
+                bal_lo = k_mat[s, t] - hi[t]
+                bal_hi = k_mat[s, t] - lo[t]
+                fmin, fmax = loop_reachable(curve, base + bal_lo, base + bal_hi)
+                if fmin > fmax:
+                    return LoopReduction(lo, hi, da_range, bal_range, f"bracket_bal[{s},{t}]")
+                bal_range[s][t] = (fmin, fmax)
+                if fmin == fmax:
+                    level = curve.demand_levels[fmin]
+                    cell_lo = level - curve.delta / 2.0 - base
+                    cell_hi = level + curve.delta / 2.0 - base
+                    new_lo = max(lo[t], k_mat[s, t] - cell_hi)
+                    new_hi = min(hi[t], k_mat[s, t] - cell_lo)
+                    if new_lo > lo[t] + 1e-12 or new_hi < hi[t] - 1e-12:
+                        lo[t], hi[t] = new_lo, new_hi
+                        changed = True
+                    if lo[t] > hi[t] + 1e-9:
+                        return LoopReduction(lo, hi, da_range, bal_range, f"bracket_bal[{s},{t}]")
+        if not changed:
+            break
+    return LoopReduction(lo, hi, da_range, bal_range)
+
+
+def loop_reduced_model(inst: ProcurementInstance, red: LoopReduction) -> LinearMip:
+    """Per-entry ``MipBuilder`` form of the reduced model ``procurement.solve``
+    branches on, kept as the reference its array build must match bit for
+    bit (names aside)."""
+    T, S = inst.n_periods, inst.n_scenarios
+    k_mat = inst.realized_demand()
+    lo, hi = red.lo, red.hi
+    big_m = hi - lo
+    probs = inst.scenarios.probabilities
+    m_cost = _cost_bound(inst)
+    da_prices = inst.da_curve.prices
+    da_levels = inst.da_curve.demand_levels
+
+    b = MipBuilder()
+    d_cols = [b.add_col(f"d_da[{t}]", lo[t], hi[t]) for t in range(T)]
+    zeta_col = b.add_col("zeta", -m_cost, m_cost, obj=inst.beta)
+    eta_cols = [
+        b.add_col(f"eta[{s}]", 0.0, 2.0 * m_cost, obj=inst.beta * probs[s] / (1.0 - inst.alpha))
+        for s in range(S)
+    ]
+    cvar_coeffs: list[dict[int, float]] = [
+        {zeta_col: -1.0, eta_cols[s]: -1.0} for s in range(S)
+    ]
+    cvar_const = np.zeros(S)
+
+    free_da = [t for t in range(T) if red.da_range[t][0] < red.da_range[t][1]]
+    free_bal = [
+        (s, t)
+        for s in range(S)
+        for t in range(T)
+        if red.bal_range[s][t][0] < red.bal_range[s][t][1]
+    ]
+
+    u_da_cols: dict[tuple[int, int], int] = {}
+    u_bal_cols: dict[tuple[int, int, int], int] = {}
+    for t in free_da:
+        bmin, bmax = red.da_range[t]
+        for bb in range(bmin, bmax + 1):
+            u_da_cols[(t, bb)] = b.add_col(f"u_da[{t},{bb}]", 0.0, 1.0, integer=True)
+    for s, t in free_bal:
+        fmin, fmax = red.bal_range[s][t]
+        for f in range(fmin, fmax + 1):
+            u_bal_cols[(s, t, f)] = b.add_col(f"u_bal[{s},{t},{f}]", 0.0, 1.0, integer=True)
+    c_da_cols: dict[tuple[int, int], int] = {}
+    c_bal_cols: dict[tuple[int, int, int], int] = {}
+    for t, bb in u_da_cols:
+        c_da_cols[(t, bb)] = b.add_col(f"c_da[{t},{bb}]", 0.0, big_m[t])
+    for s, t, f in u_bal_cols:
+        c_bal_cols[(s, t, f)] = b.add_col(f"c_bal[{s},{t},{f}]", 0.0, big_m[t])
+
+    def _add_cost(col: int, coef: float, s: int | None, weight: float) -> None:
+        """Add a cost coefficient to the objective and the CVaR rows."""
+        b.add_obj(col, coef * weight)
+        if s is None:
+            for row in cvar_coeffs:
+                row[col] = row.get(col, 0.0) + coef
+        else:
+            cvar_coeffs[s][col] = cvar_coeffs[s].get(col, 0.0) + coef
+
+    # day-ahead cost terms
+    for t in range(T):
+        bmin, bmax = red.da_range[t]
+        if bmin == bmax:
+            _add_cost(d_cols[t], float(da_prices[bmin]), None, 1.0)
+        else:
+            for bb in range(bmin, bmax + 1):
+                _add_cost(c_da_cols[(t, bb)], float(da_prices[bb]), None, 1.0)
+                _add_cost(u_da_cols[(t, bb)], float(da_prices[bb] * lo[t]), None, 1.0)
+    # balancing cost terms: lambda * (K - d_da) for resolved groups
+    for s in range(S):
+        prices_s = inst.bal_curves[s].prices
+        for t in range(T):
+            fmin, fmax = red.bal_range[s][t]
+            if fmin == fmax:
+                lam = float(prices_s[fmin])
+                b.add_obj(d_cols[t], -probs[s] * lam)
+                b.obj_offset += probs[s] * lam * k_mat[s, t]
+                cvar_coeffs[s][d_cols[t]] = cvar_coeffs[s].get(d_cols[t], 0.0) - lam
+                cvar_const[s] -= lam * k_mat[s, t]
+            else:
+                lo_bal = k_mat[s, t] - hi[t]
+                for f in range(fmin, fmax + 1):
+                    _add_cost(c_bal_cols[(s, t, f)], float(prices_s[f]), s, probs[s])
+                    _add_cost(u_bal_cols[(s, t, f)], float(prices_s[f] * lo_bal), s, probs[s])
+
+    for s in range(S):
+        b.add_row(f"cvar[{s}]", cvar_coeffs[s], -INF, float(cvar_const[s]))
+
+    half_da = inst.da_curve.delta / 2.0
+    for t in free_da:
+        bmin, bmax = red.da_range[t]
+        base = inst.exogenous.d_sys_base[t]
+        b.add_row(
+            f"sos1_da[{t}]",
+            {u_da_cols[(t, bb)]: 1.0 for bb in range(bmin, bmax + 1)},
+            1.0,
+            1.0,
+        )
+        tie = {c_da_cols[(t, bb)]: 1.0 for bb in range(bmin, bmax + 1)}
+        tie[d_cols[t]] = -1.0
+        b.add_row(f"bracket_da[{t}]", tie, -lo[t], -lo[t])
+        for bb in range(bmin, bmax + 1):
+            cell_lo = da_levels[bb] - half_da - base
+            cell_hi = da_levels[bb] + half_da - base
+            a_b = max(0.0, cell_lo - lo[t])
+            c_b = min(big_m[t], cell_hi - lo[t])
+            c_col, u_col = c_da_cols[(t, bb)], u_da_cols[(t, bb)]
+            b.add_row(f"lin_ub_da[{t},{bb}]", {c_col: 1.0, u_col: -c_b}, -INF, 0.0)
+            b.add_row(f"lin_lb_da[{t},{bb}]", {c_col: 1.0, u_col: -a_b}, 0.0, INF)
+    for s, t in free_bal:
+        curve = inst.bal_curves[s]
+        fmin, fmax = red.bal_range[s][t]
+        half_bal = curve.delta / 2.0
+        base = inst.exogenous.d_imb_base[s, t]
+        lo_bal = k_mat[s, t] - hi[t]
+        b.add_row(
+            f"sos1_bal[{s},{t}]",
+            {u_bal_cols[(s, t, f)]: 1.0 for f in range(fmin, fmax + 1)},
+            1.0,
+            1.0,
+        )
+        tie = {c_bal_cols[(s, t, f)]: 1.0 for f in range(fmin, fmax + 1)}
+        tie[d_cols[t]] = 1.0
+        b.add_row(f"bracket_bal[{s},{t}]", tie, hi[t], hi[t])
+        for f in range(fmin, fmax + 1):
+            cell_lo = curve.demand_levels[f] - half_bal - base
+            cell_hi = curve.demand_levels[f] + half_bal - base
+            a_f = max(0.0, cell_lo - lo_bal)
+            c_f = min(big_m[t], cell_hi - lo_bal)
+            c_col, u_col = c_bal_cols[(s, t, f)], u_bal_cols[(s, t, f)]
+            b.add_row(f"lin_ub_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -c_f}, -INF, 0.0)
+            b.add_row(f"lin_lb_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -a_f}, 0.0, INF)
+
+    return b.build()

@@ -110,6 +110,62 @@ class TestProcureCommand:
         assert len(bal) == 2
 
 
+def assert_usage_error(capsys, args, text):
+    """The command exits 2 with one ``dpmeter: error:`` line naming ``text``."""
+    with pytest.raises(SystemExit) as exited:
+        run(args)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpmeter: error: ") and err.count("\n") == 1, err
+    assert text in err
+
+
+class TestInputErrors:
+    """An invalid input file is one error line and exit code 2, as argparse
+    reports a usage error, not a traceback."""
+
+    def bad_config(self, tmp_path):
+        doc = json.loads(config_to_json(ExperimentConfig(epsilon_grid=(1.0,), gamma_grid=(0.0,))))
+        doc["hetero_p"] = [0.5, 1.5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_experiment_invalid_config(self, tmp_path, capsys):
+        args = ["experiment", "--config", self.bad_config(tmp_path), "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "must lie in [0, 1]")
+        assert not (tmp_path / "x").exists()
+
+    def test_report_invalid_config(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("")
+        args = ["report", "--results", results, "--config", self.bad_config(tmp_path),
+                "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "must lie in [0, 1]")
+
+    def test_missing_config(self, tmp_path, capsys):
+        args = ["experiment", "--config", tmp_path / "none.json", "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "none.json")
+
+    def test_procure_uncovered_instance(self, tmp_path, capsys):
+        scen = ErrorScenarioSet(np.zeros((1, 1)), np.ones(1))
+        inst = ProcurementInstance(
+            d_fore=np.array([10.0]),
+            scenarios=scen,
+            da_curve=uniform_curve(52.0, 80.0, 1, [50.0]),  # misses low demands
+            bal_curves=(uniform_curve(-25.0, 25.0, 2, [30.0, 90.0]),),
+            exogenous=SystemExogenous(np.array([50.0]), np.zeros((1, 1))),
+            beta=0.5,
+            alpha=0.9,
+            d_da_lower=np.array([-5.0]),
+            d_da_upper=np.array([15.0]),
+        )
+        path = tmp_path / "inst.json"
+        write_instance(inst, path)
+        args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
+        assert_usage_error(capsys, args, "day-ahead price grid does not cover period 0")
+
+
 class TestExperimentCommand:
     def config_file(self, tmp_path):
         cfg = ExperimentConfig(
@@ -155,3 +211,9 @@ class TestExperimentCommand:
         path = tmp_path / "bad.json"
         path.write_text(config_to_json(cfg))
         assert run(["experiment", "--config", path, "--out", tmp_path / "x"]) == 1
+
+    def test_seed_override(self, tmp_path):
+        cfg_path = self.config_file(tmp_path)
+        out = tmp_path / "exp"
+        assert run(["experiment", "--config", cfg_path, "--seed", 3, "--out", out]) == 0
+        assert json.loads((out / "metadata.json").read_text())["seeds"] == [3]

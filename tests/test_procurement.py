@@ -12,6 +12,8 @@ from dpmeter.market import SystemExogenous
 from dpmeter.milp import check_feasibility
 from dpmeter.procurement import (
     ProcurementInstance,
+    _reduce,
+    _reduced_model,
     brute_force_oracle,
     build_milp,
     cvar_kinks,
@@ -24,7 +26,14 @@ from dpmeter.procurement import (
 )
 from dpmeter.scenario import ErrorScenarioSet
 
-from helpers import loop_build_milp, loop_check_coverage, random_instance, uniform_curve
+from helpers import (
+    loop_build_milp,
+    loop_check_coverage,
+    loop_reduce,
+    loop_reduced_model,
+    random_instance,
+    uniform_curve,
+)
 
 
 def flat_instance(beta=0.0, price=50.0):
@@ -87,6 +96,29 @@ class TestCvar:
                 assert zeta in row
                 at_zeta = zeta + probs @ np.maximum(row - zeta, 0.0) / (1 - alpha)
                 assert at_zeta == pytest.approx(value, rel=1e-12, abs=1e-9)
+
+
+class TestInstance:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"delta": 20.0 + 1e-12},
+            {"demand_levels": np.array([-10.0, 10.0]) + 1e-12},
+            {"demand_levels": np.array([-10.0, 10.0, 30.0]), "prices": np.full(3, 80.0)},
+        ],
+        ids=["delta", "level", "n_levels"],
+    )
+    def test_balancing_grid_mismatch_rejected(self, change):
+        grid = uniform_curve(-20.0, 20.0, 2, [70.0, 90.0])
+        inst = flat_instance()
+        two = dict(
+            scenarios=ErrorScenarioSet(np.zeros((2, 1)), np.full(2, 0.5)),
+            exogenous=SystemExogenous(np.array([50.0]), np.zeros((2, 1))),
+        )
+        dataclasses.replace(inst, bal_curves=(grid, grid.shifted_prices(5.0)), **two)
+        other = dataclasses.replace(grid, **change)
+        with pytest.raises(ValueError, match="share one demand grid"):
+            dataclasses.replace(inst, bal_curves=(grid, other), **two)
 
 
 class TestBuildMilp:
@@ -152,22 +184,28 @@ class TestBuildMilp:
         assert str(got.value) == str(want.value)
 
 
-def assert_same_model(got, want):
-    """Every array of the two models equal bit for bit; ``got`` has no names."""
+def assert_same_lp(got, want):
+    """Every array of the two LPs and the offset equal bit for bit; ``got``
+    has no names."""
     for name in ("col_lower", "col_upper", "obj", "is_integer", "row_lower", "row_upper"):
-        a, b = getattr(got.lp, name), getattr(want.lp, name)
+        a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.lp.row_matrix, name), getattr(want.lp.row_matrix, name)
+        a, b = getattr(got.row_matrix, name), getattr(want.row_matrix, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert np.float64(got.obj_offset).tobytes() == np.float64(want.obj_offset).tobytes()
+    assert got.col_names == [] and got.row_names == []
+
+
+def assert_same_model(got, want):
+    """Every array of the two models equal bit for bit; ``got`` has no names."""
+    assert_same_lp(got.lp, want.lp)
     for name in ("T", "S", "B", "F", "off_d_da", "off_d_bal", "col_zeta", "off_eta",
                  "off_c_da", "off_c_bal", "off_u_da", "off_u_bal"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.big_m.tobytes() == want.big_m.tobytes()
     assert got.k_mat.tobytes() == want.k_mat.tobytes()
-    assert got.lp.obj_offset == want.lp.obj_offset
-    assert got.lp.col_names == [] and got.lp.row_names == []
 
 
 class TestArrayBuild:
@@ -183,19 +221,7 @@ class TestArrayBuild:
         assert_same_model(build_milp(inst), loop_build_milp(inst))
 
     def test_exact_zero_coefficients_dropped(self):
-        rng = np.random.default_rng(8)
-        inst = random_instance(rng, T=3, S=2, B=3, F=3)
-        lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
-        lo[0] = 0.0  # u_da cost coefficients da_price * lo vanish
-        lo[1] = hi[1] = 1.0  # big_m = 0: the -M coefficients vanish
-        prices = inst.da_curve.prices.copy()
-        prices[0] = 0.0  # c_da cost coefficients vanish
-        inst = dataclasses.replace(
-            inst,
-            d_da_lower=lo,
-            d_da_upper=hi,
-            da_curve=dataclasses.replace(inst.da_curve, prices=prices),
-        )
+        inst = zero_coefficient_instance()
         model = build_milp(inst)
         assert_same_model(model, loop_build_milp(inst))
         assert np.all(model.lp.row_matrix.data != 0.0)
@@ -229,6 +255,101 @@ class TestArrayBuild:
             else:
                 assert_same_model(build_milp(bad), loop_build_milp(bad))
         assert n_raised >= 10
+
+
+def grid_edge_sliver():
+    """``flat_instance`` whose reachable day-ahead demand starts 5e-10 below
+    the curve: inside the coverage tolerance, so the one day-ahead bracket
+    is forced and ``_reduce`` clips ``d_da_lower`` up to its cell."""
+    inst = flat_instance()
+    lower = inst.da_curve.lo - inst.exogenous.d_sys_base - 5e-10
+    return dataclasses.replace(inst, d_da_lower=lower)
+
+
+def balancing_sliver():
+    """T = 2, S = 2: two day-ahead brackets stay free, and the one balancing
+    bracket of each scenario is forced.  The reachable imbalance of
+    (s=1, t=0) and (s=0, t=1) ends 5e-10 above the grid, so the balancing
+    groups clip ``d_da_lower`` up to their cells."""
+    k_mat = np.array([[10.0, 10.0], [11.0, 9.0]])
+    return ProcurementInstance(
+        d_fore=np.full(2, 10.0),
+        scenarios=ErrorScenarioSet(k_mat - 10.0, np.array([0.4, 0.6])),
+        da_curve=uniform_curve(0.0, 120.0, 2, [40.0, 60.0]),
+        bal_curves=(uniform_curve(-20.0, 20.0, 1, [80.0]), uniform_curve(-20.0, 20.0, 1, [85.0])),
+        exogenous=SystemExogenous(np.full(2, 50.0), np.zeros((2, 2))),
+        beta=0.5,
+        alpha=0.9,
+        d_da_lower=np.array([-9.0, -10.0]) - 5e-10,
+        d_da_upper=np.full(2, 15.0),
+    )
+
+
+def zero_coefficient_instance():
+    """Instance with exact-zero cost and big-M coefficients."""
+    rng = np.random.default_rng(8)
+    inst = random_instance(rng, T=3, S=2, B=3, F=3)
+    lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
+    lo[0] = 0.0  # u_da cost coefficients da_price * lo vanish
+    lo[1] = hi[1] = 1.0  # big_m = 0: the -M coefficients vanish
+    prices = inst.da_curve.prices.copy()
+    prices[0] = 0.0  # c_da cost coefficients vanish
+    return dataclasses.replace(
+        inst,
+        d_da_lower=lo,
+        d_da_upper=hi,
+        da_curve=dataclasses.replace(inst.da_curve, prices=prices),
+    )
+
+
+def parity_instances():
+    """The instances on which the array reduction and reduced model must
+    equal the loop references."""
+    rng = np.random.default_rng(17)
+    insts = [random_instance(rng) for _ in range(40)]
+    insts.append(random_instance(rng, T=3, S=4, B=5, F=6))
+    insts.append(zero_coefficient_instance())
+    insts.append(read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"))
+    insts += [grid_edge_sliver(), balancing_sliver()]
+    return insts
+
+
+def assert_same_reduction(got, want):
+    """``_reduce``'s bounds and bracket ranges equal the loop's bit for bit."""
+    assert got.lo.tobytes() == want.lo.tobytes()
+    assert got.hi.tobytes() == want.hi.tobytes()
+    da = np.array(want.da_range, dtype=np.int64)
+    bal = np.array(want.bal_range, dtype=np.int64)
+    for a, b in ((got.da_min, da[..., 0]), (got.da_max, da[..., 1]),
+                 (got.bal_min, bal[..., 0]), (got.bal_max, bal[..., 1])):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.infeasible_group == want.infeasible_group
+
+
+class TestReducedModel:
+    """``solve`` reduces with whole-array passes and builds its model from
+    arrays; both must equal the per-(s, t) loops in ``helpers``."""
+
+    @pytest.mark.parametrize("inst", parity_instances())
+    def test_matches_loop_reference(self, inst):
+        red, want = _reduce(inst), loop_reduce(inst)
+        assert_same_reduction(red, want)
+        lp, _, _ = _reduced_model(inst, red)
+        assert_same_lp(lp, loop_reduced_model(inst, want))
+
+    @pytest.mark.parametrize(
+        "make, lower", [(grid_edge_sliver, [-10.0]), (balancing_sliver, [-9.0, -10.0])]
+    )
+    def test_sliver_bounds_clipped_to_cell(self, make, lower):
+        inst = make()
+        red = _reduce(inst)
+        assert np.all(inst.d_da_lower < red.lo) and red.lo.tolist() == lower
+        assert red.hi.tobytes() == inst.d_da_upper.tobytes()
+        model = build_milp(inst)
+        sol = solve(model)
+        assert sol.status == "optimal"
+        assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
+        assert sol.objective == pytest.approx(highs_objective(model.lp), rel=1e-9)
 
 
 class TestSolve:
