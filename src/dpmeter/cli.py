@@ -69,7 +69,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_privatize(args) -> int:
-    panel = read_meter_csv(args.input)
+    panel = _load(read_meter_csv, args.input)
     params = PrivacyParams(args.epsilon, args.gamma)
     noisy = privatize_aggregate(panel, params, args.seed)
     out = _out_dir(args)
@@ -90,7 +90,7 @@ def _scheme_from_args(args) -> SettlementScheme:
 
 
 def cmd_forecast(args) -> int:
-    panel = read_meter_csv(args.input)
+    panel = _load(read_meter_csv, args.input)
     dlc = compute_dlc(panel)
     cfg = TrainConfig(epochs=args.epochs)
     result = forecast_scheme(_scheme_from_args(args), panel, dlc, cfg, args.seed)
@@ -106,10 +106,20 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+def _read_forecast(path) -> np.ndarray:
+    """The ``kwh`` column of a CSV written by ``dpmeter forecast``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "kwh" not in (reader.fieldnames or ()):
+            raise ValueError("forecast CSV must have a kwh column")
+        values = [float(r["kwh"]) for r in reader]
+    if not values:
+        raise ValueError("forecast CSV contains no rows")
+    return np.array(values)
+
+
 def cmd_scenarios(args) -> int:
-    with open(args.forecast, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    forecast = np.array([float(r["kwh"]) for r in rows])
+    forecast = _load(_read_forecast, args.forecast)
     scen = generate_scenarios(forecast, WapeScore(args.wape), args.count, args.seed)
     out = _out_dir(args)
     write_scenario_csv(scen, out / "scenarios.csv")
@@ -164,8 +174,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    results = _load(read_results_csv, args.results)
     cfg = _load(load_config, args.config) if args.config else ExperimentConfig()
+    results = _load(read_results_csv, args.results)
     written = report(results, _out_dir(args), cfg)
     print("wrote " + ", ".join(written))
     return 0

@@ -543,11 +543,17 @@ def write_results_csv(results: list[SchemeResult], path) -> None:
 
 
 def read_results_csv(path) -> list[SchemeResult]:
+    """Rows written by ``write_results_csv``; a table that lacks one of
+    ``RESULT_COLUMNS`` or has no rows raises ``ValueError``."""
     import csv as _csv
 
     out = []
     with open(path, newline="") as fh:
-        for row in _csv.DictReader(fh):
+        reader = _csv.DictReader(fh)
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"results CSV lacks columns {missing}")
+        for row in reader:
             out.append(
                 SchemeResult(
                     scheme=row["scheme"],
@@ -564,6 +570,8 @@ def read_results_csv(path) -> list[SchemeResult]:
                     omega_exp=float(row["omega_exp"]) if row["omega_exp"] else None,
                 )
             )
+    if not out:
+        raise ValueError("results CSV contains no rows")
     return out
 
 

@@ -1,7 +1,7 @@
 """Minimal compressed sparse matrix support for the simplex solver.
 
 Only the operations the solver needs: COO assembly, matrix-vector products
-in both orientations, and single-column extraction.
+in both orientations, and column extraction.
 """
 
 from __future__ import annotations
@@ -72,6 +72,17 @@ class SparseMatrix:
         col_ptr, row_idx, col_data = self._ensure_csc()
         lo, hi = col_ptr[j], col_ptr[j + 1]
         return row_idx[lo:hi], col_data[lo:hi]
+
+    def column_entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row indices, positions in ``cols``, values) of every entry of
+        ``A[:, cols]``, gathered in one pass over the column-major copy."""
+        col_ptr, row_idx, col_data = self._ensure_csc()
+        start = col_ptr[cols]
+        count = col_ptr[cols + 1] - start
+        pos = np.repeat(np.arange(cols.size), count)
+        first = np.cumsum(count) - count  # where each column's entries begin
+        idx = np.arange(int(count.sum())) + np.repeat(start - first, count)
+        return row_idx[idx], pos, col_data[idx]
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[i], self.indptr[i + 1]

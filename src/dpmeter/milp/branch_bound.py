@@ -31,6 +31,8 @@ class MilpResult:
     x: np.ndarray | None
     gap: float
     n_nodes: int
+    lp_iterations: int = 0  # simplex pivots and bound flips over all nodes
+    refactorizations: int = 0  # basis inversions over all nodes
     infeasible_row: int = -1
 
 
@@ -85,8 +87,12 @@ def solve_milp(
     fixes: list[tuple[int, float, float]] = []
     res = solver.solve()
     n_nodes = 1
+    lp_iterations = res.iterations
     if res.status == "infeasible":
-        return MilpResult("infeasible", INF, None, INF, n_nodes, res.infeasible_row)
+        return MilpResult(
+            "infeasible", INF, None, INF, n_nodes, lp_iterations, solver.refactorizations,
+            res.infeasible_row,
+        )
     if res.status == "unbounded":
         raise ValueError("relaxation is unbounded; the model is missing finite bounds")
 
@@ -136,6 +142,7 @@ def solve_milp(
                         raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
                     res = solver.solve()
                     n_nodes += 1
+                    lp_iterations += res.iterations
                     if res.status == "unbounded":  # pragma: no cover - defensive
                         raise ValueError("child relaxation unbounded")
                     if res.status == "infeasible":
@@ -155,6 +162,7 @@ def solve_milp(
                 raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
             res = solver.solve()
             n_nodes += 1
+            lp_iterations += res.iterations
             if res.status == "unbounded":  # pragma: no cover - defensive
                 raise ValueError("sibling relaxation unbounded")
             if res.status == "infeasible":
@@ -162,7 +170,8 @@ def solve_milp(
         if res is None and not stack:
             break
 
+    counts = (n_nodes, lp_iterations, solver.refactorizations)
     if best_x is None:
-        return MilpResult("infeasible", INF, None, INF, n_nodes)
+        return MilpResult("infeasible", INF, None, INF, *counts)
     gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0
-    return MilpResult("optimal", best_obj, best_x, gap, n_nodes)
+    return MilpResult("optimal", best_obj, best_x, gap, *counts)

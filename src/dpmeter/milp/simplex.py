@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex with a dense basis inverse.
+"""Bounded-variable primal simplex with an explicit basis inverse.
 
 Works on the augmented system ``[A | -I] z = 0`` where the slack of each
 range row carries the row bounds.  Phase 1 drives out bound violations by
@@ -14,6 +14,16 @@ row with the largest pivot among those blocking inside that step leave.
 Entries below ``_PIVOT_TOL`` are round-off standing in for zeros and never
 become pivots; should the basis still turn out singular at a
 refactorization, the dependent columns are swapped for slacks.
+
+The inverse is kept dense and updated by one rank-1 product per pivot.  A
+refactorization inverts only the structural kernel of the basis (Suhl &
+Suhl 1990, *ORSA J. Computing* 2): each basic slack covers its own row, so
+with the rows ``R_n`` no basic slack covers, the basic structural columns
+``S`` and the slack-covered rows ``R_s``, the basis permutes to
+``[[K, 0], [C, -I]]`` with ``K = A[R_n, S]`` and ``C = A[R_s, S]``.  Its
+inverse is ``[[K⁻¹, 0], [C K⁻¹, -I]]``: O(k³ + (m − k) k²) work for k
+basic structurals instead of O(m³).  The entering column's solve uses only
+that column's nonzeros.
 
 State persists between calls: branch-and-bound fixes column bounds and
 re-solves from the current basis without refactorizing.
@@ -74,6 +84,7 @@ class SimplexSolver:
         self.binv = np.empty((self.m, self.m))
         self.x = np.zeros(self.N)
         self._pivots_since_refactor = 0
+        self.refactorizations = 0  # kernel inversions since construction
         self.reset_cold()
 
     # ----- state management -------------------------------------------------
@@ -116,32 +127,45 @@ class SimplexSolver:
 
     # ----- linear algebra helpers -------------------------------------------
 
-    def _column_dense(self, j: int) -> np.ndarray:
-        w = np.zeros(self.m)
-        if j < self.n:
-            rows, vals = self.A.column(j)
-            w[rows] = vals
-        else:
-            w[j - self.n] = -1.0
-        return w
-
     def _basis_matrix(self) -> np.ndarray:
+        """The dense m × m basis, gathered from the column-major copy of ``A``."""
         B = np.zeros((self.m, self.m))
-        for k, j in enumerate(self.basis):
-            B[:, k] = self._column_dense(int(j))
+        struct = np.flatnonzero(self.basis < self.n)
+        rows, pos, vals = self.A.column_entries(self.basis[struct])
+        B[rows, struct[pos]] = vals
+        slack = np.flatnonzero(self.basis >= self.n)
+        B[self.basis[slack] - self.n, slack] = -1.0
         return B
 
+    def _kernel_inverse(self, B: np.ndarray) -> np.ndarray:
+        """``B⁻¹`` from the inverse of the structural kernel ``K`` alone.
+
+        Rows of the result follow basis positions, columns follow rows of
+        ``A``.  A singular ``K`` (hence ``B``) raises ``LinAlgError``.
+        """
+        slack = self.basis >= self.n
+        p_s = np.flatnonzero(slack)  # positions of the basic slacks
+        p_n = np.flatnonzero(~slack)  # positions of the basic structurals
+        r_s = self.basis[p_s] - self.n  # the rows those slacks cover
+        covered = np.zeros(self.m, dtype=bool)
+        covered[r_s] = True
+        r_n = np.flatnonzero(~covered)
+        kinv = np.linalg.inv(B[np.ix_(r_n, p_n)])
+        binv = np.zeros((self.m, self.m))
+        binv[np.ix_(p_n, r_n)] = kinv
+        binv[np.ix_(p_s, r_n)] = B[np.ix_(r_s, p_n)] @ kinv
+        binv[p_s, r_s] = -1.0
+        return binv
+
     def _refactorize(self) -> None:
-        if self.m == 0:
-            self.binv = np.empty((0, 0))
-            return
         B = self._basis_matrix()
         try:
-            self.binv = np.linalg.inv(B)
+            self.binv = self._kernel_inverse(B)
         except np.linalg.LinAlgError:
             self._repair_basis(B)
-            self.binv = np.linalg.inv(self._basis_matrix())
+            self.binv = self._kernel_inverse(self._basis_matrix())
         self._pivots_since_refactor = 0
+        self.refactorizations += 1
 
     def _repair_basis(self, B: np.ndarray) -> None:
         """Swap the dependent basic columns for slacks of uncovered rows.
@@ -248,7 +272,12 @@ class SimplexSolver:
             if self.vstat[j] == _AT_UPPER or (self.vstat[j] == _FREE and d[j] > 0):
                 t_dir = -1.0
 
-            w = self.binv @ self._column_dense(j) if self.m else np.zeros(0)
+            # the entering column's solve B⁻¹ a_j over a_j's nonzeros only
+            if j < self.n:
+                rows, vals = self.A.column(j)
+                w = self.binv[:, rows] @ vals
+            else:
+                w = -self.binv[:, j - self.n]
             rate = -t_dir * w
 
             # ratio test, pass 1: basics block at the first bound they meet

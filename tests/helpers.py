@@ -1,9 +1,11 @@
 """Shared instance generators and the loop-built reference models for the
-procurement tests."""
+procurement and simplex tests."""
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from dpmeter.market import PriceCurve, SystemExogenous
 from dpmeter.milp import LinearMip, MipBuilder
@@ -57,6 +59,21 @@ def random_instance(rng, T=None, S=None, B=None, F=None, beta=None, alpha=0.9):
         d_da_lower=lo,
         d_da_upper=hi,
     )
+
+
+def highs_objective(lp: LinearMip) -> float:
+    """Optimum of ``lp`` by scipy's HiGHS MILP solver, with the offset."""
+    rm = lp.row_matrix
+    A = csr_matrix((rm.data, rm.indices, rm.indptr), shape=(lp.n_rows, lp.n_cols))
+    ref = milp(
+        c=lp.obj,
+        constraints=LinearConstraint(A, lp.row_lower, lp.row_upper),
+        integrality=lp.is_integer.astype(int),
+        bounds=Bounds(lp.col_lower, lp.col_upper),
+        options={"mip_rel_gap": 1e-9},
+    )
+    assert ref.status == 0, ref.message
+    return float(ref.fun) + lp.obj_offset
 
 
 def loop_check_coverage(inst: ProcurementInstance) -> None:
@@ -457,3 +474,16 @@ def loop_reduced_model(inst: ProcurementInstance, red: LoopReduction) -> LinearM
             b.add_row(f"lin_lb_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -a_f}, 0.0, INF)
 
     return b.build()
+
+
+def loop_basis_matrix(solver) -> np.ndarray:
+    """Column-by-column form of ``SimplexSolver._basis_matrix``."""
+    B = np.zeros((solver.m, solver.m))
+    for k, j in enumerate(solver.basis):
+        j = int(j)
+        if j < solver.n:
+            rows, vals = solver.A.column(j)
+            B[rows, k] = vals
+        else:
+            B[j - solver.n, k] = -1.0
+    return B

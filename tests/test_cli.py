@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpmeter.cli import main
-from dpmeter.experiment import ExperimentConfig, config_to_json
+from dpmeter.experiment import RESULT_COLUMNS, ExperimentConfig, config_to_json
 from dpmeter.forecast import TrainConfig
 from dpmeter.market import SystemExogenous
 from dpmeter.procurement import ProcurementInstance, write_instance
@@ -164,6 +164,45 @@ class TestInputErrors:
         write_instance(inst, path)
         args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
         assert_usage_error(capsys, args, "day-ahead price grid does not cover period 0")
+
+
+    def test_privatize_missing_input(self, tmp_path, capsys):
+        args = ["privatize", "--input", tmp_path / "none.csv", "--epsilon", 1.0,
+                "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "none.csv")
+
+    def test_forecast_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "meters.csv"
+        path.write_text("meter_id,kwh\nm0,1.0\n")
+        args = ["forecast", "--input", path, "--scheme", "hhs-ehh", "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "meter CSV must have columns")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("period_index,value\n0,1.0\n", "must have a kwh column"),
+         ("period_index,kwh\n", "contains no rows"),
+         ("period_index,kwh\n0,abc\n", "could not convert")],
+        ids=["no kwh column", "no rows", "bad number"],
+    )
+    def test_scenarios_malformed_forecast(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "forecast.csv"
+        path.write_text(text)
+        args = ["scenarios", "--forecast", path, "--wape", 0.1, "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, reason)
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [(",".join(RESULT_COLUMNS), "contains no rows"),
+         ("", "lacks columns"),
+         (",".join(c for c in RESULT_COLUMNS if c != "cvar"), "lacks columns ['cvar']")],
+        ids=["no rows", "empty file", "no cvar column"],
+    )
+    def test_report_unusable_results(self, tmp_path, capsys, header, reason):
+        path = tmp_path / "results.csv"
+        path.write_text(header + "\n" if header else "")
+        args = ["report", "--results", path, "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
 
 
 class TestExperimentCommand:

@@ -269,6 +269,15 @@ class TestReport:
         back = read_results_csv(path)
         assert back == results
 
+    def test_results_csv_without_rows_or_columns_rejected(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv([], path)
+        with pytest.raises(ValueError, match="contains no rows"):
+            read_results_csv(path)
+        path.write_text("scheme,group,seed\nnhhs,g,0\n")
+        with pytest.raises(ValueError, match="lacks columns"):
+            read_results_csv(path)
+
 
 def test_elasticity_slope_sign_free():
     rows = [

@@ -1,6 +1,7 @@
 """Simplex and branch-and-bound checks against scipy as an independent oracle."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from scipy.optimize import Bounds, LinearConstraint
 
 from dpmeter.milp import MipBuilder, SimplexSolver, check_feasibility, solve_lp, solve_milp
 from dpmeter.milp.simplex import _AT_UPPER, _BASIC
+from dpmeter.procurement import _reduce, _reduced_model, read_instance
+
+from helpers import loop_basis_matrix, random_instance
 
 RNG_CASES = 60
 
@@ -134,23 +138,32 @@ class TestSimplexAgainstScipy:
         assert res.status == "unbounded"
 
 
+def singular_basis_solver():
+    """Solver and basis whose structural kernel is exactly singular.
+
+    y2's column is twice y's and row x_cap is empty under this basis, and
+    the basic slack of row ``sum`` leaves the kernel rows x_cap and mix.
+    """
+    b = MipBuilder()
+    x = b.add_col("x", 0, 4, obj=-1.0)
+    y = b.add_col("y", 0, 3, obj=-2.0)
+    y2 = b.add_col("y2", -1, 2, obj=-1.0)
+    b.add_row("x_cap", {x: 1.0}, -np.inf, 3.0)
+    b.add_row("mix", {x: 1.0, y: 2.0, y2: 4.0}, -np.inf, 6.0)
+    b.add_row("sum", {x: 1.0, y: 1.0, y2: 2.0}, 1.0, 5.0)
+    lp = b.build()
+    solver = SimplexSolver(lp)
+    basis = np.array([y, y2, lp.n_cols + 2])
+    _, vstat = solver.snapshot()
+    vstat[[y, y2, lp.n_cols + 2]] = _BASIC
+    vstat[[lp.n_cols, lp.n_cols + 1]] = _AT_UPPER
+    return lp, solver, basis, vstat
+
+
 class TestBasisRepair:
     def test_singular_basis_is_repaired(self):
-        b = MipBuilder()
-        x = b.add_col("x", 0, 4, obj=-1.0)
-        y = b.add_col("y", 0, 3, obj=-2.0)
-        y2 = b.add_col("y2", -1, 2, obj=-1.0)
-        b.add_row("x_cap", {x: 1.0}, -np.inf, 3.0)
-        b.add_row("mix", {x: 1.0, y: 2.0, y2: 4.0}, -np.inf, 6.0)
-        b.add_row("sum", {x: 1.0, y: 1.0, y2: 2.0}, 1.0, 5.0)
-        lp = b.build()
-        solver = SimplexSolver(lp)
-        # y2's column is twice y's and row x_cap is empty under this basis,
-        # so it is singular: the refactorization must repair it, not raise
-        basis = np.array([y, y2, lp.n_cols + 2])
-        _, vstat = solver.snapshot()
-        vstat[[y, y2, lp.n_cols + 2]] = _BASIC
-        vstat[[lp.n_cols, lp.n_cols + 1]] = _AT_UPPER
+        lp, solver, basis, vstat = singular_basis_solver()
+        # a singular refactorization must repair the basis, not raise
         solver.load_state(basis, vstat)
         assert np.linalg.matrix_rank(solver._basis_matrix()) == lp.n_rows
         assert np.count_nonzero(solver.vstat == _BASIC) == lp.n_rows
@@ -159,6 +172,89 @@ class TestBasisRepair:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.fun, abs=1e-9)
         assert check_feasibility(lp, res.x) <= 1e-9
+
+
+def assert_kernel_inverse(solver):
+    """The gathered basis equals the loop-built one, and the kernel inverse
+    equals its dense inverse."""
+    B = loop_basis_matrix(solver)
+    assert solver._basis_matrix().tobytes() == B.tobytes()
+    binv = solver._kernel_inverse(B)
+    ref = np.linalg.inv(B)
+    assert np.abs(binv - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+    assert np.abs(B @ binv - np.eye(solver.m)).max() <= 1e-10
+
+
+def mixed_states(lp, rng, n_fixes=4):
+    """Bases a solve passes through: the LP optimum, then one after each of
+    ``n_fixes`` random fixes of integer columns (as branching makes)."""
+    solver = SimplexSolver(lp)
+    solver.solve()
+    states = [solver.snapshot()]
+    for c in rng.choice(lp.integer_columns(), size=n_fixes, replace=False):
+        v = float(rng.integers(2))
+        solver.set_col_bounds(int(c), v, v)
+        if solver.solve().status != "optimal":
+            break
+        states.append(solver.snapshot())
+    return solver, states
+
+
+class TestKernelInverse:
+    """A refactorization inverts only the basis's structural kernel; it
+    must agree with ``np.linalg.inv`` of the loop-built basis."""
+
+    def test_all_slack_basis(self):
+        lp = random_lp(np.random.default_rng(3), n_cols=5, n_rows=6)
+        solver = SimplexSolver(lp)
+        solver.load_state(*solver.snapshot())
+        assert_kernel_inverse(solver)
+        assert np.array_equal(solver.binv, -np.eye(lp.n_rows))
+
+    def test_all_structural_basis(self):
+        rng = np.random.default_rng(4)
+        m = 6
+        b = MipBuilder()
+        for j in range(m + 2):
+            b.add_col(f"x{j}", -1.0, 1.0, obj=float(rng.normal()))
+        for i in range(m):
+            b.add_row(f"r{i}", {j: float(rng.normal()) for j in range(m + 2)}, -1.0, 1.0)
+        lp = b.build()
+        solver = SimplexSolver(lp)
+        basis, vstat = solver.snapshot()
+        vstat[basis] = 0
+        basis = np.arange(m)
+        vstat[basis] = _BASIC
+        solver.load_state(basis, vstat)
+        assert_kernel_inverse(solver)
+        assert solver.solve().status == "optimal"
+
+    def test_mixed_bases_from_solver_states(self):
+        rng = np.random.default_rng(5)
+        models = [_reduced_model(inst, _reduce(inst))[0] for inst in (
+            random_instance(rng, T=6, S=4, B=3, F=3),
+            random_instance(rng, T=12, S=3, B=4, F=2),
+            read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"),
+        )]
+        n_mixed = 0
+        for lp in models:
+            solver, states = mixed_states(lp, rng)
+            for basis, vstat in states:
+                solver.load_state(basis, vstat)
+                assert solver.basis.tobytes() == basis.tobytes()  # nothing repaired
+                assert_kernel_inverse(solver)
+                k = np.count_nonzero(basis < lp.n_cols)
+                n_mixed += 0 < k < lp.n_rows
+        assert n_mixed >= 10
+
+    def test_singular_kernel_is_repaired(self):
+        lp, solver, basis, vstat = singular_basis_solver()
+        solver.basis, solver.vstat = basis.copy(), vstat.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._kernel_inverse(loop_basis_matrix(solver))
+        solver.load_state(basis, vstat)
+        assert solver.basis.tobytes() != basis.tobytes()
+        assert_kernel_inverse(solver)
 
 
 def random_mip(rng):
@@ -209,6 +305,40 @@ class TestBranchAndBound:
         res = solve_milp(b.build())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-9.0)  # items 1 and 2
+
+    def test_counters_cover_every_node(self, monkeypatch):
+        # each popped sibling refactorizes in load_state, so a search with
+        # pops counts more refactorizations than its root solve alone
+        iterations, pops = [], []
+        solve, load_state = SimplexSolver.solve, SimplexSolver.load_state
+
+        def counted_solve(self, *args, **kwargs):
+            res = solve(self, *args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        def counted_load_state(self, *args):
+            pops.append(1)
+            load_state(self, *args)
+
+        monkeypatch.setattr(SimplexSolver, "solve", counted_solve)
+        monkeypatch.setattr(SimplexSolver, "load_state", counted_load_state)
+        rng = np.random.default_rng(77)
+        n_popped = 0
+        for _ in range(40):
+            lp = random_mip(rng)
+            iterations.clear()
+            pops.clear()
+            res = solve_milp(lp, gap_tol=1e-8)
+            assert res.n_nodes == len(iterations)
+            assert res.lp_iterations == sum(iterations)
+            assert res.refactorizations >= len(pops)
+            if pops:
+                root = SimplexSolver(lp)
+                root.solve()
+                assert res.refactorizations > root.refactorizations
+                n_popped += 1
+        assert n_popped >= 2
 
     def test_gap_is_reported(self):
         rng = np.random.default_rng(5)

@@ -5,8 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from dpmeter.market import SystemExogenous
 from dpmeter.milp import check_feasibility
@@ -27,6 +25,7 @@ from dpmeter.procurement import (
 from dpmeter.scenario import ErrorScenarioSet
 
 from helpers import (
+    highs_objective,
     loop_build_milp,
     loop_check_coverage,
     loop_reduce,
@@ -436,21 +435,6 @@ class TestSolve:
         for a, b in zip(results, results[1:]):
             assert b.expected_cost >= a.expected_cost - tol
             assert b.cvar <= a.cvar + tol
-
-
-def highs_objective(lp) -> float:
-    """Optimum of ``lp`` by scipy's HiGHS MILP solver, with the offset."""
-    rm = lp.row_matrix
-    A = csr_matrix((rm.data, rm.indices, rm.indptr), shape=(lp.n_rows, lp.n_cols))
-    ref = milp(
-        c=lp.obj,
-        constraints=LinearConstraint(A, lp.row_lower, lp.row_upper),
-        integrality=lp.is_integer.astype(int),
-        bounds=Bounds(lp.col_lower, lp.col_upper),
-        options={"mip_rel_gap": 1e-9},
-    )
-    assert ref.status == 0, ref.message
-    return float(ref.fun) + lp.obj_offset
 
 
 class TestNumericalRegressions:
