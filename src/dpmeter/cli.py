@@ -5,8 +5,9 @@ Subcommands mirror the pipeline stages: ``synth`` emits a meter panel,
 ``scenarios`` calibrated error paths, ``procure`` solves one procurement
 instance, ``experiment`` runs the full grid, and ``report`` re-emits the
 plot-ready tables from a saved result table.  Exit code 0 means every cell
-succeeded; as for a usage error, an unreadable or invalid input file prints
-one ``dpmeter: error:`` line and exits with code 2.
+succeeded; as for a usage error, an unreadable or invalid input file or an
+argument value out of range prints one ``dpmeter: error:`` line and exits
+with code 2.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import dataclasses
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -36,13 +38,26 @@ from .scenario import generate_scenarios, read_scenario_csv, write_scenario_csv
 from .synth import SynthConfig, generate_panel, kmeans_groups, write_group_csv
 
 
+def _usage_error(message: str, cause: Exception) -> NoReturn:
+    print(f"dpmeter: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from cause
+
+
 def _load(reader, path):
     """``reader(path)``; an unreadable or invalid file is a usage error."""
     try:
         return reader(path)
     except (OSError, TypeError, ValueError) as exc:
-        print(f"dpmeter: error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
+        _usage_error(f"{path}: {exc}", exc)
+
+
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)`` on argument values; a value its validator
+    rejects is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _usage_error(str(exc), exc)
 
 
 def _out_dir(args) -> Path:
@@ -52,7 +67,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
+    cfg = _checked(
+        SynthConfig,
         n_meters=args.meters, n_weeks=args.weeks, pv_fraction=args.pv,
         ev_fraction=args.ev, seed=args.seed,
     )
@@ -60,7 +76,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     write_meter_csv(panel, out / "meters.csv")
     if args.kmeans:
-        groups = kmeans_groups(panel, args.kmeans, args.seed)
+        groups = _checked(kmeans_groups, panel, args.kmeans, args.seed)
         write_group_csv(groups, out / "groups.csv")
         for g in groups:
             print(f"group {g.label}: {len(g.meter_ids)} meters, kld={g.kld_vs_system.value:.6g}")
@@ -69,8 +85,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_privatize(args) -> int:
+    params = _checked(PrivacyParams, args.epsilon, args.gamma)
     panel = _load(read_meter_csv, args.input)
-    params = PrivacyParams(args.epsilon, args.gamma)
     noisy = privatize_aggregate(panel, params, args.seed)
     out = _out_dir(args)
     path = out / "aggregate_noisy.csv"
@@ -85,15 +101,16 @@ def cmd_privatize(args) -> int:
 
 def _scheme_from_args(args) -> SettlementScheme:
     if args.scheme == "hhs-ddp":
-        return SettlementScheme.hhs_ddp(PrivacyParams(args.epsilon, args.gamma))
+        return SettlementScheme.hhs_ddp(_checked(PrivacyParams, args.epsilon, args.gamma))
     return SettlementScheme(args.scheme)
 
 
 def cmd_forecast(args) -> int:
+    scheme = _scheme_from_args(args)
+    cfg = _checked(TrainConfig, epochs=args.epochs)
     panel = _load(read_meter_csv, args.input)
     dlc = compute_dlc(panel)
-    cfg = TrainConfig(epochs=args.epochs)
-    result = forecast_scheme(_scheme_from_args(args), panel, dlc, cfg, args.seed)
+    result = forecast_scheme(scheme, panel, dlc, cfg, args.seed)
     out = _out_dir(args)
     path = out / "forecast.csv"
     with open(path, "w", newline="") as fh:
@@ -119,8 +136,9 @@ def _read_forecast(path) -> np.ndarray:
 
 
 def cmd_scenarios(args) -> int:
+    wape = _checked(WapeScore, args.wape)
     forecast = _load(_read_forecast, args.forecast)
-    scen = generate_scenarios(forecast, WapeScore(args.wape), args.count, args.seed)
+    scen = _checked(generate_scenarios, forecast, wape, args.count, args.seed)
     out = _out_dir(args)
     write_scenario_csv(scen, out / "scenarios.csv")
     print(f"wrote {out / 'scenarios.csv'} ({args.count} scenarios)")
@@ -163,7 +181,10 @@ def cmd_experiment(args) -> int:
     cfg = _load(load_config, args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    results, failures = run_experiment(cfg)
+    if args.config:  # set-up reads the meter and ladder files the config names
+        results, failures = _load(lambda _: run_experiment(cfg), args.config)
+    else:
+        results, failures = run_experiment(cfg)
     out = _out_dir(args)
     if results:
         report(results, out, cfg)

@@ -76,12 +76,6 @@ class LoadSeries:
         """One past the last global period index covered."""
         return self.start + self.values.size
 
-    def value_at(self, t: int) -> float:
-        """Reading at global period ``t``; raises if outside the series."""
-        if not self.start <= t < self.end:
-            raise IndexError(f"period {t} outside [{self.start}, {self.end})")
-        return float(self.values[t - self.start])
-
     def replace_values(self, values: np.ndarray, meter_id: str | None = None) -> "LoadSeries":
         return LoadSeries(meter_id or self.meter_id, self.start, values)
 

@@ -7,7 +7,12 @@ mini-batch gradient descent on mean squared error.  Daily-resolution
 schemes reuse the same architecture with day-level lags {1, 2, 7} and
 spread the predicted daily energy over the system load shape.
 
-Features and targets are z-scored with training-set statistics; the
+Features are built for a whole range of periods (or days) at once: the
+calendar columns elementwise, the lags in one gather.  Each pipeline builds
+one matrix, trains on the rows before the 14-day holdout and predicts the
+holdout and the next day in one batch.
+
+Features and targets are z-scored once with training-set statistics; the
 inverse transform is applied at prediction time, which keeps one fixed
 learning rate workable across kWh magnitudes from single meters to
 aggregates.
@@ -46,33 +51,27 @@ HIDDEN_WIDTH = 4
 BACKTEST_DAYS = 14
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Calendar context plus lagged loads for one prediction target."""
-
-    week: int  # 1..53
-    weekday: int  # 1..7
-    period: int  # 1..48
-    lags: np.ndarray  # kWh at the five fixed offsets
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([[self.week, self.weekday, self.period], self.lags])
-
-
-def build_features(history: LoadSeries, t: int) -> FeatureVector:
+def build_features(history: LoadSeries, t) -> np.ndarray:
     """Features for predicting global period ``t`` from ``history``.
 
-    All five lag offsets must fall inside the history; the smallest offset
-    is one day, so a whole day ahead of the series end is reachable.
+    ``t`` is one period or an array of them, and the result is one row of
+    eight features or one row per period: week of year, day of week and
+    settlement period, then the loads at the five lag offsets, taken in one
+    gather ``values[t - LAG_OFFSETS - start]``.  Every lag must fall inside
+    the history; the smallest offset is one day, so a whole day ahead of the
+    series end is reachable.
     """
+    t = np.asarray(t)
     lo_needed = history.start + max(LAG_OFFSETS)
     hi_allowed = history.end - 1 + min(LAG_OFFSETS)
-    if not lo_needed <= t <= hi_allowed:
+    bad = (t < lo_needed) | (t > hi_allowed)
+    if np.any(bad):
         raise ValueError(
-            f"period {t} lacks lag history (usable range [{lo_needed}, {hi_allowed}])"
+            f"period {t[bad][0]} lacks lag history (usable range [{lo_needed}, {hi_allowed}])"
         )
-    lags = np.array([history.values[t - off - history.start] for off in LAG_OFFSETS])
-    return FeatureVector(week_of_year(t), day_of_week(t), settlement_period(t), lags)
+    lags = history.values[t[..., None] - np.array(LAG_OFFSETS) - history.start]
+    calendar = np.stack([week_of_year(t), day_of_week(t), settlement_period(t)], axis=-1)
+    return np.concatenate([calendar, lags], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -117,21 +116,20 @@ class MlpModel:
         return self.w1.shape[0]
 
 
-def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(dataset, tuple) and len(dataset) == 2:
-        X, y = dataset
-        return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    feats, targets = [], []
-    for fv, target in dataset:
-        feats.append(fv.as_array() if isinstance(fv, FeatureVector) else np.asarray(fv))
-        targets.append(target)
-    return np.asarray(feats, dtype=float), np.asarray(targets, dtype=float)
-
-
 def _forward(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z1 = xs @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    return z1, a1 @ model.w2 + model.b2
+    """Hidden activations and the output for standardized rows ``xs``."""
+    a1 = np.maximum(xs @ model.w1 + model.b1, 0.0)
+    return a1, a1 @ model.w2 + model.b2
+
+
+def _gradient(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
+    """Residuals and the exact gradient of the mean squared error on
+    standardized rows, as ``(r, d_w1, d_b1, d_w2, d_b2)``."""
+    a1, pred = _forward(model, xs)
+    r = pred - ys
+    dl_dpred = 2.0 * r / xs.shape[0]
+    dz1 = np.outer(dl_dpred, model.w2) * (a1 > 0)
+    return r, xs.T @ dz1, dz1.sum(axis=0), a1.T @ dl_dpred, float(dl_dpred.sum())
 
 
 def loss_and_gradient(
@@ -140,19 +138,8 @@ def loss_and_gradient(
     """Mean squared error on standardized data and its exact gradient."""
     xs = (X - model.x_mean) / model.x_std
     ys = (y - model.y_mean) / model.y_std
-    z1, pred = _forward(model, xs)
-    r = pred - ys
-    n = xs.shape[0]
-    dl_dpred = 2.0 * r / n
-    a1 = np.maximum(z1, 0.0)
-    grad_w2 = a1.T @ dl_dpred
-    grad_b2 = float(dl_dpred.sum())
-    da1 = np.outer(dl_dpred, model.w2)
-    dz1 = da1 * (z1 > 0)
-    grad_w1 = xs.T @ dz1
-    grad_b1 = dz1.sum(axis=0)
-    loss = float((r**2).mean())
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    r, d_w1, d_b1, d_w2, d_b2 = _gradient(model, xs, ys)
+    return float((r**2).mean()), {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
 def pack_parameters(model: MlpModel) -> np.ndarray:
@@ -171,13 +158,15 @@ def with_parameters(model: MlpModel, flat: np.ndarray) -> MlpModel:
 
 
 def train(dataset, cfg: TrainConfig) -> MlpModel:
-    """Mini-batch gradient descent at a fixed learning rate.
+    """Mini-batch gradient descent at a fixed learning rate on ``(X, y)``.
 
-    Deterministic for a fixed seed.  Stops early once the epoch loss
-    changes by less than ``early_stop_tol`` (relative to the initial
-    loss); diverging losses or non-finite data are hard errors.
+    The rows are standardized once; each step takes the gradient of one
+    mini-batch of the standardized rows.  Deterministic for a fixed seed.
+    Stops early once the epoch loss changes by less than ``early_stop_tol``
+    (relative to the initial loss); diverging losses or non-finite data are
+    hard errors.
     """
-    X, y = _as_xy(dataset)
+    X, y = (np.asarray(a, dtype=float) for a in dataset)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("dataset must pair one feature row with one target")
     n, d = X.shape
@@ -212,11 +201,11 @@ def train(dataset, cfg: TrainConfig) -> MlpModel:
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, grads = loss_and_gradient(model, X[idx], y[idx])
-            model.w1 -= cfg.learning_rate * grads["w1"]
-            model.b1 -= cfg.learning_rate * grads["b1"]
-            model.w2 -= cfg.learning_rate * grads["w2"]
-            model.b2 -= cfg.learning_rate * grads["b2"]
+            _, d_w1, d_b1, d_w2, d_b2 = _gradient(model, xs[idx], ys[idx])
+            model.w1 -= cfg.learning_rate * d_w1
+            model.b1 -= cfg.learning_rate * d_b1
+            model.w2 -= cfg.learning_rate * d_w2
+            model.b2 -= cfg.learning_rate * d_b2
         _, pred = _forward(model, xs)
         loss_std = float(((pred - ys) ** 2).mean())
         loss = loss_std * y_std**2
@@ -232,9 +221,8 @@ def train(dataset, cfg: TrainConfig) -> MlpModel:
 
 
 def predict(model: MlpModel, x) -> float:
-    """Point forecast in kWh for one feature vector."""
-    arr = x.as_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
-    return float(predict_batch(model, arr[None, :])[0])
+    """Point forecast in kWh for one feature row."""
+    return float(predict_batch(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -297,16 +285,14 @@ class ForecastResult:
     model: MlpModel
 
 
-def _hh_samples(series: LoadSeries, t_values) -> tuple[np.ndarray, np.ndarray]:
-    X = np.vstack([build_features(series, t).as_array() for t in t_values])
-    y = np.array([series.values[t - series.start] for t in t_values])
-    return X, y
-
-
-def _daily_features(daily: np.ndarray, start: int, day: int) -> np.ndarray:
-    t0 = start + day * PERIODS_PER_DAY
-    lags = [daily[day - off] for off in DAILY_LAG_OFFSETS]
-    return np.array([week_of_year(t0), day_of_week(t0), *lags])
+def _daily_features(daily: np.ndarray, start: int, days) -> np.ndarray:
+    """Week of year, day of week and the loads at the daily lag offsets,
+    one row per day in ``days``."""
+    days = np.asarray(days)
+    t0 = start + days * PERIODS_PER_DAY
+    lags = daily[days[..., None] - np.array(DAILY_LAG_OFFSETS)]
+    calendar = np.stack([week_of_year(t0), day_of_week(t0)], axis=-1)
+    return np.concatenate([calendar, lags], axis=-1)
 
 
 def _seeds(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
@@ -326,7 +312,10 @@ def forecast_scheme(
     The backtest holds out the trailing 14 days and always scores against
     the true aggregate; the training inputs are whatever the scheme makes
     visible (true half-hourly data, daily energies plus the system shape,
-    or a noised aggregate whose noise also feeds the lag features).
+    or a noised aggregate whose noise also feeds the lag features).  One
+    feature matrix runs from the first period (or day) with full lag
+    history to the end of the next day: the model trains on the rows
+    before the holdout and predicts the holdout and the next day together.
     """
     truth = aggregate_panel(panel)
     n = len(truth)
@@ -338,38 +327,29 @@ def forecast_scheme(
     noise_seed, train_seed = _seeds(seed)
     cfg = replace(cfg, seed=int(np.random.default_rng(train_seed).integers(2**31 - 1)))
     holdout_start = truth.end - BACKTEST_DAYS * PERIODS_PER_DAY
-    truth_holdout = truth.values[holdout_start - truth.start :]
 
     if scheme.kind in (NHHS, HHS_DLC_SYS):
         daily = daily_energy(truth)
-        cfg_daily = replace(
+        cfg = replace(
             cfg, batch_size=min(cfg.batch_size, 16), min_samples=min(cfg.min_samples, 21)
         )
-        first_day = max(DAILY_LAG_OFFSETS)
-        train_days = range(first_day, n_days - BACKTEST_DAYS)
-        X = np.vstack([_daily_features(daily, truth.start, d) for d in train_days])
-        y = daily[list(train_days)]
-        model = train((X, y), cfg_daily)
-        bt_days = range(n_days - BACKTEST_DAYS, n_days)
-        bt_daily = predict_batch(
-            model, np.vstack([_daily_features(daily, truth.start, d) for d in bt_days])
-        )
-        backtest = spread_daily(bt_daily, holdout_start, dlc_sys)
-        next_daily = predict(model, _daily_features(daily, truth.start, n_days))
-        forecast = spread_daily([next_daily], truth.end, dlc_sys)
+        days = np.arange(max(DAILY_LAG_OFFSETS), n_days + 1)
+        X = _daily_features(daily, truth.start, days)
+        n_train = n_days - BACKTEST_DAYS - days[0]
+        model = train((X[:n_train], daily[days[:n_train]]), cfg)
+        predicted = spread_daily(predict_batch(model, X[n_train:]), holdout_start, dlc_sys).values
     else:
         if scheme.kind == HHS_DDP:
             series = privatize_aggregate(panel, scheme.privacy, noise_seed)
         else:
             series = truth
-        t_train = range(series.start + max(LAG_OFFSETS), holdout_start)
-        model = train(_hh_samples(series, t_train), cfg)
-        t_bt = range(holdout_start, series.end)
-        X_bt = np.vstack([build_features(series, t).as_array() for t in t_bt])
-        backtest = LoadSeries("backtest", holdout_start, predict_batch(model, X_bt))
-        t_next = range(series.end, series.end + PERIODS_PER_DAY)
-        X_next = np.vstack([build_features(series, t).as_array() for t in t_next])
-        forecast = LoadSeries("forecast", series.end, predict_batch(model, X_next))
+        t = np.arange(series.start + max(LAG_OFFSETS), series.end + PERIODS_PER_DAY)
+        X = build_features(series, t)
+        n_train = holdout_start - t[0]
+        model = train((X[:n_train], series.values[t[:n_train] - series.start]), cfg)
+        predicted = predict_batch(model, X[n_train:])
 
-    score = wape(truth_holdout, backtest.values)
+    backtest = LoadSeries("backtest", holdout_start, predicted[:-PERIODS_PER_DAY])
+    forecast = LoadSeries("forecast", truth.end, predicted[-PERIODS_PER_DAY:])
+    score = wape(truth.values[holdout_start - truth.start :], backtest.values)
     return ForecastResult(forecast, score, backtest, model)

@@ -134,10 +134,12 @@ class SystemExogenous:
 
 def read_ladder_csv(path) -> list[tuple[float, float]]:
     """Read ``volume_mwh,price`` bid blocks."""
-    ladder = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ladder.append((float(row["volume_mwh"]), float(row["price"])))
+        reader = csv.DictReader(fh)
+        required = {"volume_mwh", "price"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValueError(f"ladder CSV must have columns {sorted(required)}")
+        ladder = [(float(row["volume_mwh"]), float(row["price"])) for row in reader]
     if not ladder:
         raise ValueError("ladder CSV contains no rows")
     return ladder

@@ -200,8 +200,6 @@ class SimplexSolver:
         xn[self.vstat == _AT_LOWER] = self.lb[self.vstat == _AT_LOWER]
         xn[self.vstat == _AT_UPPER] = self.ub[self.vstat == _AT_UPPER]
         xn[self.vstat == _FREE] = 0.0
-        if self.m == 0:
-            return
         tmp = xn.copy()
         tmp[self.basis] = 0.0
         rhs = self.A.dot(tmp[: self.n]) - tmp[self.n :]
@@ -239,11 +237,11 @@ class SimplexSolver:
                 sigma = np.zeros(self.m)
                 sigma[below] = -1.0
                 sigma[above] = 1.0
-                y = sigma @ self.binv if self.m else np.zeros(0)
+                y = sigma @ self.binv
                 d = self._reduced_costs(y, None)
             else:
                 cB = self.cost[self.basis]
-                y = cB @ self.binv if self.m else np.zeros(0)
+                y = cB @ self.binv
                 d = self._reduced_costs(y, self.cost)
 
             nonbasic = self.vstat != _BASIC
@@ -330,8 +328,7 @@ class SimplexSolver:
                     iters, in_phase1, j, t_dir, d[j], theta_star, flip_theta < theta_row,
                 )
 
-            if self.m:
-                self.x[self.basis] = xB + theta_star * rate
+            self.x[self.basis] = xB + theta_star * rate
             self.x[j] += t_dir * theta_star
 
             if theta_row <= flip_theta:

@@ -1024,22 +1024,27 @@ def _curve_from_doc(doc) -> PriceCurve:
 
 
 def read_instance(path) -> ProcurementInstance:
+    """An instance written by ``write_instance``; a document that lacks one
+    of its fields raises ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
-    scen = ErrorScenarioSet(
-        np.asarray(doc["errors"], dtype=float), np.asarray(doc["probs"], dtype=float)
-    )
-    return ProcurementInstance(
-        d_fore=np.asarray(doc["d_fore"], dtype=float),
-        scenarios=scen,
-        da_curve=_curve_from_doc(doc["da_curve"]),
-        bal_curves=tuple(_curve_from_doc(c) for c in doc["bal_curves"]),
-        exogenous=SystemExogenous(
-            np.asarray(doc["d_sys_base"], dtype=float),
-            np.asarray(doc["d_imb_base"], dtype=float),
-        ),
-        beta=float(doc["beta"]),
-        alpha=float(doc["alpha"]),
-        d_da_lower=np.asarray(doc["d_da_lower"], dtype=float),
-        d_da_upper=np.asarray(doc["d_da_upper"], dtype=float),
-    )
+    try:
+        scen = ErrorScenarioSet(
+            np.asarray(doc["errors"], dtype=float), np.asarray(doc["probs"], dtype=float)
+        )
+        return ProcurementInstance(
+            d_fore=np.asarray(doc["d_fore"], dtype=float),
+            scenarios=scen,
+            da_curve=_curve_from_doc(doc["da_curve"]),
+            bal_curves=tuple(_curve_from_doc(c) for c in doc["bal_curves"]),
+            exogenous=SystemExogenous(
+                np.asarray(doc["d_sys_base"], dtype=float),
+                np.asarray(doc["d_imb_base"], dtype=float),
+            ),
+            beta=float(doc["beta"]),
+            alpha=float(doc["alpha"]),
+            d_da_lower=np.asarray(doc["d_da_lower"], dtype=float),
+            d_da_upper=np.asarray(doc["d_da_upper"], dtype=float),
+        )
+    except KeyError as exc:
+        raise ValueError(f"instance JSON lacks field {exc}") from exc

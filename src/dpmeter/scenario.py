@@ -44,10 +44,6 @@ class ErrorScenarioSet:
     def n_periods(self) -> int:
         return self.errors.shape[1]
 
-    def scaled(self, factor: float) -> "ErrorScenarioSet":
-        """Unit change (e.g. kWh to MWh); probabilities unchanged."""
-        return ErrorScenarioSet(self.errors * factor, self.probabilities)
-
 
 def calibrate_sigma(wape: WapeScore | float, forecast: LoadSeries | np.ndarray) -> np.ndarray:
     """Per-period error std devs reproducing the backtest WAPE in expectation.

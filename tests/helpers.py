@@ -1,5 +1,5 @@
-"""Shared instance generators and the loop-built reference models for the
-procurement and simplex tests."""
+"""Shared instance generators and the loop-built references for the
+procurement, simplex and forecast tests."""
 
 from typing import NamedTuple
 
@@ -7,6 +7,8 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from dpmeter.domain import LoadSeries, day_of_week, settlement_period, week_of_year
+from dpmeter.forecast import HIDDEN_WIDTH, LAG_OFFSETS, MlpModel, TrainConfig
 from dpmeter.market import PriceCurve, SystemExogenous
 from dpmeter.milp import LinearMip, MipBuilder
 from dpmeter.procurement import INF, MilpModel, ProcurementInstance, _cost_bound
@@ -487,3 +489,74 @@ def loop_basis_matrix(solver) -> np.ndarray:
         else:
             B[j - solver.n, k] = -1.0
     return B
+
+
+def loop_build_features(history: LoadSeries, t: int) -> np.ndarray:
+    """Per-lag loop form of ``forecast.build_features`` for one period."""
+    lo_needed = history.start + max(LAG_OFFSETS)
+    hi_allowed = history.end - 1 + min(LAG_OFFSETS)
+    if not lo_needed <= t <= hi_allowed:
+        raise ValueError(
+            f"period {t} lacks lag history (usable range [{lo_needed}, {hi_allowed}])"
+        )
+    lags = np.array([history.values[t - off - history.start] for off in LAG_OFFSETS])
+    calendar = [week_of_year(t), day_of_week(t), settlement_period(t)]
+    return np.concatenate([calendar, lags])
+
+
+def loop_train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
+    """``forecast.train`` with each mini-batch standardized on its own and
+    its gradient written out term by term."""
+    n, d = X.shape
+    x_mean = X.mean(axis=0)
+    x_std = X.std(axis=0)
+    x_std = np.where(x_std < 1e-8, 1.0, x_std)
+    y_mean = float(y.mean())
+    y_std = float(y.std())
+    y_std = y_std if y_std > 1e-8 else 1.0
+
+    rng = np.random.default_rng(cfg.seed)
+    model = MlpModel(
+        w1=rng.normal(0.0, np.sqrt(2.0 / d), (d, HIDDEN_WIDTH)),
+        b1=np.zeros(HIDDEN_WIDTH),
+        w2=rng.normal(0.0, np.sqrt(2.0 / HIDDEN_WIDTH), HIDDEN_WIDTH),
+        b2=0.0,
+        x_mean=x_mean,
+        x_std=x_std,
+        y_mean=y_mean,
+        y_std=y_std,
+    )
+
+    def forward(xs):
+        z1 = xs @ model.w1 + model.b1
+        return z1, np.maximum(z1, 0.0) @ model.w2 + model.b2
+
+    prev = None
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xs = (X[idx] - model.x_mean) / model.x_std
+            ys = (y[idx] - model.y_mean) / model.y_std
+            z1, pred = forward(xs)
+            r = pred - ys
+            dl_dpred = 2.0 * r / xs.shape[0]
+            a1 = np.maximum(z1, 0.0)
+            grad_w2 = a1.T @ dl_dpred
+            grad_b2 = float(dl_dpred.sum())
+            dz1 = np.outer(dl_dpred, model.w2) * (z1 > 0)
+            grad_w1 = xs.T @ dz1
+            grad_b1 = dz1.sum(axis=0)
+            model.w1 -= cfg.learning_rate * grad_w1
+            model.b1 -= cfg.learning_rate * grad_b1
+            model.w2 -= cfg.learning_rate * grad_w2
+            model.b2 -= cfg.learning_rate * grad_b2
+        _, pred = forward((X - x_mean) / x_std)
+        loss = float(((pred - (y - y_mean) / y_std) ** 2).mean()) * y_std**2
+        model.epoch_losses.append(loss)
+        if prev is not None and abs(prev - loss) < cfg.early_stop_tol * max(
+            model.epoch_losses[0], 1e-12
+        ):
+            break
+        prev = loss
+    return model

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpmeter.cli import main
-from dpmeter.experiment import RESULT_COLUMNS, ExperimentConfig, config_to_json
+from dpmeter.experiment import RESULT_COLUMNS, ExperimentConfig, MarketConfig, config_to_json
 from dpmeter.forecast import TrainConfig
 from dpmeter.market import SystemExogenous
 from dpmeter.procurement import ProcurementInstance, write_instance
@@ -81,25 +81,28 @@ class TestForecastAndScenarios:
         assert len(srows) == 9 * 48
 
 
+def one_period_instance() -> ProcurementInstance:
+    scen = ErrorScenarioSet(np.array([[0.5], [-0.5]]), np.array([0.5, 0.5]))
+    return ProcurementInstance(
+        d_fore=np.array([10.0]),
+        scenarios=scen,
+        da_curve=uniform_curve(40.0, 80.0, 2, [45.0, 55.0]),
+        bal_curves=(
+            uniform_curve(-25.0, 25.0, 2, [30.0, 90.0]),
+            uniform_curve(-25.0, 25.0, 2, [32.0, 92.0]),
+        ),
+        exogenous=SystemExogenous(np.array([50.0]), np.zeros((2, 1))),
+        beta=0.5,
+        alpha=0.9,
+        d_da_lower=np.array([-5.0]),
+        d_da_upper=np.array([15.0]),
+    )
+
+
 class TestProcureCommand:
     def test_solves_instance_file(self, tmp_path):
-        scen = ErrorScenarioSet(np.array([[0.5], [-0.5]]), np.array([0.5, 0.5]))
-        inst = ProcurementInstance(
-            d_fore=np.array([10.0]),
-            scenarios=scen,
-            da_curve=uniform_curve(40.0, 80.0, 2, [45.0, 55.0]),
-            bal_curves=(
-                uniform_curve(-25.0, 25.0, 2, [30.0, 90.0]),
-                uniform_curve(-25.0, 25.0, 2, [32.0, 92.0]),
-            ),
-            exogenous=SystemExogenous(np.array([50.0]), np.zeros((2, 1))),
-            beta=0.5,
-            alpha=0.9,
-            d_da_lower=np.array([-5.0]),
-            d_da_upper=np.array([15.0]),
-        )
         path = tmp_path / "inst.json"
-        write_instance(inst, path)
+        write_instance(one_period_instance(), path)
         out = tmp_path / "sol"
         assert run(["procure", "--instance", path, "--out", out]) == 0
         summary = list(csv.DictReader(open(out / "solution_summary.csv")))[0]
@@ -108,6 +111,32 @@ class TestProcureCommand:
         assert len(da) == 1
         bal = list(csv.DictReader(open(out / "solution_bal.csv")))
         assert len(bal) == 2
+
+
+def one_cell_config(**fields) -> ExperimentConfig:
+    """One quick hhs-ehh cell on a small synthetic panel."""
+    return ExperimentConfig(
+        synth=SynthConfig(n_meters=30, n_weeks=5, seed=7),
+        schemes=("hhs-ehh",),
+        epsilon_grid=(1.0,),
+        gamma_grid=(0.0,),
+        n_scenarios=4,
+        seeds=(0,),
+        train=TrainConfig(epochs=15),
+        group_kind="whole",
+        **fields,
+    )
+
+
+def write_config(tmp_path, cfg: ExperimentConfig):
+    path = tmp_path / "cfg.json"
+    path.write_text(config_to_json(cfg))
+    return path
+
+
+def ladder_market(path) -> MarketConfig:
+    """The default market with its day-ahead curve read from ``path``."""
+    return MarketConfig(da_ladder_csv=str(path), ladder_delta=5.0)
 
 
 def assert_usage_error(capsys, args, text):
@@ -165,6 +194,33 @@ class TestInputErrors:
         args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
         assert_usage_error(capsys, args, "day-ahead price grid does not cover period 0")
 
+    def test_procure_instance_without_field(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        write_instance(one_period_instance(), path)
+        doc = json.loads(path.read_text())
+        del doc["beta"]
+        path.write_text(json.dumps(doc))
+        args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
+        assert_usage_error(capsys, args, "inst.json: instance JSON lacks field 'beta'")
+
+    @pytest.mark.parametrize("field", ["input_csv", "market"], ids=["input_csv", "da_ladder_csv"])
+    def test_experiment_missing_input_file(self, tmp_path, capsys, field):
+        missing = str(tmp_path / "none.csv")
+        value = missing if field == "input_csv" else ladder_market(missing)
+        config = write_config(tmp_path, one_cell_config(**{field: value}))
+        args = ["experiment", "--config", config, "--out", tmp_path / "x"]
+        reason = f"{config}: [Errno 2] No such file or directory: {missing!r}"
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
+
+    def test_experiment_ladder_without_columns(self, tmp_path, capsys):
+        ladder = tmp_path / "ladder.csv"
+        ladder.write_text("mwh,eur\n10,40\n")
+        config = write_config(tmp_path, one_cell_config(market=ladder_market(ladder)))
+        args = ["experiment", "--config", config, "--out", tmp_path / "x"]
+        assert_usage_error(
+            capsys, args, "cfg.json: ladder CSV must have columns ['price', 'volume_mwh']"
+        )
 
     def test_privatize_missing_input(self, tmp_path, capsys):
         args = ["privatize", "--input", tmp_path / "none.csv", "--epsilon", 1.0,
@@ -205,21 +261,37 @@ class TestInputErrors:
         assert not (tmp_path / "x").exists()
 
 
+class TestArgumentErrors:
+    """An argument value that a validator rejects is one error line and exit
+    code 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [(["synth", "--meters", 0], "need at least one meter"),
+         (["synth", "--meters", 3, "--weeks", 4, "--kmeans", 5], "k=5 exceeds the 3 meters"),
+         (["privatize", "--input", "{meters}", "--epsilon", 0], "epsilon must be > 0"),
+         (["forecast", "--input", "{meters}", "--scheme", "hhs-ehh", "--epochs", 0],
+          "epochs, and batch size must be positive"),
+         (["forecast", "--input", "{meters}", "--scheme", "hhs-ddp", "--gamma", 1.0],
+          "gamma must lie in [0, 1)"),
+         (["scenarios", "--forecast", "{forecast}", "--wape", -0.1], "WAPE must be >= 0"),
+         (["scenarios", "--forecast", "{forecast}", "--wape", 0.1, "--count", 0],
+          "need at least one scenario")],
+        ids=["synth meters", "synth kmeans", "privatize epsilon", "forecast epochs",
+             "forecast gamma", "scenarios wape", "scenarios count"],
+    )
+    def test_rejected_value(self, tmp_path, capsys, args, reason):
+        meters = tmp_path / "meters.csv"
+        meters.write_text("meter_id,period_index,kwh\nm0,0,1.0\n")
+        forecast = tmp_path / "forecast.csv"
+        forecast.write_text("period_index,kwh\n0,1.0\n")
+        args = [str(a).format(meters=meters, forecast=forecast) for a in args]
+        assert_usage_error(capsys, args + ["--out", tmp_path / "x"], reason)
+
+
 class TestExperimentCommand:
     def config_file(self, tmp_path):
-        cfg = ExperimentConfig(
-            synth=SynthConfig(n_meters=30, n_weeks=5, seed=7),
-            schemes=("hhs-ehh",),
-            epsilon_grid=(1.0,),
-            gamma_grid=(0.0,),
-            n_scenarios=4,
-            seeds=(0,),
-            train=TrainConfig(epochs=15),
-            group_kind="whole",
-        )
-        path = tmp_path / "cfg.json"
-        path.write_text(config_to_json(cfg))
-        return path
+        return write_config(tmp_path, one_cell_config())
 
     def test_runs_and_writes_reports(self, tmp_path):
         cfg_path = self.config_file(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from dpmeter.domain import LoadSeries, MeterPanel, SettlementScheme, compute_dlc
 from dpmeter.forecast import (
     HIDDEN_WIDTH,
-    FeatureVector,
+    LAG_OFFSETS,
     MlpModel,
     TrainConfig,
     build_features,
@@ -22,6 +22,8 @@ from dpmeter.forecast import (
 )
 from dpmeter.privacy import PrivacyParams
 
+from helpers import loop_build_features, loop_train
+
 
 def ramp_series(n=400):
     return LoadSeries("ramp", 0, np.arange(n, dtype=float))
@@ -29,28 +31,57 @@ def ramp_series(n=400):
 
 class TestFeatures:
     def test_lags_on_identity_ramp(self):
-        fv = build_features(ramp_series(), 144)
-        np.testing.assert_array_equal(fv.lags, [96, 95, 49, 48, 0])
-        assert fv.week == 1 and fv.weekday == 4 and fv.period == 1
+        row = build_features(ramp_series(), 144)
+        np.testing.assert_array_equal(row[3:], [96, 95, 49, 48, 0])
+        np.testing.assert_array_equal(row[:3], [1, 4, 1])  # week, weekday, period
 
     def test_lags_shift_with_t(self):
-        fv = build_features(ramp_series(), 145)
-        np.testing.assert_array_equal(fv.lags, [97, 96, 50, 49, 1])
+        row = build_features(ramp_series(), 145)
+        np.testing.assert_array_equal(row[3:], [97, 96, 50, 49, 1])
 
     def test_constant_history(self):
         const = LoadSeries("c", 0, np.full(300, 7.5))
         for t in (144, 200, 250):
-            np.testing.assert_array_equal(build_features(const, t).lags, [7.5] * 5)
+            np.testing.assert_array_equal(build_features(const, t)[3:], [7.5] * 5)
 
     def test_insufficient_history_raises(self):
         with pytest.raises(ValueError):
             build_features(ramp_series(), 143)
+
+    def test_array_names_first_period_out_of_range(self):
+        s = ramp_series(192)
+        t = np.array([150, 192 + 48, 160, 143])
+        with pytest.raises(ValueError, match=r"^period 240 lacks lag history"):
+            build_features(s, t)
+        with pytest.raises(ValueError, match=r"^period 143 lacks lag history"):
+            build_features(s, t[[0, 2, 3]])
 
     def test_one_day_past_end_is_reachable(self):
         s = ramp_series(192)
         build_features(s, 192 + 47)  # last period of the next day
         with pytest.raises(ValueError):
             build_features(s, 192 + 48)
+
+
+class TestFeatureParity:
+    """``build_features`` equals the per-lag loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        start = int(rng.integers(1, 5000))
+        series = LoadSeries("r", start, rng.normal(3.0, 1.0, int(rng.integers(200, 900))))
+        lo, end = start + max(LAG_OFFSETS), series.end
+        next_day = np.arange(end, end + 48)
+        for t in (lo, int(rng.integers(lo, end)), end - 1, end + 47):
+            np.testing.assert_array_equal(
+                build_features(series, t), loop_build_features(series, t)
+            )
+        for t in (np.arange(lo, end + 48), rng.integers(lo, end + 48, 37), next_day):
+            expected = np.vstack([loop_build_features(series, int(p)) for p in t])
+            got = build_features(series, t)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 def linear_dataset(rng, n=400):
@@ -129,6 +160,53 @@ class TestTraining:
         assert n_checked == flat.size  # 45 parameters for 8 inputs
 
 
+class TestTrainingParity:
+    """``train`` steps on rows standardized once through the shared kernel;
+    the result equals the loop that standardizes each batch, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        np.testing.assert_array_equal(pack_parameters(got), pack_parameters(expected))
+        assert got.epoch_losses == expected.epoch_losses
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_datasets(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(20, 300))
+        X = rng.normal(rng.uniform(-5, 5, 8), rng.uniform(0.1, 20, 8), (n, 8))
+        X[:, 0] = rng.integers(1, 54, n)  # integer calendar columns
+        y = X @ rng.normal(0, 1, 8) + rng.normal(0, 0.3, n)
+        cfg = TrainConfig(
+            learning_rate=float(rng.uniform(0.005, 0.05)),
+            epochs=int(rng.integers(2, 30)),
+            batch_size=int(rng.integers(1, 80)),
+            seed=seed,
+            min_samples=1,
+        )
+        self.assert_same(train((X, y), cfg), loop_train(X, y, cfg))
+
+    def test_partial_last_batch(self):
+        rng = np.random.default_rng(1)
+        X, y = linear_dataset(rng, n=203)
+        cfg = TrainConfig(epochs=7, batch_size=50, seed=3)
+        self.assert_same(train((X, y), cfg), loop_train(X, y, cfg))
+
+    def test_batch_larger_than_dataset(self):
+        rng = np.random.default_rng(2)
+        X, y = linear_dataset(rng, n=120)
+        for batch in (120, 500):
+            cfg = TrainConfig(epochs=9, batch_size=batch, seed=4)
+            self.assert_same(train((X, y), cfg), loop_train(X, y, cfg))
+
+    def test_early_stop(self):
+        rng = np.random.default_rng(3)
+        X, y = linear_dataset(rng, n=150)
+        cfg = TrainConfig(epochs=500, seed=5, early_stop_tol=1e-3)
+        model = train((X, y), cfg)
+        assert len(model.epoch_losses) < cfg.epochs
+        self.assert_same(model, loop_train(X, y, cfg))
+
+
 class TestPredict:
     def test_zero_weight_model_returns_bias(self):
         model = MlpModel(
@@ -141,8 +219,8 @@ class TestPredict:
             y_mean=0.0,
             y_std=2.0,
         )
-        fv = FeatureVector(1, 1, 1, np.arange(5.0))
-        assert predict(model, fv) == pytest.approx(1.25 * 2.0)
+        row = np.concatenate([[1, 1, 1], np.arange(5.0)])
+        assert predict(model, row) == pytest.approx(1.25 * 2.0)
 
     def test_hand_built_forward_pass(self):
         # 2 features, one active hidden unit: relu(1*x0 + 2*x1 + 0.5) * 3 - 1

@@ -122,6 +122,21 @@ class TestSimplexAgainstScipy:
             solve_lp(lp)
         assert caplog.records and caplog.records[0].getMessage().startswith("it=0 phase1=")
 
+    def test_zero_row_lp(self):
+        # every column rests at the bound its cost points to
+        b = MipBuilder()
+        b.add_col("x", 0, 10, obj=-1.0)
+        b.add_col("y", -3, 4, obj=2.0)
+        b.add_col("w", 1, 5, obj=0.0)
+        b.add_col("f", -np.inf, np.inf, obj=0.0)
+        lp = b.build()
+        assert lp.n_rows == 0
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        assert res.objective == -16.0
+        np.testing.assert_array_equal(res.x[:2], [10.0, -3.0])
+        assert check_feasibility(lp, res.x) == 0.0
+
     def test_infeasible_lp(self):
         b = MipBuilder()
         x = b.add_col("x", 0, 1, obj=1.0)
@@ -305,6 +320,20 @@ class TestBranchAndBound:
         res = solve_milp(b.build())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-9.0)  # items 1 and 2
+
+    def test_zero_row_milp(self):
+        # with no rows every column rests at a bound, so the root is integral
+        b = MipBuilder()
+        for i in range(2):
+            b.add_col(f"z{i}", -2, 3, obj=1.0 - 2 * i, integer=True)
+        b.add_col("x", -1, 1, obj=0.5)
+        lp = b.build()
+        assert lp.n_rows == 0
+        res = solve_milp(lp)
+        assert res.status == "optimal"
+        assert res.objective == -5.5
+        np.testing.assert_array_equal(res.x, [-2.0, 3.0, -1.0])
+        assert res.n_nodes == 1
 
     def test_counters_cover_every_node(self, monkeypatch):
         # each popped sibling refactorizes in load_state, so a search with
