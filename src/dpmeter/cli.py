@@ -34,7 +34,7 @@ from .forecast import TrainConfig, forecast_scheme, save_model
 from .metrics import WapeScore
 from .privacy import PrivacyParams, privatize_aggregate
 from .procurement import build_milp, read_instance, solve
-from .scenario import generate_scenarios, read_scenario_csv, write_scenario_csv
+from .scenario import generate_scenarios, write_scenario_csv
 from .synth import SynthConfig, generate_panel, kmeans_groups, write_group_csv
 
 

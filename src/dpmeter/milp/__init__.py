@@ -2,7 +2,8 @@
 
 ``LinearMip`` holds a minimization problem with bounded columns, range
 rows, and an integrality mask.  ``solve_lp`` is a bounded-variable primal
-simplex; ``solve_milp`` wraps it in depth-first branch and bound.
+simplex; ``solve_milp`` wraps it in depth-first branch and bound, whose
+nodes carry the bounds of the integer columns as arrays.
 """
 
 from .model import LinearMip, MipBuilder, check_feasibility

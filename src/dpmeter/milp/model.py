@@ -7,7 +7,7 @@ bounds); columns carry bounds and an integrality flag.  The objective is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,7 @@ INF = float("inf")
 
 @dataclass
 class LinearMip:
-    """A bounded-variable MILP in arrays.  ``col_names``/``row_names`` label
-    its columns and rows when they were given names, as ``MipBuilder``
-    gives them; the procurement models are assembled directly from arrays
-    and leave both lists empty."""
+    """A bounded-variable MILP in arrays."""
 
     col_lower: np.ndarray
     col_upper: np.ndarray
@@ -31,8 +28,6 @@ class LinearMip:
     row_lower: np.ndarray
     row_upper: np.ndarray
     obj_offset: float = 0.0
-    col_names: list[str] = field(default_factory=list)
-    row_names: list[str] = field(default_factory=list)
 
     @property
     def n_cols(self) -> int:
@@ -57,10 +52,8 @@ class MipBuilder:
         self._ub: list[float] = []
         self._obj: list[float] = []
         self._int: list[bool] = []
-        self._col_names: list[str] = []
         self._row_lb: list[float] = []
         self._row_ub: list[float] = []
-        self._row_names: list[str] = []
         self._entries_row: list[int] = []
         self._entries_col: list[int] = []
         self._entries_val: list[float] = []
@@ -88,7 +81,6 @@ class MipBuilder:
         self._ub.append(float(upper))
         self._obj.append(float(obj))
         self._int.append(bool(integer))
-        self._col_names.append(name)
         return len(self._lb) - 1
 
     def add_obj(self, col: int, coef: float) -> None:
@@ -100,7 +92,6 @@ class MipBuilder:
         idx = len(self._row_lb)
         self._row_lb.append(float(lower))
         self._row_ub.append(float(upper))
-        self._row_names.append(name)
         for col, val in coeffs.items():
             if val != 0.0:
                 self._entries_row.append(idx)
@@ -125,8 +116,6 @@ class MipBuilder:
             row_lower=np.asarray(self._row_lb, dtype=float),
             row_upper=np.asarray(self._row_ub, dtype=float),
             obj_offset=self.obj_offset,
-            col_names=list(self._col_names),
-            row_names=list(self._row_names),
         )
 
 

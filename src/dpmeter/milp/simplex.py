@@ -9,7 +9,7 @@ Bland's rule after a run of degenerate steps, so the path is deterministic.
 
 The ratio test is Harris's two-pass test (Harris 1973, *Math.
 Programming* 5): pass 1 finds the longest step that keeps every basic
-variable within ``feas_tol`` of the bound it runs into, pass 2 lets the
+variable within ``_FEAS_TOL`` of the bound it runs into, pass 2 lets the
 row with the largest pivot among those blocking inside that step leave.
 Entries below ``_PIVOT_TOL`` are round-off standing in for zeros and never
 become pivots; should the basis still turn out singular at a
@@ -25,8 +25,12 @@ inverse is ``[[K⁻¹, 0], [C K⁻¹, -I]]``: O(k³ + (m − k) k²) work for k
 basic structurals instead of O(m³).  The entering column's solve uses only
 that column's nonzeros.
 
-State persists between calls: branch-and-bound fixes column bounds and
-re-solves from the current basis without refactorizing.
+State persists between calls.  Branch and bound installs a node's column
+bounds with ``set_col_bounds`` and, for a node that restarts from a
+snapshot, its basis with ``load_state`` (one refactorization); ``solve``
+then derives the point from the bounds, the nonbasic statuses and the
+basis inverse.  A node that goes on from the live basis re-solves without
+refactorizing.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _FREE = 3
 # smallest |entry| of the entering column that may serve as a pivot; the
 # columns here reach 1e6 and round-off leaves ~1e-11 where a zero belongs
 _PIVOT_TOL = 1e-9
+_FEAS_TOL = 1e-9  # how far a basic value may lie outside its bounds
+_OPT_TOL = 1e-9  # how far a reduced cost must point downhill to enter
+_REFACTOR_EVERY = 400  # pivots between refactorizations of the inverse
 
 _log = logging.getLogger(__name__)
 
@@ -60,14 +67,7 @@ class LpResult:
 
 
 class SimplexSolver:
-    def __init__(
-        self,
-        lp: LinearMip,
-        *,
-        feas_tol: float = 1e-9,
-        opt_tol: float = 1e-9,
-        refactor_every: int = 400,
-    ):
+    def __init__(self, lp: LinearMip):
         self.A = lp.row_matrix
         self.m = lp.n_rows
         self.n = lp.n_cols
@@ -76,9 +76,6 @@ class SimplexSolver:
         self.ub = np.concatenate([lp.col_upper, lp.row_upper])
         self.cost = np.concatenate([lp.obj, np.zeros(self.m)])
         self.obj_offset = lp.obj_offset
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
-        self.refactor_every = refactor_every
         self.basis = np.empty(self.m, dtype=np.int64)
         self.vstat = np.empty(self.N, dtype=np.int8)
         self.binv = np.empty((self.m, self.m))
@@ -105,17 +102,12 @@ class SimplexSolver:
         self.basis = basis.copy()
         self.vstat = vstat.copy()
         self._refactorize()
-        self._recompute_x()
 
-    def set_col_bounds(self, col: int, lower: float, upper: float) -> None:
-        """Change a structural column's bounds (used for branching fixes)."""
-        self.lb[col] = lower
-        self.ub[col] = upper
-        if self.vstat[col] == _AT_LOWER:
-            self.x[col] = lower
-        elif self.vstat[col] == _AT_UPPER:
-            self.x[col] = upper
-        # basic values are refreshed in solve(); free stays at 0
+    def set_col_bounds(self, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Set the bounds of structural columns ``cols`` (a branch-and-bound
+        node's box); ``solve`` moves the point onto them."""
+        self.lb[cols] = lower
+        self.ub[cols] = upper
 
     def _resting_status(self, cols: np.ndarray) -> np.ndarray:
         """Nonbasic status of ``cols``: at a finite bound, lower first."""
@@ -211,9 +203,8 @@ class SimplexSolver:
 
     # ----- main loop ---------------------------------------------------------
 
-    def solve(self, max_iter: int | None = None) -> LpResult:
-        if max_iter is None:
-            max_iter = 2000 + 60 * (self.m + self.n)
+    def solve(self) -> LpResult:
+        max_iter = 2000 + 60 * (self.m + self.n)
         self._recompute_x()
         iters = 0
         degenerate_run = 0
@@ -222,15 +213,15 @@ class SimplexSolver:
         while True:
             if iters > max_iter:
                 raise RuntimeError(f"simplex exceeded {max_iter} iterations")
-            if self._pivots_since_refactor >= self.refactor_every:
+            if self._pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
                 self._recompute_x()
 
             xB = self.x[self.basis]
             lbB = self.lb[self.basis]
             ubB = self.ub[self.basis]
-            below = xB < lbB - self.feas_tol
-            above = xB > ubB + self.feas_tol
+            below = xB < lbB - _FEAS_TOL
+            above = xB > ubB + _FEAS_TOL
             in_phase1 = bool(below.any() or above.any())
 
             if in_phase1:
@@ -247,9 +238,9 @@ class SimplexSolver:
             nonbasic = self.vstat != _BASIC
             movable = (self.ub - self.lb) > 0  # fixed columns cannot enter
             improving = nonbasic & movable & (
-                ((self.vstat == _AT_LOWER) & (d < -self.opt_tol))
-                | ((self.vstat == _AT_UPPER) & (d > self.opt_tol))
-                | ((self.vstat == _FREE) & (np.abs(d) > self.opt_tol))
+                ((self.vstat == _AT_LOWER) & (d < -_OPT_TOL))
+                | ((self.vstat == _AT_UPPER) & (d > _OPT_TOL))
+                | ((self.vstat == _FREE) & (np.abs(d) > _OPT_TOL))
             )
             if not improving.any():
                 if in_phase1:
@@ -280,7 +271,7 @@ class SimplexSolver:
 
             # ratio test, pass 1: basics block at the first bound they meet
             # (a phase-1 violator where it becomes feasible again), and each
-            # may overshoot it by feas_tol; entries below _PIVOT_TOL are
+            # may overshoot it by _FEAS_TOL; entries below _PIVOT_TOL are
             # round-off, not rates, so they neither block nor pivot
             theta = np.full(self.m, INF)
             target = np.full(self.m, np.nan)
@@ -303,7 +294,7 @@ class SimplexSolver:
             if blocking.size:
                 # pass 2: of the rows blocking within the relaxed step, the
                 # largest |rate| leaves (lowest index on ties)
-                relax = self.feas_tol / np.abs(rate[blocking])
+                relax = _FEAS_TOL / np.abs(rate[blocking])
                 theta_max = float((theta[blocking] + relax).min())
                 near = blocking[theta[blocking] <= theta_max]
                 p = int(near[np.argmax(np.abs(rate[near]))])
@@ -349,6 +340,6 @@ class SimplexSolver:
             iters += 1
 
 
-def solve_lp(lp: LinearMip, **kwargs) -> LpResult:
+def solve_lp(lp: LinearMip) -> LpResult:
     """One-shot cold-start solve of the LP relaxation of ``lp``."""
-    return SimplexSolver(lp, **kwargs).solve()
+    return SimplexSolver(lp).solve()

@@ -1,6 +1,7 @@
 """Shared instance generators and the loop-built references for the
-procurement, simplex and forecast tests."""
+procurement, simplex, branch-and-bound and forecast tests."""
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.sparse import csr_matrix
 from dpmeter.domain import LoadSeries, day_of_week, settlement_period, week_of_year
 from dpmeter.forecast import HIDDEN_WIDTH, LAG_OFFSETS, MlpModel, TrainConfig
 from dpmeter.market import PriceCurve, SystemExogenous
-from dpmeter.milp import LinearMip, MipBuilder
+from dpmeter.milp import LinearMip, MilpResult, MipBuilder, SimplexSolver, check_feasibility
 from dpmeter.procurement import INF, MilpModel, ProcurementInstance, _cost_bound
 from dpmeter.scenario import ErrorScenarioSet
 
@@ -489,6 +490,142 @@ def loop_basis_matrix(solver) -> np.ndarray:
         else:
             B[j - solver.n, k] = -1.0
     return B
+
+
+@dataclass
+class _Pending:
+    fixes: list[tuple[int, float, float]]
+    basis: np.ndarray
+    vstat: np.ndarray
+    parent_bound: float
+
+
+def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, heuristic=None, max_nodes=500_000):
+    """``branch_bound.solve_milp`` with each node kept as a list of
+    ``(col, lo, hi)`` fixes that a pop replays over the original bounds, a
+    solve before the loop and binaries fixed at 0 or 1.  General integers
+    branch from the original bounds, so this form is a reference for
+    binary models only."""
+    int_tol = 1e-7
+    int_cols = lp.integer_columns()
+    solver = SimplexSolver(lp)
+    orig_lb = lp.col_lower.copy()
+    orig_ub = lp.col_upper.copy()
+
+    best_obj = INF
+    best_x = None
+    worst_pruned = INF
+    n_nodes = 0
+
+    def note_pruned(bound):
+        nonlocal worst_pruned
+        worst_pruned = min(worst_pruned, bound)
+
+    def try_candidate(obj_hint, x_c):
+        nonlocal best_obj, best_x
+        if obj_hint >= best_obj - 1e-12:
+            return
+        obj_c = lp.objective_value(x_c)
+        if obj_c < best_obj - 1e-12 and check_feasibility(lp, x_c, integer_tol=int_tol) <= 1e-6:
+            best_obj = obj_c
+            best_x = x_c.copy()
+
+    def reset_bounds(fixes):
+        for c in int_cols:
+            solver.set_col_bounds(int(c), orig_lb[c], orig_ub[c])
+        for c, lo, hi in fixes:
+            solver.set_col_bounds(c, lo, hi)
+
+    stack = []
+    fixes = []
+    res = solver.solve()
+    n_nodes = 1
+    lp_iterations = res.iterations
+    if res.status == "infeasible":
+        return MilpResult(
+            "infeasible", INF, None, INF, n_nodes, lp_iterations, solver.refactorizations,
+            res.infeasible_row,
+        )
+    if res.status == "unbounded":
+        raise ValueError("relaxation is unbounded; the model is missing finite bounds")
+
+    while True:
+        if res is not None:
+            bound = res.objective
+            x = res.x
+            frac = np.abs(x[int_cols] - np.round(x[int_cols])) if int_cols.size else np.zeros(0)
+            if bound >= best_obj - gap_tol:
+                note_pruned(bound)
+                res = None
+            elif int_cols.size == 0 or frac.max(initial=0.0) <= int_tol:
+                cand = x.copy()
+                if int_cols.size:
+                    cand[int_cols] = np.round(cand[int_cols])
+                if bound < best_obj:
+                    best_obj = bound
+                    best_x = cand
+                res = None
+            else:
+                if heuristic is not None:
+                    proposal = heuristic(x)
+                    if proposal is not None:
+                        try_candidate(*proposal)
+                if bound >= best_obj - gap_tol:
+                    note_pruned(bound)
+                    res = None
+                else:
+                    dist = np.minimum(frac, 1.0 - frac)
+                    j = int(int_cols[np.argmax(dist)])
+                    near = float(np.round(x[j]))
+                    if orig_ub[j] - orig_lb[j] == 1.0 and orig_lb[j] == 0.0:
+                        near_fix = (j, near, near)
+                        far_fix = (j, 1.0 - near, 1.0 - near)
+                    else:
+                        lo_child = (j, orig_lb[j], float(np.floor(x[j])))
+                        hi_child = (j, float(np.ceil(x[j])), orig_ub[j])
+                        near_fix, far_fix = (
+                            (hi_child, lo_child) if near >= x[j] else (lo_child, hi_child)
+                        )
+                    basis, vstat = solver.snapshot()
+                    stack.append(_Pending(fixes + [far_fix], basis, vstat, bound))
+                    fixes = fixes + [near_fix]
+                    solver.set_col_bounds(*near_fix)
+                    if n_nodes >= max_nodes:
+                        raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
+                    res = solver.solve()
+                    n_nodes += 1
+                    lp_iterations += res.iterations
+                    if res.status == "unbounded":
+                        raise ValueError("child relaxation unbounded")
+                    if res.status == "infeasible":
+                        res = None
+                    continue
+
+        while res is None and stack:
+            node = stack.pop()
+            if node.parent_bound >= best_obj - gap_tol:
+                note_pruned(node.parent_bound)
+                continue
+            fixes = node.fixes
+            reset_bounds(fixes)
+            solver.load_state(node.basis, node.vstat)
+            if n_nodes >= max_nodes:
+                raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
+            res = solver.solve()
+            n_nodes += 1
+            lp_iterations += res.iterations
+            if res.status == "unbounded":
+                raise ValueError("sibling relaxation unbounded")
+            if res.status == "infeasible":
+                res = None
+        if res is None and not stack:
+            break
+
+    counts = (n_nodes, lp_iterations, solver.refactorizations)
+    if best_x is None:
+        return MilpResult("infeasible", INF, None, INF, *counts)
+    gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0
+    return MilpResult("optimal", best_obj, best_x, gap, *counts)
 
 
 def loop_build_features(history: LoadSeries, t: int) -> np.ndarray:

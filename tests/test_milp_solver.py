@@ -8,11 +8,14 @@ import pytest
 from scipy.optimize import linprog, milp
 from scipy.optimize import Bounds, LinearConstraint
 
+from dpmeter import procurement
 from dpmeter.milp import MipBuilder, SimplexSolver, check_feasibility, solve_lp, solve_milp
 from dpmeter.milp.simplex import _AT_UPPER, _BASIC
 from dpmeter.procurement import _reduce, _reduced_model, read_instance
 
-from helpers import loop_basis_matrix, random_instance
+from helpers import fixes_solve_milp, loop_basis_matrix, random_instance
+
+C11 = Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"
 
 RNG_CASES = 60
 
@@ -249,7 +252,7 @@ class TestKernelInverse:
         models = [_reduced_model(inst, _reduce(inst))[0] for inst in (
             random_instance(rng, T=6, S=4, B=3, F=3),
             random_instance(rng, T=12, S=3, B=4, F=2),
-            read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"),
+            read_instance(C11),
         )]
         n_mixed = 0
         for lp in models:
@@ -272,7 +275,7 @@ class TestKernelInverse:
         assert_kernel_inverse(solver)
 
 
-def random_mip(rng):
+def random_mip(rng, general=True):
     lp = random_lp(rng, n_cols=int(rng.integers(2, 7)), n_rows=int(rng.integers(1, 6)))
     # make a few columns binary with sane bounds
     n_bin = int(rng.integers(1, min(lp.n_cols, 4) + 1))
@@ -282,7 +285,55 @@ def random_mip(rng):
         lp.is_integer[j] = True
     lp.col_lower[~np.isfinite(lp.col_lower)] = -10.0
     lp.col_upper[~np.isfinite(lp.col_upper)] = 10.0
+    if general:
+        # some continuous columns become general integers; about half of
+        # those keep fractional bounds
+        for j in np.flatnonzero(~lp.is_integer & (rng.random(lp.n_cols) < 0.4)):
+            lp.is_integer[j] = True
+            if rng.random() < 0.5:
+                lp.col_lower[j] = np.floor(lp.col_lower[j])
+                lp.col_upper[j] = np.ceil(lp.col_upper[j])
     return lp
+
+
+def random_general_mip(rng):
+    """Four general-integer columns with integer bounds under 2-4 rows."""
+    b = MipBuilder()
+    for j in range(4):
+        lo = float(rng.integers(-3, 1))
+        b.add_col(f"z{j}", lo, lo + float(rng.integers(2, 9)), obj=float(rng.normal()),
+                  integer=True)
+    for i in range(int(rng.integers(2, 5))):
+        cols = rng.choice(4, size=int(rng.integers(2, 5)), replace=False)
+        b.add_row(f"r{i}", {int(c): float(rng.normal()) for c in cols}, -np.inf,
+                  float(rng.normal(scale=2)))
+    return b.build()
+
+
+def highs_milp(lp):
+    A = np.zeros((lp.n_rows, lp.n_cols))
+    for i in range(lp.n_rows):
+        cols, vals = lp.row_matrix.row(i)
+        A[i, cols] = vals
+    return milp(
+        c=lp.obj,
+        constraints=LinearConstraint(A, lp.row_lower, lp.row_upper),
+        integrality=lp.is_integer.astype(int),
+        bounds=Bounds(lp.col_lower, lp.col_upper),
+    )
+
+
+def assert_same_result(got, want):
+    """Two ``MilpResult``s equal bit for bit."""
+    assert got.status == want.status
+    for name in ("objective", "gap"):
+        a, b = np.float64(getattr(got, name)), np.float64(getattr(want, name))
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.x is None) == (want.x is None)
+    if got.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+    for name in ("n_nodes", "lp_iterations", "refactorizations", "infeasible_row"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 class TestBranchAndBound:
@@ -292,16 +343,7 @@ class TestBranchAndBound:
         for _ in range(40):
             lp = random_mip(rng)
             ours = solve_milp(lp, gap_tol=1e-8)
-            A = np.zeros((lp.n_rows, lp.n_cols))
-            for i in range(lp.n_rows):
-                cols, vals = lp.row_matrix.row(i)
-                A[i, cols] = vals
-            ref = milp(
-                c=lp.obj,
-                constraints=LinearConstraint(A, lp.row_lower, lp.row_upper),
-                integrality=lp.is_integer.astype(int),
-                bounds=Bounds(lp.col_lower, lp.col_upper),
-            )
+            ref = highs_milp(lp)
             if ref.status == 2:  # infeasible
                 assert ours.status == "infeasible"
             else:
@@ -375,3 +417,91 @@ class TestBranchAndBound:
         res = solve_milp(lp, gap_tol=1e-6)
         if res.status == "optimal":
             assert res.gap <= 1e-6
+
+    def test_fractional_integer_bounds_round_inward(self):
+        # the relaxation's optimum is (2.5, 2.5); the integer box is [0, 2]²
+        b = MipBuilder()
+        for i in range(2):
+            b.add_col(f"z{i}", 0, 2.5, obj=-1.0, integer=True)
+        b.add_row("cap", {0: 1.0, 1: 1.0}, -np.inf, 6.0)
+        res = solve_milp(b.build(), max_nodes=30)
+        assert res.status == "optimal"
+        assert res.objective == -4.0
+        np.testing.assert_array_equal(res.x, [2.0, 2.0])
+        assert res.n_nodes == 1
+
+    def test_integer_column_without_integer_point(self):
+        b = MipBuilder()
+        b.add_col("z", 0.2, 0.8, obj=1.0, integer=True)
+        b.add_col("x", 0, 1, obj=1.0)
+        b.add_row("r", {0: 1.0, 1: 1.0}, 0.0, 2.0)
+        res = solve_milp(b.build(), max_nodes=30)
+        assert res.status == "infeasible"
+        assert res.n_nodes == 0
+
+    def test_node_boxes_nest_or_are_disjoint(self, monkeypatch):
+        # each branch splits its own node's box, so two nodes' integer boxes
+        # are nested (one descends from the other) or disjoint
+        boxes, int_cols = [], []
+        solve = SimplexSolver.solve
+
+        def recorded_solve(self):
+            boxes.append((self.lb[int_cols[-1]], self.ub[int_cols[-1]]))
+            return solve(self)
+
+        monkeypatch.setattr(SimplexSolver, "solve", recorded_solve)
+        rng = np.random.default_rng(23)
+        n_branched = 0
+        for _ in range(100):
+            lp = random_general_mip(rng)
+            int_cols.append(lp.integer_columns())
+            boxes.clear()
+            res = solve_milp(lp, gap_tol=1e-8, max_nodes=2000)
+            ref = highs_milp(lp)
+            assert res.status == ("infeasible" if ref.status == 2 else "optimal")
+            if ref.status != 2:
+                assert res.objective == pytest.approx(ref.fun, abs=1e-6)
+            lo = np.array([b[0] for b in boxes])
+            hi = np.array([b[1] for b in boxes])
+            for a in range(len(boxes)):
+                disjoint = ((hi[a] < lo) | (hi < lo[a])).any(axis=1)
+                inside = ((lo[a] <= lo) & (hi <= hi[a])).all(axis=1)
+                around = ((lo <= lo[a]) & (hi[a] <= hi)).all(axis=1)
+                assert (disjoint | inside | around).all()
+            n_branched += len(boxes) > 1
+        assert n_branched >= 50
+
+
+class TestFixesParity:
+    """``solve_milp`` against ``fixes_solve_milp``, the form that kept each
+    node as a list of fixes: on binary models every field of the result is
+    equal bit for bit."""
+
+    def test_binary_random_mips(self):
+        rng = np.random.default_rng(3)
+        n_branched = 0
+        for _ in range(200):
+            lp = random_mip(rng, general=False)
+            got = solve_milp(lp, gap_tol=1e-8)
+            assert_same_result(got, fixes_solve_milp(lp, gap_tol=1e-8))
+            n_branched += got.n_nodes > 1
+        assert n_branched >= 15
+
+    def test_procurement_models(self, monkeypatch):
+        # procurement.solve hands both solvers its reduced model and heuristic
+        n_nodes = []
+
+        def both(lp, **kwargs):
+            got = solve_milp(lp, **kwargs)
+            assert_same_result(got, fixes_solve_milp(lp, **kwargs))
+            n_nodes.append(got.n_nodes)
+            return got
+
+        monkeypatch.setattr(procurement, "solve_milp", both)
+        rng = np.random.default_rng(13)
+        insts = [random_instance(rng) for _ in range(12)]
+        insts += [random_instance(rng, T=3, S=4, B=5, F=6), read_instance(C11)]
+        for inst in insts:
+            procurement.solve(procurement.build_milp(inst))
+        assert len(n_nodes) == len(insts)
+        assert sum(n > 1 for n in n_nodes) >= 3

@@ -184,8 +184,7 @@ class TestBuildMilp:
 
 
 def assert_same_lp(got, want):
-    """Every array of the two LPs and the offset equal bit for bit; ``got``
-    has no names."""
+    """Every array of the two LPs and the offset equal bit for bit."""
     for name in ("col_lower", "col_upper", "obj", "is_integer", "row_lower", "row_upper"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -194,11 +193,10 @@ def assert_same_lp(got, want):
         a, b = getattr(got.row_matrix, name), getattr(want.row_matrix, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert np.float64(got.obj_offset).tobytes() == np.float64(want.obj_offset).tobytes()
-    assert got.col_names == [] and got.row_names == []
 
 
 def assert_same_model(got, want):
-    """Every array of the two models equal bit for bit; ``got`` has no names."""
+    """Every array of the two models equal bit for bit."""
     assert_same_lp(got.lp, want.lp)
     for name in ("T", "S", "B", "F", "off_d_da", "off_d_bal", "col_zeta", "off_eta",
                  "off_c_da", "off_c_bal", "off_u_da", "off_u_bal"):
