@@ -7,13 +7,14 @@ instance, ``experiment`` runs the full grid, and ``report`` re-emits the
 plot-ready tables from a saved result table.  Exit code 0 means every cell
 succeeded; as for a usage error, an unreadable or invalid input file or an
 argument value out of range prints one ``dpmeter: error:`` line and exits
-with code 2.
+with code 2.  Every CSV a command reads or writes goes through
+``domain.read_csv`` and ``domain.write_csv``: ``\\n`` line ends, ``repr``
+floats and an empty cell for ``None``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -21,9 +22,17 @@ from typing import NoReturn
 
 import numpy as np
 
-from .domain import SettlementScheme, compute_dlc, read_meter_csv, write_meter_csv
+from .domain import (
+    _SCHEME_KINDS,
+    compute_dlc,
+    read_csv,
+    read_meter_csv,
+    write_csv,
+    write_meter_csv,
+)
 from .experiment import (
     ExperimentConfig,
+    _scheme_of,
     load_config,
     read_results_csv,
     report,
@@ -90,34 +99,21 @@ def cmd_privatize(args) -> int:
     noisy = privatize_aggregate(panel, params, args.seed)
     out = _out_dir(args)
     path = out / "aggregate_noisy.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period_index", "kwh_noisy"])
-        for i, v in enumerate(noisy.values):
-            writer.writerow([noisy.start + i, repr(float(v))])
+    write_csv(path, ["period_index", "kwh_noisy"], enumerate(noisy.values, noisy.start))
     print(f"wrote {path}")
     return 0
 
 
-def _scheme_from_args(args) -> SettlementScheme:
-    if args.scheme == "hhs-ddp":
-        return SettlementScheme.hhs_ddp(_checked(PrivacyParams, args.epsilon, args.gamma))
-    return SettlementScheme(args.scheme)
-
-
 def cmd_forecast(args) -> int:
-    scheme = _scheme_from_args(args)
+    scheme = _checked(_scheme_of, args.scheme, args.epsilon, args.gamma)
     cfg = _checked(TrainConfig, epochs=args.epochs)
     panel = _load(read_meter_csv, args.input)
     dlc = compute_dlc(panel)
     result = forecast_scheme(scheme, panel, dlc, cfg, args.seed)
     out = _out_dir(args)
     path = out / "forecast.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period_index", "kwh"])
-        for i, v in enumerate(result.forecast.values):
-            writer.writerow([result.forecast.start + i, repr(float(v))])
+    fc = result.forecast
+    write_csv(path, ["period_index", "kwh"], enumerate(fc.values, fc.start))
     save_model(result.model, out / "model.txt")
     print(f"wrote {path}; backtest wape={result.wape_backtest.value:.6g}")
     return 0
@@ -125,14 +121,7 @@ def cmd_forecast(args) -> int:
 
 def _read_forecast(path) -> np.ndarray:
     """The ``kwh`` column of a CSV written by ``dpmeter forecast``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "kwh" not in (reader.fieldnames or ()):
-            raise ValueError("forecast CSV must have a kwh column")
-        values = [float(r["kwh"]) for r in reader]
-    if not values:
-        raise ValueError("forecast CSV contains no rows")
-    return np.array(values)
+    return np.array([float(r["kwh"]) for r in read_csv(path, "forecast", ["kwh"])])
 
 
 def cmd_scenarios(args) -> int:
@@ -153,23 +142,25 @@ def cmd_procure(args) -> int:
         print(f"infeasible: {sol.infeasible_row}", file=sys.stderr)
         return 1
     out = _out_dir(args)
-    with open(out / "solution_da.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "d_da_mwh", "price_da"])
-        for t in range(inst.n_periods):
-            writer.writerow([t, repr(float(sol.d_da[t])), repr(float(sol.price_da[t]))])
-    with open(out / "solution_bal.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "t", "d_bal_mwh", "price_bal"])
-        for s in range(inst.n_scenarios):
-            for t in range(inst.n_periods):
-                writer.writerow(
-                    [s, t, repr(float(sol.d_bal[s, t])), repr(float(sol.price_bal[s, t]))]
-                )
-    with open(out / "solution_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["objective", "expected_cost", "cvar", "gap"])
-        writer.writerow([repr(sol.objective), repr(sol.expected_cost), repr(sol.cvar), repr(sol.gap)])
+    write_csv(
+        out / "solution_da.csv",
+        ["t", "d_da_mwh", "price_da"],
+        ([t, sol.d_da[t], sol.price_da[t]] for t in range(inst.n_periods)),
+    )
+    write_csv(
+        out / "solution_bal.csv",
+        ["s", "t", "d_bal_mwh", "price_bal"],
+        (
+            [s, t, sol.d_bal[s, t], sol.price_bal[s, t]]
+            for s in range(inst.n_scenarios)
+            for t in range(inst.n_periods)
+        ),
+    )
+    write_csv(
+        out / "solution_summary.csv",
+        ["objective", "expected_cost", "cvar", "gap"],
+        [[sol.objective, sol.expected_cost, sol.cvar, sol.gap]],
+    )
     print(
         f"objective={sol.objective:.6g} expected={sol.expected_cost:.6g} "
         f"cvar={sol.cvar:.6g} gap={sol.gap:.3g}"
@@ -232,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="day-ahead forecast under a scheme")
     add_common(p)
     p.add_argument("--input", required=True, help="meter CSV path")
-    p.add_argument(
-        "--scheme",
-        required=True,
-        choices=["nhhs", "hhs-dlcsys", "hhs-ehh", "hhs-ddp"],
-    )
+    p.add_argument("--scheme", required=True, choices=_SCHEME_KINDS)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=80)

@@ -3,13 +3,18 @@
 Time is an abstract global half-hour counter: period ``t`` belongs to day
 ``t // 48`` and week ``t // 336``.  No timezone or clock-change handling is
 attempted; all data here is synthetic or pre-aligned.
+
+Every table dpmeter reads or writes goes through ``write_csv`` and
+``read_csv``: one dialect with ``\\n`` line ends, ``repr`` floats and an
+empty cell for ``None``, and one check each for missing columns and an
+empty table.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -273,6 +278,44 @@ def _spread(daily_kwh, start: int, dlc: DlcProfile) -> np.ndarray:
     return (daily_kwh[:, None] * weights / wsum).ravel()
 
 
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows``: ``None`` is an empty cell, a float
+    (``np.floating`` included) its ``repr``, and any other cell as ``csv``
+    writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_csv(path, what: str, columns: Sequence[str]) -> Iterator[dict[str, str]]:
+    """The rows of a table with a header naming every one of ``columns``.
+
+    Rows are yielded as they are read, so a large meter file is never held
+    as dicts all at once.  A missing column raises ``ValueError`` before the
+    first row, and an empty table once the rows run out.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{what} CSV lacks columns {missing}")
+        empty = True
+        for row in reader:
+            empty = False
+            yield row
+    if empty:
+        raise ValueError(f"{what} CSV contains no rows")
+
+
 def read_meter_csv(path) -> MeterPanel:
     """Load a panel from ``meter_id,period_index,kwh`` rows.
 
@@ -280,20 +323,13 @@ def read_meter_csv(path) -> MeterPanel:
     common period range; a missing (meter, period) pair is a hard error.
     """
     per_meter: dict[str, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"meter_id", "period_index", "kwh"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"meter CSV must have columns {sorted(required)}")
-        for row in reader:
-            mid = row["meter_id"]
-            t = int(row["period_index"])
-            per_meter.setdefault(mid, {})
-            if t in per_meter[mid]:
-                raise ValueError(f"duplicate reading for meter {mid!r} period {t}")
-            per_meter[mid][t] = float(row["kwh"])
-    if not per_meter:
-        raise ValueError("meter CSV contains no rows")
+    for row in read_csv(path, "meter", ["meter_id", "period_index", "kwh"]):
+        mid = row["meter_id"]
+        t = int(row["period_index"])
+        per_meter.setdefault(mid, {})
+        if t in per_meter[mid]:
+            raise ValueError(f"duplicate reading for meter {mid!r} period {t}")
+        per_meter[mid][t] = float(row["kwh"])
     start = min(min(d) for d in per_meter.values())
     end = max(max(d) for d in per_meter.values()) + 1
     meters = []
@@ -311,9 +347,8 @@ def read_meter_csv(path) -> MeterPanel:
 
 
 def write_meter_csv(panel: MeterPanel, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["meter_id", "period_index", "kwh"])
-        for m in panel.meters:
-            for i, v in enumerate(m.values):
-                writer.writerow([m.meter_id, m.start + i, repr(float(v))])
+    write_csv(
+        path,
+        ["meter_id", "period_index", "kwh"],
+        ([m.meter_id, t, v] for m in panel.meters for t, v in enumerate(m.values, m.start)),
+    )

@@ -20,19 +20,23 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .domain import (
     PERIODS_PER_DAY,
+    _SCHEME_KINDS,
     DlcProfile,
     LoadSeries,
     MeterPanel,
     SettlementScheme,
     aggregate_panel,
     compute_dlc,
+    read_csv,
     read_meter_csv,
+    write_csv,
 )
 from .forecast import BACKTEST_DAYS, TrainConfig, forecast_scheme
 from .market import PriceCurve, SystemExogenous, build_curve, read_ladder_csv
@@ -107,7 +111,7 @@ class ExperimentConfig:
         if not self.schemes:
             raise ValueError("scheme list is empty")
         for s in self.schemes:
-            if s not in ("nhhs", "hhs-dlcsys", "hhs-ehh", "hhs-ddp"):
+            if s not in _SCHEME_KINDS:
                 raise ValueError(f"unknown scheme {s!r}")
         needs_grids = "hhs-ddp" in self.schemes or self.hetero_p
         if needs_grids and (not self.epsilon_grid or not self.gamma_grid):
@@ -506,125 +510,71 @@ def load_config(path) -> ExperimentConfig:
         return config_from_json(fh.read())
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+RESULT_COLUMNS = [f.name for f in dataclasses.fields(SchemeResult)]
+
+# (file, columns, whether its rows are the heterogeneity sweep's or the rest)
+_REPORT_TABLES = (
+    ("kld_wape.csv", ["kld", "scheme", "epsilon", "gamma", "seed", "wape"], False),
+    ("scheme_wape.csv", ["group", "scheme", "epsilon", "gamma", "seed", "wape"], False),
+    (
+        "costs.csv",
+        ["scheme", "epsilon", "gamma", "seed", "wape", "expected_cost", "cvar", "objective"],
+        False,
+    ),
+    (
+        "hetero.csv",
+        ["p", "epsilon", "gamma", "seed", "wape", "expected_cost", "cvar", "omega_exp"],
+        True,
+    ),
+)
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-RESULT_COLUMNS = [
-    "scheme",
-    "group",
-    "epsilon",
-    "gamma",
-    "p",
-    "seed",
-    "kld",
-    "wape",
-    "expected_cost",
-    "cvar",
-    "objective",
-    "omega_exp",
-]
+def _write_table(path, columns: list[str], results: list[SchemeResult]) -> None:
+    write_csv(path, columns, ([getattr(r, c) for c in columns] for r in results))
 
 
 def write_results_csv(results: list[SchemeResult], path) -> None:
-    rows = [[getattr(r, c) for c in RESULT_COLUMNS] for r in results]
-    _write_csv(path, RESULT_COLUMNS, rows)
+    _write_table(path, RESULT_COLUMNS, results)
+
+
+def _optional(cell: str) -> float | None:
+    return float(cell) if cell else None
 
 
 def read_results_csv(path) -> list[SchemeResult]:
     """Rows written by ``write_results_csv``; a table that lacks one of
     ``RESULT_COLUMNS`` or has no rows raises ``ValueError``."""
-    import csv as _csv
-
-    out = []
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"results CSV lacks columns {missing}")
-        for row in reader:
-            out.append(
-                SchemeResult(
-                    scheme=row["scheme"],
-                    group=row["group"],
-                    epsilon=float(row["epsilon"]) if row["epsilon"] else None,
-                    gamma=float(row["gamma"]) if row["gamma"] else None,
-                    p=float(row["p"]) if row["p"] else None,
-                    seed=int(row["seed"]),
-                    kld=float(row["kld"]),
-                    wape=float(row["wape"]),
-                    expected_cost=float(row["expected_cost"]),
-                    cvar=float(row["cvar"]),
-                    objective=float(row["objective"]),
-                    omega_exp=float(row["omega_exp"]) if row["omega_exp"] else None,
-                )
-            )
-    if not out:
-        raise ValueError("results CSV contains no rows")
-    return out
+    return [
+        SchemeResult(
+            scheme=row["scheme"],
+            group=row["group"],
+            epsilon=_optional(row["epsilon"]),
+            gamma=_optional(row["gamma"]),
+            p=_optional(row["p"]),
+            seed=int(row["seed"]),
+            kld=float(row["kld"]),
+            wape=float(row["wape"]),
+            expected_cost=float(row["expected_cost"]),
+            cvar=float(row["cvar"]),
+            objective=float(row["objective"]),
+            omega_exp=_optional(row["omega_exp"]),
+        )
+        for row in read_csv(path, "results", RESULT_COLUMNS)
+    ]
 
 
 def report(results: list[SchemeResult], out_dir, cfg: ExperimentConfig) -> list[str]:
     """Write the plot-ready tables; returns the file names written."""
-    from pathlib import Path
-
     if not results:
         raise ValueError("result table is empty; nothing to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = sorted(results, key=SchemeResult.sort_key)
-    written = []
-
     write_results_csv(rows, out / "results.csv")
-    written.append("results.csv")
+    for name, columns, hetero in _REPORT_TABLES:
+        _write_table(out / name, columns, [r for r in rows if (r.scheme == "hetero") == hetero])
 
     main = [r for r in rows if r.scheme != "hetero"]
-    _write_csv(
-        out / "kld_wape.csv",
-        ["kld", "scheme", "epsilon", "gamma", "seed", "wape"],
-        [[r.kld, r.scheme, r.epsilon, r.gamma, r.seed, r.wape] for r in main],
-    )
-    written.append("kld_wape.csv")
-
-    _write_csv(
-        out / "scheme_wape.csv",
-        ["group", "scheme", "epsilon", "gamma", "seed", "wape"],
-        [[r.group, r.scheme, r.epsilon, r.gamma, r.seed, r.wape] for r in main],
-    )
-    written.append("scheme_wape.csv")
-
-    _write_csv(
-        out / "costs.csv",
-        ["scheme", "epsilon", "gamma", "seed", "wape", "expected_cost", "cvar", "objective"],
-        [
-            [r.scheme, r.epsilon, r.gamma, r.seed, r.wape, r.expected_cost, r.cvar, r.objective]
-            for r in main
-        ],
-    )
-    written.append("costs.csv")
-
-    hetero = [r for r in rows if r.scheme == "hetero"]
-    _write_csv(
-        out / "hetero.csv",
-        ["p", "epsilon", "gamma", "seed", "wape", "expected_cost", "cvar", "omega_exp"],
-        [
-            [r.p, r.epsilon, r.gamma, r.seed, r.wape, r.expected_cost, r.cvar, r.omega_exp]
-            for r in hetero
-        ],
-    )
-    written.append("hetero.csv")
-
     elasticity = wape_cost_elasticity(main)
     config_json = config_to_json(cfg)
     meta = {
@@ -638,8 +588,7 @@ def report(results: list[SchemeResult], out_dir, cfg: ExperimentConfig) -> list[
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    written.append("metadata.json")
-    return written
+    return ["results.csv", *(name for name, _, _ in _REPORT_TABLES), "metadata.json"]
 
 
 def wape_cost_elasticity(results: list[SchemeResult]) -> float | None:

@@ -8,13 +8,12 @@ procurement model captures with binary bracket selectors.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _freeze
+from .domain import _freeze, read_csv
 
 _SPACING_TOL = 1e-9
 
@@ -134,21 +133,5 @@ class SystemExogenous:
 
 def read_ladder_csv(path) -> list[tuple[float, float]]:
     """Read ``volume_mwh,price`` bid blocks."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"volume_mwh", "price"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"ladder CSV must have columns {sorted(required)}")
-        ladder = [(float(row["volume_mwh"]), float(row["price"])) for row in reader]
-    if not ladder:
-        raise ValueError("ladder CSV contains no rows")
-    return ladder
-
-
-def write_curve_csv(curve: PriceCurve, path) -> None:
-    """Dump a resampled curve for audit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["demand_level_mwh", "price"])
-        for level, price in zip(curve.demand_levels, curve.prices):
-            writer.writerow([repr(float(level)), repr(float(price))])
+    rows = read_csv(path, "ladder", ["volume_mwh", "price"])
+    return [(float(row["volume_mwh"]), float(row["price"])) for row in rows]

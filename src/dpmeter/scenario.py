@@ -7,13 +7,12 @@ WAPE; probabilities are uniform Monte-Carlo weights.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LoadSeries, _freeze
+from .domain import LoadSeries, _freeze, read_csv, write_csv
 from .metrics import WapeScore
 
 
@@ -82,27 +81,33 @@ def scale_to_system(series: LoadSeries, share: float) -> LoadSeries:
 
 
 def write_scenario_csv(scenarios: ErrorScenarioSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "period_index", "err_kwh", "prob"])
-        for s in range(scenarios.n_scenarios):
-            p = repr(float(scenarios.probabilities[s]))
-            for t in range(scenarios.n_periods):
-                writer.writerow([s, t, repr(float(scenarios.errors[s, t])), p])
+    write_csv(
+        path,
+        ["scenario", "period_index", "err_kwh", "prob"],
+        (
+            [s, t, scenarios.errors[s, t], scenarios.probabilities[s]]
+            for s in range(scenarios.n_scenarios)
+            for t in range(scenarios.n_periods)
+        ),
+    )
 
 
 def read_scenario_csv(path) -> ErrorScenarioSet:
+    """Scenarios ``0..S-1`` over periods ``0..T-1``; a negative index, an
+    absent scenario or a scenario that misses a period raises ``ValueError``."""
     rows: dict[int, dict[int, float]] = {}
     probs: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            s = int(row["scenario"])
-            t = int(row["period_index"])
-            rows.setdefault(s, {})[t] = float(row["err_kwh"])
-            probs[s] = float(row["prob"])
-    if not rows:
-        raise ValueError("scenario CSV contains no rows")
+    for row in read_csv(path, "scenario", ["scenario", "period_index", "err_kwh", "prob"]):
+        s = int(row["scenario"])
+        t = int(row["period_index"])
+        rows.setdefault(s, {})[t] = float(row["err_kwh"])
+        probs[s] = float(row["prob"])
+    if min(rows) < 0 or min(min(d) for d in rows.values()) < 0:
+        raise ValueError("scenario CSV holds a negative scenario or period index")
     n_s = max(rows) + 1
+    absent = sorted(set(range(n_s)) - set(rows))
+    if absent:
+        raise ValueError(f"scenario CSV lacks scenarios {absent}")
     n_t = max(max(d) for d in rows.values()) + 1
     errors = np.zeros((n_s, n_t))
     for s, d in rows.items():

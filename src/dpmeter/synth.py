@@ -10,7 +10,6 @@ from the system average.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .domain import (
     LoadSeries,
     MeterPanel,
     compute_dlc,
+    write_csv,
 )
 from .metrics import KldScore, kld_profiles
 
@@ -219,9 +219,4 @@ def sample_group(panel: MeterPanel, share: float, seed: int) -> ConsumerGroup:
 
 def write_group_csv(groups: list[ConsumerGroup], path) -> None:
     """Group manifest: ``meter_id,group``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["meter_id", "group"])
-        for group in groups:
-            for mid in group.meter_ids:
-                writer.writerow([mid, group.label])
+    write_csv(path, ["meter_id", "group"], ([mid, g.label] for g in groups for mid in g.meter_ids))

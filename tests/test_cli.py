@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dpmeter.cli import main
+from dpmeter.domain import read_csv
 from dpmeter.experiment import RESULT_COLUMNS, ExperimentConfig, MarketConfig, config_to_json
 from dpmeter.forecast import TrainConfig
 from dpmeter.market import SystemExogenous
@@ -219,7 +220,7 @@ class TestInputErrors:
         config = write_config(tmp_path, one_cell_config(market=ladder_market(ladder)))
         args = ["experiment", "--config", config, "--out", tmp_path / "x"]
         assert_usage_error(
-            capsys, args, "cfg.json: ladder CSV must have columns ['price', 'volume_mwh']"
+            capsys, args, "cfg.json: ladder CSV lacks columns ['volume_mwh', 'price']"
         )
 
     def test_privatize_missing_input(self, tmp_path, capsys):
@@ -231,11 +232,11 @@ class TestInputErrors:
         path = tmp_path / "meters.csv"
         path.write_text("meter_id,kwh\nm0,1.0\n")
         args = ["forecast", "--input", path, "--scheme", "hhs-ehh", "--out", tmp_path / "x"]
-        assert_usage_error(capsys, args, "meter CSV must have columns")
+        assert_usage_error(capsys, args, "meter CSV lacks columns ['period_index']")
 
     @pytest.mark.parametrize(
         "text, reason",
-        [("period_index,value\n0,1.0\n", "must have a kwh column"),
+        [("period_index,value\n0,1.0\n", "forecast CSV lacks columns ['kwh']"),
          ("period_index,kwh\n", "contains no rows"),
          ("period_index,kwh\n0,abc\n", "could not convert")],
         ids=["no kwh column", "no rows", "bad number"],
@@ -328,3 +329,31 @@ class TestExperimentCommand:
         out = tmp_path / "exp"
         assert run(["experiment", "--config", cfg_path, "--seed", 3, "--out", out]) == 0
         assert json.loads((out / "metadata.json").read_text())["seeds"] == [3]
+
+
+class TestCsvDialect:
+    def test_every_table_in_one_dialect(self, tmp_path):
+        """Every stage's CSV holds no carriage return and reads back
+        through ``read_csv`` with its own header."""
+        out = tmp_path / "all"
+        meters, forecast = out / "meters.csv", out / "forecast.csv"
+        instance = tmp_path / "inst.json"
+        write_instance(one_period_instance(), instance)
+        config = write_config(tmp_path, one_cell_config(hetero_p=(1.0,)))
+        for args in (
+            ["synth", "--meters", 12, "--weeks", 5, "--seed", 1, "--kmeans", 2],
+            ["privatize", "--input", meters, "--epsilon", 1.0],
+            ["forecast", "--input", meters, "--scheme", "hhs-ehh", "--epochs", 5],
+            ["scenarios", "--forecast", forecast, "--wape", 0.1, "--count", 3],
+            ["procure", "--instance", instance],
+            ["experiment", "--config", config],
+        ):
+            assert run(args + ["--out", out]) == 0, args
+        tables = sorted(out.glob("*.csv"))
+        assert len(tables) == 13
+        for path in tables:
+            data = path.read_bytes()
+            assert b"\r" not in data, path.name
+            header = data.decode().split("\n", 1)[0].split(",")
+            rows = list(read_csv(path, path.stem, header))
+            assert list(rows[0]) == header, path.name

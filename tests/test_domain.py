@@ -13,9 +13,11 @@ from dpmeter.domain import (
     aggregate_panel,
     compute_dlc,
     daily_energy,
+    read_csv,
     read_meter_csv,
     settled_load,
     spread_daily,
+    write_csv,
     write_meter_csv,
 )
 from dpmeter.privacy import PrivacyParams
@@ -234,6 +236,34 @@ class TestMeterCsv:
         path.write_text("meter_id,period_index,kwh\na,0,1.0\na,1,2.0\nb,0,5.0\n")
         with pytest.raises(ValueError, match="missing"):
             read_meter_csv(path)
+
+    def test_comma_in_meter_id_round_trips(self, tmp_path):
+        panel = MeterPanel((LoadSeries("flat 1, north", 0, np.array([0.1, 2.0])),))
+        path = tmp_path / "m.csv"
+        write_meter_csv(panel, path)
+        back = read_meter_csv(path)
+        assert back.meters[0].meter_id == "flat 1, north"
+        np.testing.assert_array_equal(back.matrix(), panel.matrix())
+
+
+class TestCsvDialect:
+    def test_cell_rules(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c", "d"], [[None, np.float64(0.1), 3, "x"]])
+        assert path.read_bytes() == b"a,b,c,d\n,0.1,3,x\n"
+
+    def test_missing_columns_named_in_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("b\n1\n")
+        with pytest.raises(ValueError, match=r"^thing CSV lacks columns \['c', 'a'\]$"):
+            list(read_csv(path, "thing", ["c", "b", "a"]))
+        assert list(read_csv(path, "thing", ["b"])) == [{"b": "1"}]
+
+    def test_empty_table_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("b\n")
+        with pytest.raises(ValueError, match="^thing CSV contains no rows$"):
+            list(read_csv(path, "thing", ["b"]))
 
 
 @settings(max_examples=30, deadline=None)

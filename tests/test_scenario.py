@@ -95,3 +95,22 @@ class TestCsv:
         back = read_scenario_csv(path)
         np.testing.assert_array_equal(back.errors, scen.errors)
         np.testing.assert_array_equal(back.probabilities, scen.probabilities)
+
+    def test_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text("scenario,period_index,prob\n0,0,1.0\n")
+        with pytest.raises(ValueError, match=r"lacks columns \['err_kwh'\]"):
+            read_scenario_csv(path)
+
+    def test_absent_scenario_rejected(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text("scenario,period_index,err_kwh,prob\n0,0,1.0,0.5\n2,0,-1.0,0.5\n")
+        with pytest.raises(ValueError, match=r"lacks scenarios \[1\]"):
+            read_scenario_csv(path)
+
+    @pytest.mark.parametrize("row", ["-1,0,-7.0,0.5", "1,-1,-7.0,0.5"], ids=["scenario", "period"])
+    def test_negative_index_rejected(self, tmp_path, row):
+        path = tmp_path / "scen.csv"
+        path.write_text(f"scenario,period_index,err_kwh,prob\n0,0,1.0,0.5\n1,0,2.0,0.5\n{row}\n")
+        with pytest.raises(ValueError, match="negative scenario or period index"):
+            read_scenario_csv(path)
