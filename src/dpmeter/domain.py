@@ -13,6 +13,7 @@ empty table.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -321,29 +322,36 @@ def read_meter_csv(path) -> MeterPanel:
 
     Rows may arrive in any order but every meter must cover the full
     common period range; a missing (meter, period) pair is a hard error.
+    The columns are parsed into arrays and placed by one stable sort, by
+    meter and then period; both checks run on the sorted arrays.
     """
-    per_meter: dict[str, dict[int, float]] = {}
+    codes: dict[str, int] = {}  # meter id -> code, in order of first sight
+    meter, period, kwh = array("q"), array("q"), array("d")
     for row in read_csv(path, "meter", ["meter_id", "period_index", "kwh"]):
-        mid = row["meter_id"]
-        t = int(row["period_index"])
-        per_meter.setdefault(mid, {})
-        if t in per_meter[mid]:
-            raise ValueError(f"duplicate reading for meter {mid!r} period {t}")
-        per_meter[mid][t] = float(row["kwh"])
-    start = min(min(d) for d in per_meter.values())
-    end = max(max(d) for d in per_meter.values()) + 1
-    meters = []
-    for mid in sorted(per_meter):
-        readings = per_meter[mid]
-        if len(readings) != end - start:
-            missing = sorted(set(range(start, end)) - set(readings))[:5]
-            raise ValueError(
-                f"meter {mid!r} is missing periods (first few: {missing}); "
-                "panels must be 100% complete"
-            )
-        values = np.array([readings[t] for t in range(start, end)])
-        meters.append(LoadSeries(mid, start, values))
-    return MeterPanel(tuple(meters))
+        meter.append(codes.setdefault(row["meter_id"], len(codes)))
+        period.append(int(row["period_index"]))
+        kwh.append(float(row["kwh"]))
+    ids = sorted(codes)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[[codes[m] for m in ids]] = np.arange(len(ids))
+    meter_rank = rank[np.frombuffer(meter, dtype=np.int64)]
+    order = np.lexsort((np.frombuffer(period, dtype=np.int64), meter_rank))
+    meter_rank, period = meter_rank[order], np.frombuffer(period, dtype=np.int64)[order]
+    dup = np.flatnonzero((meter_rank[1:] == meter_rank[:-1]) & (period[1:] == period[:-1]))
+    if dup.size:
+        i = dup[0]
+        raise ValueError(f"duplicate reading for meter {ids[meter_rank[i]]!r} period {period[i]}")
+    start, end = int(period.min()), int(period.max()) + 1
+    short = np.flatnonzero(np.bincount(meter_rank, minlength=len(ids)) != end - start)
+    if short.size:
+        m = short[0]
+        missing = np.setdiff1d(np.arange(start, end), period[meter_rank == m])[:5].tolist()
+        raise ValueError(
+            f"meter {ids[m]!r} is missing periods (first few: {missing}); "
+            "panels must be 100% complete"
+        )
+    values = np.frombuffer(kwh)[order].reshape(len(ids), end - start)
+    return MeterPanel(tuple(LoadSeries(mid, start, v) for mid, v in zip(ids, values)))
 
 
 def write_meter_csv(panel: MeterPanel, path) -> None:

@@ -6,7 +6,7 @@ simplex; ``solve_milp`` wraps it in depth-first branch and bound, whose
 nodes carry the bounds of the integer columns as arrays.
 """
 
-from .model import LinearMip, MipBuilder, check_feasibility
+from .model import LinearMip, check_feasibility
 from .simplex import LpResult, SimplexSolver, solve_lp
 from .branch_bound import MilpResult, solve_milp
 
@@ -14,7 +14,6 @@ __all__ = [
     "LinearMip",
     "LpResult",
     "MilpResult",
-    "MipBuilder",
     "SimplexSolver",
     "check_feasibility",
     "solve_lp",

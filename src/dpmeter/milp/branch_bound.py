@@ -13,23 +13,17 @@ own box: the down child takes ``upper = floor(x)``, the up child
 ``lower = ceil(x)`` (for a binary, the two fixes).  The near child (the
 branch agreeing with the rounded LP value) is searched first and goes on
 from the live solver state; the far sibling waits with a snapshot.
-
-An optional ``heuristic`` callback may propose a feasible point for any
-node's LP solution; verified candidates tighten the incumbent early, which
-is what makes depth-first search affordable on bracket-selection models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import INF, LinearMip, check_feasibility
+from .model import INF, LinearMip
 from .simplex import SimplexSolver
-
-Heuristic = Callable[[np.ndarray], "tuple[float, np.ndarray] | None"]
 
 # an LP value this close to an integer counts as integral
 _INT_TOL = 1e-7
@@ -58,7 +52,6 @@ def solve_milp(
     lp: LinearMip,
     *,
     gap_tol: float = 1e-6,
-    heuristic: Heuristic | None = None,
     max_nodes: int = 500_000,
 ) -> MilpResult:
     int_cols = lp.integer_columns()
@@ -102,14 +95,6 @@ def solve_milp(
             x[int_cols] = np.round(xi)
             best_obj, best_x = bound, x
             continue
-        if heuristic is not None:
-            proposal = heuristic(x)
-            # the objective is recomputed from the model; the hint only gates work
-            if proposal is not None and proposal[0] < best_obj - 1e-12:
-                cand = proposal[1]
-                obj_c = lp.objective_value(cand)
-                if obj_c < best_obj - 1e-12 and check_feasibility(lp, cand) <= 1e-6:
-                    best_obj, best_x = obj_c, cand.copy()
         # children a new incumbent prunes are dropped when popped
         k = int(np.argmax(frac))
         split_upper, split_lower = node.upper.copy(), node.lower.copy()

@@ -9,16 +9,17 @@ four-constraint linearization, applied to variables shifted by their lower
 bound so signed volumes stay exact.  Risk aversion enters as
 ``beta * CVaR_alpha`` of the per-scenario cost.
 
-``build_milp`` emits the complete model; ``solve`` reduces it using bracket
-reachability (bounds on the LSE's volume make most bracket binaries
-impossible, and a forced bracket lets its auxiliary columns be substituted
-out), then runs branch and bound with a rounding heuristic that turns any
-LP point into a feasible incumbent.  Both models are filled from numpy
-arrays by index arithmetic; in the reduced one each free bracket group
-(one market and period, or scenario and period, with several reachable
-brackets) is a contiguous range of columns.  All balancing curves share
-one demand grid.  ``brute_force_oracle`` independently minimizes over an
-explicit partition of the decision box for small instances.
+``build_milp`` emits the complete model.  ``solve`` branches on a smaller
+one with the same optimum.  Every cost at period t depends on the one
+scalar ``d_da[t]``, so ``solve`` cuts each period's volume range at the
+day-ahead and every scenario's balancing bracket edges into cells, inside
+which all brackets are fixed and every scenario cost is linear.  A binary
+and a continuous column per cell (a multiple-choice model, Balas 1979)
+make the LP relaxation the convex hull of each period's cost graph, with
+no big-M rows.  The cell model is built from numpy arrays, and its optimum
+is mapped back into the complete model's columns.  All balancing curves
+share one demand grid.  ``brute_force_oracle`` independently minimizes
+over an explicit partition of the decision box for small instances.
 """
 
 from __future__ import annotations
@@ -417,6 +418,8 @@ class Solution:
     price_da: np.ndarray  # (T,)
     price_bal: np.ndarray  # (S, T)
     n_nodes: int = 0
+    lp_iterations: int = 0  # simplex pivots and bound flips over all nodes
+    refactorizations: int = 0  # basis inversions over all nodes
     lp_point: np.ndarray | None = None  # raw solver point in full-model space
     infeasible_row: str | None = None
 
@@ -469,230 +472,206 @@ def evaluate_selection(
 
 
 # --------------------------------------------------------------------------
-# Reachability reduction
+# Cell model
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Reduction:
-    lo: np.ndarray  # tightened d_da bounds (T,)
-    hi: np.ndarray
-    da_min: np.ndarray  # (T,) inclusive reachable day-ahead bracket range
-    da_max: np.ndarray
-    bal_min: np.ndarray  # (S, T) inclusive reachable balancing bracket range
-    bal_max: np.ndarray
-    infeasible_group: str | None = None
-
-
-def _reachable(curve: PriceCurve, demand_lo, demand_hi) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive range of the brackets whose cells meet [demand_lo,
-    demand_hi], elementwise; empty (min > max) where none does."""
-    tol = 1e-9
-    lo_idx = np.ceil((demand_lo - curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta - tol)
-    hi_idx = np.floor((demand_hi + curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta + tol)
-    return (
-        np.maximum(lo_idx, 0).astype(np.int64),
-        np.minimum(hi_idx, curve.n_levels - 1).astype(np.int64),
-    )
-
-
-def _clip_to_cells(lo, hi, forced, cell_lo, cell_hi) -> np.ndarray:
-    """Narrow each period's [lo, hi] into the cells, in d_da terms, of its
-    groups forced to one bracket (axis 0 of the 2-D arrays runs over the
-    groups sharing a period).  A period whose bounds move by no more than
-    1e-12 keeps them.  Returns the periods that moved."""
-    forced, cell_lo, cell_hi = np.atleast_2d(forced, cell_lo, cell_hi)
-    new_lo = np.maximum(lo, np.where(forced, cell_lo, -INF).max(axis=0))
-    new_hi = np.minimum(hi, np.where(forced, cell_hi, INF).min(axis=0))
-    moved = (new_lo > lo + 1e-12) | (new_hi < hi - 1e-12)
-    lo[moved], hi[moved] = new_lo[moved], new_hi[moved]
-    return moved
-
-
-def _reduce(inst: ProcurementInstance) -> _Reduction:
-    """Reachable bracket ranges under the d_da bounds.  A group with one
-    reachable bracket clips the bounds into that bracket's cell; passes
-    repeat while a bound moves.  Each pass takes every day-ahead period at
-    once, then every balancing (s, t) group at once against the shared grid."""
+def _reduce(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Clip each period's d_da bounds to the demand every price grid covers:
+    the day-ahead grid first, then each scenario's balancing grid in turn.
+    Returns the clipped ``lo`` and ``hi`` and, where a period's bounds cross
+    by more than 1e-9, the bracket group that crossed them first (day-ahead
+    periods first, then scenario-major); a smaller crossing is closed."""
     da, grid = inst.da_curve, inst.bal_curves[0]
-    sys_base, imb_base = inst.exogenous.d_sys_base, inst.exogenous.d_imb_base
+    sys_base = inst.exogenous.d_sys_base
+    imb = inst.exogenous.d_imb_base + inst.realized_demand()  # (S, T) before d_da
+    lows = np.vstack([np.maximum(inst.d_da_lower, da.lo - sys_base), imb - grid.hi])
+    highs = np.vstack([np.minimum(inst.d_da_upper, da.hi - sys_base), imb - grid.lo])
+    lo = np.maximum.accumulate(lows, axis=0)
+    hi = np.minimum.accumulate(highs, axis=0)
+    bad = np.argwhere(lo > hi + 1e-9)
+    if bad.size:
+        g, t = bad[0]
+        return lo[-1], hi[-1], f"bracket_da[{t}]" if g == 0 else f"bracket_bal[{g - 1},{t}]"
+    return np.minimum(lo[-1], hi[-1]), hi[-1], None
+
+
+def _edges(curve: PriceCurve) -> np.ndarray:
+    """The demand values where the curve's brackets meet, and its two ends."""
+    return np.append(curve.demand_levels - curve.delta / 2.0, curve.hi)
+
+
+def _cheapest_cells(curve: PriceCurve, prices: np.ndarray, demand, volume) -> np.ndarray:
+    """Per entry, the bracket whose cell holds ``demand`` at the lowest cost
+    ``price * volume`` (the lower one of two at a cell boundary on a tie),
+    or -1 where no cell holds it.  ``prices`` is (levels,) or, with a
+    (S, T) ``demand``, (S, levels)."""
+    r = (demand - curve.demand_levels[0]) / curve.delta
+    k = np.stack([np.floor(r), np.ceil(r)]).astype(np.int64)
+    kk = np.clip(k, 0, curve.n_levels - 1)
+    ok = (k == kk) & (np.abs(curve.demand_levels[kk] - demand) <= curve.delta / 2.0 + 1e-9)
+    cost = np.where(ok, np.take_along_axis(prices[None], kk, axis=-1) * volume, INF)
+    best = np.take_along_axis(kk, np.argmin(cost, axis=0)[None], axis=0)[0]
+    return np.where(ok.any(axis=0), best, -1)
+
+
+class _Cells(NamedTuple):
+    """Each period's d_da range cut at every bracket edge: one entry per
+    cell, period after period.  Inside a cell every bracket is fixed, so
+    every scenario cost is linear in d_da there."""
+
+    period: np.ndarray  # (N,) ascending
+    lower: np.ndarray  # (N,) the cell is [lower, upper] in d_da
+    upper: np.ndarray
+    bracket_da: np.ndarray  # (N,)
+    bracket_bal: np.ndarray  # (S, N)
+
+
+_CUT_TOL = 1e-9  # cut points closer than this are one point, as brackets allow
+
+
+def _cells(inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray) -> _Cells:
+    """Cut each [lo[t], hi[t]] at the day-ahead bracket edges and at every
+    scenario's balancing edges, sorting and merging points within
+    ``_CUT_TOL`` on one padded (T, edges) array.  Each cell between two cut
+    points takes the brackets at its midpoint.
+
+    At a cut point each market may take either neighbouring bracket, and
+    the cheapest choice is made market by market (every scenario cost
+    rises with each market's cost).  Where edges of several markets meet,
+    or an edge meets lo or hi, that choice can differ from both
+    neighbouring cells; the point is then a cell of its own."""
+    da, grid = inst.da_curve, inst.bal_curves[0]
+    sys_base = inst.exogenous.d_sys_base
     k_mat = inst.realized_demand()
-    lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
-    bal_min = bal_max = np.zeros(k_mat.shape, dtype=np.int64)
-    for _ in range(2 + inst.n_scenarios):
-        da_min, da_max = _reachable(da, sys_base + lo, sys_base + hi)
-        bad = np.argwhere(da_min > da_max)
-        if not bad.size:
-            forced = da_min == da_max
-            level = da.demand_levels[da_min]
-            moved = _clip_to_cells(
-                lo, hi, forced, level - da.delta / 2.0 - sys_base, level + da.delta / 2.0 - sys_base
-            )
-            bad = np.argwhere(forced & (lo > hi + 1e-9))
-        if bad.size:
-            return _Reduction(lo, hi, da_min, da_max, bal_min, bal_max, f"bracket_da[{bad[0, 0]}]")
-        bal_min, bal_max = _reachable(grid, imb_base + (k_mat - hi), imb_base + (k_mat - lo))
-        bad = np.argwhere(bal_min > bal_max)
-        if not bad.size:
-            forced = bal_min == bal_max
-            level = grid.demand_levels[bal_min]
-            cell_lo = level - grid.delta / 2.0 - imb_base
-            cell_hi = level + grid.delta / 2.0 - imb_base
-            moved |= _clip_to_cells(lo, hi, forced, k_mat - cell_hi, k_mat - cell_lo)
-            bad = np.argwhere(forced & (lo > hi + 1e-9))
-        if bad.size:
-            s, t = bad[0]
-            return _Reduction(lo, hi, da_min, da_max, bal_min, bal_max, f"bracket_bal[{s},{t}]")
-        if not moved.any():
-            break
-    return _Reduction(lo, hi, da_min, da_max, bal_min, bal_max)
+    imb = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
+    T = lo.size
+    edges = np.hstack([
+        _edges(da) - sys_base[:, None], (imb.T[:, :, None] - _edges(grid)).reshape(T, -1)
+    ])
+    inside = (edges > lo[:, None]) & (edges < hi[:, None])
+    pts = np.sort(np.column_stack([lo, np.where(inside, edges, hi[:, None]), hi]), axis=1)
+    starts = np.ones(pts.shape, dtype=bool)
+    starts[:, 1:] = np.diff(pts, axis=1) > _CUT_TOL
+    period, j = np.nonzero(starts)
+    last = np.append(period[1:] != period[:-1], True)  # the point that merged hi
+    first = np.insert(last[:-1], 0, True)
+    point = np.where(last, hi[period], pts[period, j])
+
+    # the cells between consecutive points; a period of one point is [lo, hi]
+    span = ~last | first
+    lower = pts[period, j][span]
+    upper = np.where(last, point, np.roll(point, -1))[span]
+    t = period[span]
+    mid = (lower + upper) / 2.0
+    b_span = bracket_indices(da, sys_base[t] + mid)
+    f_span = bracket_indices(grid, imb[:, t] - mid)
+
+    # the cheapest brackets at each point, kept where no neighbour has them
+    b_pt = _cheapest_cells(da, da.prices, sys_base[period] + point, point)
+    f_pt = _cheapest_cells(grid, inst.bal_prices, imb[:, period] - point, k_mat[:, period] - point)
+    rows = np.arange(inst.n_scenarios)[:, None]
+
+    def priced_alike(cell: np.ndarray) -> np.ndarray:
+        return (da.prices[b_pt] == da.prices[b_span[cell]]) & np.all(
+            inst.bal_prices[rows, f_pt] == inst.bal_prices[rows, f_span[:, cell]], axis=0
+        )
+
+    opened = np.cumsum(span) - 1  # the cell a point opens, if it opens one
+    alone = ~(span & priced_alike(opened)) & ~(~first & priced_alike(np.roll(opened, 1)))
+    cells = _Cells(
+        np.append(t, period[alone]),
+        np.append(lower, point[alone]),
+        np.append(upper, point[alone]),
+        np.append(b_span, b_pt[alone]),
+        np.hstack([f_span, f_pt[:, alone]]),
+    )
+    order = np.lexsort((cells.upper, cells.lower, cells.period))
+    return _Cells(*(a[..., order] for a in cells))
 
 
-# --------------------------------------------------------------------------
-# Reduced model
-# --------------------------------------------------------------------------
+def _cell_model(
+    inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray
+) -> tuple[LinearMip, _Cells, np.ndarray]:
+    """The model ``solve`` branches on: per period, the convex hull of its
+    cells' cost lines (a multiple-choice model).  In cell c, scenario s pays
+    ``p_da(c) * d + p_bal(s, c) * (k[s, t] - d)`` for ``d = d_da[t]``.
 
+    A period with one cell prices ``d_da[t]`` linearly.  A period with
+    several has, per cell c on [a_c, b_c], a binary ``z_c`` and a continuous
+    ``y_c = (d_da[t] - a_c) * z_c``: its z sum to 1, ``d_da[t] = sum_c
+    (a_c z_c + y_c)`` and ``y_c <= (b_c - a_c) z_c``.  So ``z_c`` carries the
+    cell's cost at a_c and ``y_c`` its slope, and there is no big-M row.
 
-class _Groups(NamedTuple):
-    """One market's free bracket groups (more than one reachable bracket),
-    flattened to elements: one per reachable bracket, group after group.
-    Each group's u and c columns are a contiguous range."""
-
-    index: tuple[np.ndarray, ...]  # (t,) or (s, t) of each free group, row-major
-    at: tuple[np.ndarray, ...]  # per element: the index of its group
-    group: np.ndarray  # per element: its group's position in ``index``
-    pos: np.ndarray  # its position within the group
-    bracket: np.ndarray  # its bracket
-    u: np.ndarray | None = None  # its bracket-selector column
-    c: np.ndarray | None = None  # its column for the shifted volume in that bracket
-
-
-def _free_groups(bmin: np.ndarray, bmax: np.ndarray) -> _Groups:
-    index = np.nonzero(bmin < bmax)
-    width = bmax[index] - bmin[index] + 1
-    group = np.repeat(np.arange(width.size), width)
-    pos = np.arange(group.size) - (np.cumsum(width) - width)[group]
-    at = tuple(i[group] for i in index)
-    return _Groups(index, at, group, pos, bmin[at] + pos)
-
-
-def _group_argmax(values: np.ndarray, g: _Groups) -> np.ndarray:
-    """Per group, the position of its largest value (the first of ties)."""
-    table = np.full((g.index[0].size, g.pos.max(initial=0) + 1), -INF)
-    table[g.group, g.pos] = values
-    return np.argmax(table, axis=1)
-
-
-def _running_sum(start, terms: np.ndarray) -> np.ndarray:
-    """``start + terms[0] + terms[1] + ...`` added in order along axis 0, as
-    an accumulating loop does (``np.sum`` adds pairwise)."""
-    return np.cumsum(np.concatenate([np.expand_dims(start, 0), terms]), axis=0)[-1]
-
-
-def _reduced_model(inst: ProcurementInstance, red: _Reduction) -> tuple[LinearMip, _Groups, _Groups]:
-    """The model ``solve`` branches on.  A forced group prices its volume at
-    its one bracket.  A free group keeps a u and a c column per reachable
-    bracket and, instead of the big-M linearization, the exact per-group
-    hull: the c sum to the shifted volume and each c lies in its bracket's
-    cell.  Integer-feasible points are the full model's; the LP bound is
-    far tighter.  Columns: ``d_da[t]``, ``zeta``, ``eta[s]``, then ``u_da``,
-    ``u_bal``, ``c_da`` and ``c_bal`` over the free groups.  Rows:
-    ``cvar[s]``, then the hull rows of each market's free groups.
-    Exact-zero coefficients are left out, and the model carries no names."""
+    Columns: ``d_da[t]``, ``zeta``, ``eta[s]``, then ``z`` and ``y`` over the
+    cells of the periods with several.  Rows: ``cvar[s]``, then per such
+    period its ``sum z = 1`` row, then per such period its tie row, then
+    one ``y <= width * z`` row per cell.  Exact-zero coefficients are left
+    out.  Returns the model, the cells, and which cells have a ``z``."""
     T, S = inst.n_periods, inst.n_scenarios
-    k_mat = inst.realized_demand()
-    lo, hi = red.lo, red.hi
-    big_m = hi - lo
-    lo_bal = k_mat - hi  # (S, T) lower bound of d_bal
+    cells = _cells(inst, lo, hi)
+    k_mat = inst.realized_demand()[:, cells.period]  # (S, N)
     probs = inst.scenarios.probabilities
     m_cost = _cost_bound(inst)
-    da_curve, grid = inst.da_curve, inst.bal_curves[0]
-    da_prices, bal_prices = da_curve.prices, inst.bal_prices
+    p_da = inst.da_curve.prices[cells.bracket_da]
+    p_bal = inst.bal_prices[np.arange(S)[:, None], cells.bracket_bal]
+    slope = p_da - p_bal  # (S, N) scenario cost per MWh of d_da
+    at_lower = p_da * cells.lower + p_bal * (k_mat - cells.lower)  # (S, N) cost at a_c
 
-    da, bal = _free_groups(red.da_min, red.da_max), _free_groups(red.bal_min, red.bal_max)
-    n_da, n_bal = da.group.size, bal.group.size
-    off_u_da, off_u_bal, off_c_da, off_c_bal, n_cols = itertools.accumulate(
-        (n_da, n_bal, n_da, n_bal), initial=T + 1 + S
-    )
-    da = da._replace(u=off_u_da + np.arange(n_da), c=off_c_da + np.arange(n_da))
-    bal = bal._replace(u=off_u_bal + np.arange(n_bal), c=off_c_bal + np.arange(n_bal))
-    (t_da,), t_bal = da.at, bal.at[1]
+    multi = np.bincount(cells.period, minlength=T)[cells.period] > 1
+    one = ~multi
+    periods, group = np.unique(cells.period[multi], return_inverse=True)
+    n, P = group.size, periods.size
     col_zeta, eta = T, T + 1 + np.arange(S)
+    z = T + 1 + S + np.arange(n)
+    y = z + n
+    width = (cells.upper - cells.lower)[multi]
 
-    col_lower = np.zeros(n_cols)
-    col_upper = np.ones(n_cols)  # the binaries keep these bounds
+    col_lower = np.zeros(T + 1 + S + 2 * n)
+    col_upper = np.ones(col_lower.size)  # the binaries keep these bounds
     col_lower[:T], col_upper[:T] = lo, hi
     col_lower[col_zeta], col_upper[col_zeta] = -m_cost, m_cost
     col_upper[eta] = 2.0 * m_cost
-    col_upper[da.c] = big_m[t_da]
-    col_upper[bal.c] = big_m[t_bal]
-    is_integer = np.zeros(n_cols, dtype=bool)
-    is_integer[off_u_da:off_c_da] = True
+    col_upper[y] = width
+    is_integer = np.zeros(col_lower.size, dtype=bool)
+    is_integer[z] = True
 
-    # a forced day-ahead group costs price * d_da; a forced balancing group
-    # lambda * (K - d_da), whose constant goes to the offset and the CVaR bound
-    forced_bal = red.bal_min == red.bal_max
-    p_da = np.where(red.da_min == red.da_max, da_prices[red.da_min], 0.0)
-    lam = bal_prices[np.arange(S)[:, None], red.bal_min]
-    price_da = da_prices[da.bracket]
-    price_bal = bal_prices[bal.at[0], bal.bracket]
-    obj = np.zeros(n_cols)
-    obj[:T] += p_da
-    obj[:T] = _running_sum(obj[:T], np.where(forced_bal, -probs[:, None] * lam, 0.0))
+    # a one-cell period's constant p_bal * k goes to the CVaR bound and the offset
+    cvar_const = -(p_bal * k_mat)[:, one].sum(axis=1)
+    obj = np.zeros(col_lower.size)
     obj[col_zeta] = inst.beta
     obj[eta] = inst.beta * probs / (1.0 - inst.alpha)
-    obj[da.c] += price_da
-    obj[da.u] += price_da * lo[t_da]
-    obj[bal.c] += price_bal * probs[bal.at[0]]
-    obj[bal.u] += price_bal * lo_bal[bal.at] * probs[bal.at[0]]
-    obj_offset = _running_sum(0.0, np.where(forced_bal, probs[:, None] * lam * k_mat, 0.0).ravel())
-    cvar_const = _running_sum(np.zeros(S), np.where(forced_bal, -lam * k_mat, 0.0).T)
+    obj[cells.period[one]] = probs @ slope[:, one]
+    obj[z] = probs @ at_lower[:, multi]
+    obj[y] = probs @ slope[:, multi]
 
-    n_rows = S + 2 * (da.index[0].size + n_da + bal.index[0].size + n_bal)
-    row_lower, row_upper = np.empty(n_rows), np.empty(n_rows)
+    n_rows = S + 2 * P + n
+    row_lower, row_upper = np.full(n_rows, -INF), np.zeros(n_rows)
+    row_upper[:S] = cvar_const
+    row_lower[S : S + P] = row_upper[S : S + P] = 1.0
+    row_lower[S + P : S + 2 * P] = 0.0
     entries: list[tuple[np.ndarray, ...]] = []
 
     def add(row, col, val) -> None:
         entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
 
     # CVaR rows: scenario cost - zeta <= eta_s, constants moved to the bound
-    row_lower[:S], row_upper[:S] = -INF, cvar_const
     r = np.arange(S)
     add(r, col_zeta, -1.0)
     add(r, eta, -1.0)
     r = r[:, None]
-    add(r, np.arange(T), p_da - np.where(forced_bal, lam, 0.0))
-    add(r, da.c, price_da)
-    add(r, da.u, price_da * lo[t_da])
-    add(bal.at[0], bal.c, price_bal)
-    add(bal.at[0], bal.u, price_bal * lo_bal[bal.at])
-
-    def hull(g: _Groups, row0: int, curve: PriceCurve, base, lower, d_coef: float, rhs) -> None:
-        """Rows of one market's free groups from ``row0``, group after group:
-        ``sos1`` (one bracket), the tie row (``sum c + d_coef * d_da ==
-        rhs``), then per bracket ``lin_ub`` and ``lin_lb``: c lies in the
-        bracket's cell, shifted by ``lower`` and within [0, big_m]."""
-        level, half = curve.demand_levels[g.bracket], curve.delta / 2.0
-        lin_ub = row0 + 2 * (g.group + np.arange(g.group.size) + 1)
-        sos1 = lin_ub - 2 * (g.pos + 1)  # per element: its group's first row
-        first = sos1[g.pos == 0]
-        row_lower[first], row_upper[first] = 1.0, 1.0
-        row_lower[first + 1], row_upper[first + 1] = rhs, rhs
-        row_lower[lin_ub], row_upper[lin_ub] = -INF, 0.0
-        row_lower[lin_ub + 1], row_upper[lin_ub + 1] = 0.0, INF
-        add(sos1, g.u, 1.0)
-        add(sos1 + 1, g.c, 1.0)
-        add(first + 1, g.index[-1], d_coef)
-        add(lin_ub, g.c, 1.0)
-        add(lin_ub, g.u, -np.minimum(big_m[g.at[-1]], level + half - base - lower))
-        add(lin_ub + 1, g.c, 1.0)
-        add(lin_ub + 1, g.u, -np.maximum(0.0, level - half - base - lower))
-
-    hull(da, S, da_curve, inst.exogenous.d_sys_base[t_da], lo[t_da], -1.0, -lo[da.index[0]])
-    hull(
-        bal, S + 2 * (da.index[0].size + n_da), grid, inst.exogenous.d_imb_base[bal.at],
-        lo_bal[bal.at], 1.0, hi[bal.index[1]],
-    )
+    add(r, cells.period[one], slope[:, one])
+    add(r, z, at_lower[:, multi])
+    add(r, y, slope[:, multi])
+    # one cell per period, the tie to d_da, and each y within its cell
+    add(S + group, z, 1.0)
+    tie = S + P + group
+    add(S + P + np.arange(P), periods, 1.0)
+    add(tie, z, -cells.lower[multi])
+    add(tie, y, -1.0)
+    cap = S + 2 * P + np.arange(n)
+    add(cap, y, 1.0)
+    add(cap, z, -width)
 
     ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
     keep = v != 0.0
@@ -701,12 +680,12 @@ def _reduced_model(inst: ProcurementInstance, red: _Reduction) -> tuple[LinearMi
         col_upper=col_upper,
         obj=obj,
         is_integer=is_integer,
-        row_matrix=SparseMatrix.from_coo(n_rows, n_cols, ri[keep], ci[keep], v[keep]),
+        row_matrix=SparseMatrix.from_coo(n_rows, col_lower.size, ri[keep], ci[keep], v[keep]),
         row_lower=row_lower,
         row_upper=row_upper,
-        obj_offset=float(obj_offset),
+        obj_offset=-float(probs @ cvar_const),
     )
-    return lp, da, bal
+    return lp, cells, multi
 
 
 # --------------------------------------------------------------------------
@@ -719,67 +698,40 @@ def _one_hot(sel: np.ndarray, n: int) -> np.ndarray:
 
 
 def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
-    """Branch-and-bound solve of the procurement MILP to absolute gap ``tol``."""
+    """Branch-and-bound solve of the procurement MILP to absolute gap ``tol``,
+    on the cell model of ``model``'s instance."""
     inst = model.instance
     T, S = model.T, model.S
-    red = _reduce(inst)
-    if red.infeasible_group is not None:
-        return _empty_solution("infeasible", red.infeasible_group)
-    reduced, da, bal = _reduced_model(inst, red)
-    lo, hi = red.lo, red.hi
-    k_mat = model.k_mat
-    (t_da,), t_bal = da.at, bal.at[1]
-    eta = slice(T + 1, T + 1 + S)
-    imb_demand = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
-
-    def heuristic(x: np.ndarray):
-        d_da = np.clip(x[:T], lo, hi)
-        try:
-            b_sel = bracket_indices(inst.da_curve, inst.exogenous.d_sys_base + d_da)
-            f_sel = bracket_indices(inst.bal_curves[0], imb_demand - d_da)
-        except ValueError:  # pragma: no cover - coverage was checked upfront
-            return None
-        obj, _, _, zeta, _, eta_s, _, _ = evaluate_selection(inst, d_da, b_sel, f_sel)
-        cand = np.zeros(reduced.n_cols)
-        cand[:T] = d_da
-        cand[T] = zeta
-        cand[eta] = eta_s
-        hit = da.bracket == b_sel[t_da]
-        cand[da.u[hit]] = 1.0
-        cand[da.c[hit]] = (d_da - lo)[t_da[hit]]
-        hit = bal.bracket == f_sel[bal.at]
-        cand[bal.u[hit]] = 1.0
-        cand[bal.c[hit]] = (hi - d_da)[t_bal[hit]]
-        return obj, cand  # objectives carry the model's constant offset
-
-    result = solve_milp(reduced, gap_tol=tol, heuristic=heuristic)
+    lo, hi, infeasible_group = _reduce(inst)
+    if infeasible_group is not None:
+        return _empty_solution("infeasible", infeasible_group)
+    lp, cells, multi = _cell_model(inst, lo, hi)
+    result = solve_milp(lp, gap_tol=tol)
     if result.status == "infeasible":
-        row = f"reduced row {result.infeasible_row}" if result.infeasible_row >= 0 else None
+        row = f"cell model row {result.infeasible_row}" if result.infeasible_row >= 0 else None
         return _empty_solution("infeasible", row)
 
+    # one cell per period: the only one, or the one whose z is set
     x = result.x
-    d_da = np.clip(x[:T], lo, hi)
-    b_sel, f_sel = red.da_min.copy(), red.bal_min.copy()
-    b_sel[da.index] += _group_argmax(x[da.u], da)
-    f_sel[bal.index] += _group_argmax(x[bal.u], bal)
+    chosen = ~multi
+    chosen[multi] = x[T + 1 + S : T + 1 + S + multi.sum()] > 0.5
+    sel = np.flatnonzero(chosen)
+    d_da = np.clip(x[:T], cells.lower[sel], cells.upper[sel])
+    b_sel, f_sel = cells.bracket_da[sel], cells.bracket_bal[:, sel]
     objective, expected, cvar, zeta, costs, eta_s, price_da, price_bal = evaluate_selection(
         inst, d_da, b_sel, f_sel
     )
-    d_bal = k_mat - d_da[None, :]
+    d_bal = model.k_mat - d_da[None, :]
     u_da, u_bal = _one_hot(b_sel, model.B), _one_hot(f_sel, model.F)
 
-    # raw solver point mapped into the full model's column space: every
-    # group takes its selected bracket with the whole shifted volume, and
-    # the free groups' columns then take the solver's values
+    # the point in the full model's columns: each chosen bracket takes the
+    # whole shifted volume, and zeta and eta are the solver's
     full = np.concatenate([
         d_da, d_bal.ravel(), x[T : T + 1 + S],  # d_da, d_bal, zeta, eta
-        (u_da * (d_da - lo)[:, None]).ravel(), (u_bal * (hi - d_da)[:, None]).ravel(),
+        (u_da * (d_da - inst.d_da_lower)[:, None]).ravel(),
+        (u_bal * (inst.d_da_upper - d_da)[:, None]).ravel(),
         u_da.ravel(), u_bal.ravel(),
     ])
-    full[model.u_da_col(t_da, da.bracket)] = x[da.u]
-    full[model.c_da_col(t_da, da.bracket)] = x[da.c]
-    full[model.u_bal_col(*bal.at, bal.bracket)] = x[bal.u]
-    full[model.c_bal_col(*bal.at, bal.bracket)] = x[bal.c]
 
     return Solution(
         status="optimal",
@@ -797,6 +749,8 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
         price_da=price_da,
         price_bal=price_bal,
         n_nodes=result.n_nodes,
+        lp_iterations=result.lp_iterations,
+        refactorizations=result.refactorizations,
         lp_point=full,
     )
 
@@ -804,20 +758,6 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
 # --------------------------------------------------------------------------
 # Independent oracle
 # --------------------------------------------------------------------------
-
-
-def _cheapest_cells(curve: PriceCurve, prices: np.ndarray, demand, volume) -> np.ndarray:
-    """Per entry, the bracket whose cell holds ``demand`` at the lowest cost
-    ``price * volume`` (the lower one of two at a cell boundary on a tie),
-    or -1 where no cell holds it.  ``prices`` is (levels,) or, with a
-    (S, T) ``demand``, (S, levels)."""
-    r = (demand - curve.demand_levels[0]) / curve.delta
-    k = np.stack([np.floor(r), np.ceil(r)]).astype(np.int64)
-    kk = np.clip(k, 0, curve.n_levels - 1)
-    ok = (k == kk) & (np.abs(curve.demand_levels[kk] - demand) <= curve.delta / 2.0 + 1e-9)
-    cost = np.where(ok, np.take_along_axis(prices[None], kk, axis=-1) * volume, INF)
-    best = np.take_along_axis(kk, np.argmin(cost, axis=0)[None], axis=0)[0]
-    return np.where(ok.any(axis=0), best, -1)
 
 
 def _greedy_point(inst: ProcurementInstance, d_da: np.ndarray, k_mat: np.ndarray):
@@ -860,10 +800,11 @@ def brute_force_oracle(
     da_levels = inst.da_curve.demand_levels
     half_da = inst.da_curve.delta / 2.0
     grid = inst.bal_curves[0]
-    edges = np.append(grid.demand_levels - grid.delta / 2.0, grid.demand_levels[-1] + grid.delta / 2.0)
+    edges = _edges(grid)
     imb_demand = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
 
-    bmin, bmax = _reachable(inst.da_curve, inst.exogenous.d_sys_base + lo, inst.exogenous.d_sys_base + hi)
+    bmin = bracket_indices(inst.da_curve, inst.exogenous.d_sys_base + lo)
+    bmax = bracket_indices(inst.da_curve, inst.exogenous.d_sys_base + hi)
     reach = [range(a, b + 1) for a, b in zip(bmin, bmax)]
 
     best_val = INF

@@ -2,7 +2,6 @@
 procurement, simplex, branch-and-bound and forecast tests."""
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -10,10 +9,86 @@ from scipy.sparse import csr_matrix
 
 from dpmeter.domain import LoadSeries, day_of_week, settlement_period, week_of_year
 from dpmeter.forecast import HIDDEN_WIDTH, LAG_OFFSETS, MlpModel, TrainConfig
-from dpmeter.market import PriceCurve, SystemExogenous
-from dpmeter.milp import LinearMip, MilpResult, MipBuilder, SimplexSolver, check_feasibility
+from dpmeter.market import PriceCurve, SystemExogenous, bracket_index
+from dpmeter.milp import LinearMip, MilpResult, SimplexSolver
+from dpmeter.milp._sparse import SparseMatrix
 from dpmeter.procurement import INF, MilpModel, ProcurementInstance, _cost_bound
 from dpmeter.scenario import ErrorScenarioSet
+
+
+class MipBuilder:
+    """Accumulates columns and sparse rows, then freezes to ``LinearMip``."""
+
+    def __init__(self):
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._obj: list[float] = []
+        self._int: list[bool] = []
+        self._row_lb: list[float] = []
+        self._row_ub: list[float] = []
+        self._entries_row: list[int] = []
+        self._entries_col: list[int] = []
+        self._entries_val: list[float] = []
+        self.obj_offset = 0.0
+
+    @property
+    def n_cols(self) -> int:
+        return len(self._lb)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._row_lb)
+
+    def add_col(
+        self,
+        name: str,
+        lower: float,
+        upper: float,
+        obj: float = 0.0,
+        integer: bool = False,
+    ) -> int:
+        if lower > upper:
+            raise ValueError(f"column {name}: lower {lower} > upper {upper}")
+        self._lb.append(float(lower))
+        self._ub.append(float(upper))
+        self._obj.append(float(obj))
+        self._int.append(bool(integer))
+        return len(self._lb) - 1
+
+    def add_obj(self, col: int, coef: float) -> None:
+        self._obj[col] += float(coef)
+
+    def add_row(self, name: str, coeffs: dict[int, float], lower: float, upper: float) -> int:
+        if lower > upper:
+            raise ValueError(f"row {name}: lower {lower} > upper {upper}")
+        idx = len(self._row_lb)
+        self._row_lb.append(float(lower))
+        self._row_ub.append(float(upper))
+        for col, val in coeffs.items():
+            if val != 0.0:
+                self._entries_row.append(idx)
+                self._entries_col.append(col)
+                self._entries_val.append(float(val))
+        return idx
+
+    def build(self) -> LinearMip:
+        matrix = SparseMatrix.from_coo(
+            self.n_rows,
+            self.n_cols,
+            np.asarray(self._entries_row, dtype=np.int64),
+            np.asarray(self._entries_col, dtype=np.int64),
+            np.asarray(self._entries_val, dtype=float),
+        )
+        return LinearMip(
+            col_lower=np.asarray(self._lb, dtype=float),
+            col_upper=np.asarray(self._ub, dtype=float),
+            obj=np.asarray(self._obj, dtype=float),
+            is_integer=np.asarray(self._int, dtype=bool),
+            row_matrix=matrix,
+            row_lower=np.asarray(self._row_lb, dtype=float),
+            row_upper=np.asarray(self._row_ub, dtype=float),
+            obj_offset=self.obj_offset,
+        )
 
 
 def uniform_curve(lo: float, hi: float, n_levels: int, prices) -> PriceCurve:
@@ -275,207 +350,151 @@ def loop_build_milp(inst: ProcurementInstance) -> MilpModel:
     return model
 
 
-def loop_reachable(curve: PriceCurve, demand_lo: float, demand_hi: float) -> tuple[int, int]:
-    """Scalar form of ``procurement._reachable``."""
-    tol = 1e-9
-    lo_idx = int(np.ceil((demand_lo - curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta - tol))
-    hi_idx = int(np.floor((demand_hi + curve.delta / 2.0 - curve.demand_levels[0]) / curve.delta + tol))
-    return max(lo_idx, 0), min(hi_idx, curve.n_levels - 1)
-
-
-class LoopReduction(NamedTuple):
-    lo: np.ndarray  # tightened d_da bounds (T,)
-    hi: np.ndarray
-    da_range: list[tuple[int, int]]  # inclusive reachable bracket range per t
-    bal_range: list[list[tuple[int, int]]]  # per s, per t
-    infeasible_group: str | None = None
-
-
-def loop_reduce(inst: ProcurementInstance) -> LoopReduction:
-    """Per-(s, t) loop form of ``procurement._reduce``: each sweep tightens
-    the bounds group by group, so a later group sees an earlier one's move."""
+def loop_reduce(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Group-by-group loop form of ``procurement._reduce``: the day-ahead
+    grid clips every period, then each scenario's balancing grid in turn."""
     T, S = inst.n_periods, inst.n_scenarios
-    k_mat = inst.realized_demand()
-    lo = inst.d_da_lower.copy()
-    hi = inst.d_da_upper.copy()
-    da_range = [(0, 0)] * T
-    bal_range = [[(0, 0)] * T for _ in range(S)]
-    for _ in range(2 + S):
-        changed = False
+    da, grid = inst.da_curve, inst.bal_curves[0]
+    imb = inst.exogenous.d_imb_base + inst.realized_demand()
+    lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
+    name = None
+    for g in range(1 + S):
         for t in range(T):
-            base = inst.exogenous.d_sys_base[t]
-            bmin, bmax = loop_reachable(inst.da_curve, base + lo[t], base + hi[t])
-            if bmin > bmax:
-                return LoopReduction(lo, hi, da_range, bal_range, f"bracket_da[{t}]")
-            da_range[t] = (bmin, bmax)
-            if bmin == bmax:
-                level = inst.da_curve.demand_levels[bmin]
-                new_lo = max(lo[t], level - inst.da_curve.delta / 2.0 - base)
-                new_hi = min(hi[t], level + inst.da_curve.delta / 2.0 - base)
-                if new_lo > lo[t] + 1e-12 or new_hi < hi[t] - 1e-12:
-                    lo[t], hi[t] = new_lo, new_hi
-                    changed = True
-                if lo[t] > hi[t] + 1e-9:
-                    return LoopReduction(lo, hi, da_range, bal_range, f"bracket_da[{t}]")
-        for s in range(S):
-            curve = inst.bal_curves[s]
-            for t in range(T):
-                base = inst.exogenous.d_imb_base[s, t]
-                bal_lo = k_mat[s, t] - hi[t]
-                bal_hi = k_mat[s, t] - lo[t]
-                fmin, fmax = loop_reachable(curve, base + bal_lo, base + bal_hi)
-                if fmin > fmax:
-                    return LoopReduction(lo, hi, da_range, bal_range, f"bracket_bal[{s},{t}]")
-                bal_range[s][t] = (fmin, fmax)
-                if fmin == fmax:
-                    level = curve.demand_levels[fmin]
-                    cell_lo = level - curve.delta / 2.0 - base
-                    cell_hi = level + curve.delta / 2.0 - base
-                    new_lo = max(lo[t], k_mat[s, t] - cell_hi)
-                    new_hi = min(hi[t], k_mat[s, t] - cell_lo)
-                    if new_lo > lo[t] + 1e-12 or new_hi < hi[t] - 1e-12:
-                        lo[t], hi[t] = new_lo, new_hi
-                        changed = True
-                    if lo[t] > hi[t] + 1e-9:
-                        return LoopReduction(lo, hi, da_range, bal_range, f"bracket_bal[{s},{t}]")
-        if not changed:
-            break
-    return LoopReduction(lo, hi, da_range, bal_range)
+            if g == 0:
+                base = inst.exogenous.d_sys_base[t]
+                lo[t], hi[t] = max(lo[t], da.lo - base), min(hi[t], da.hi - base)
+            else:
+                lo[t] = max(lo[t], imb[g - 1, t] - grid.hi)
+                hi[t] = min(hi[t], imb[g - 1, t] - grid.lo)
+            if name is None and lo[t] > hi[t] + 1e-9:
+                name = f"bracket_da[{t}]" if g == 0 else f"bracket_bal[{g - 1},{t}]"
+    if name is None:
+        lo = np.minimum(lo, hi)
+    return lo, hi, name
 
 
-def loop_reduced_model(inst: ProcurementInstance, red: LoopReduction) -> LinearMip:
-    """Per-entry ``MipBuilder`` form of the reduced model ``procurement.solve``
+def loop_cheapest(curve: PriceCurve, prices: np.ndarray, demand: float, volume: float) -> int:
+    """The bracket whose cell holds ``demand`` (within 1e-9) at the lowest
+    ``price * volume``, the lower one on a tie."""
+    best, best_cost = -1, INF
+    for f in range(curve.n_levels):
+        if abs(curve.demand_levels[f] - demand) <= curve.delta / 2.0 + 1e-9:
+            if prices[f] * volume < best_cost:
+                best, best_cost = f, prices[f] * volume
+    return best
+
+
+def loop_cells(inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
+    """Per-period loop form of ``procurement._cells``: a list of (period,
+    lower, upper, day-ahead bracket, [balancing bracket per scenario])."""
+    T, S = inst.n_periods, inst.n_scenarios
+    da, grid = inst.da_curve, inst.bal_curves[0]
+    k_mat = inst.realized_demand()
+    imb = inst.exogenous.d_imb_base + k_mat
+    da_edges = [lv - da.delta / 2.0 for lv in da.demand_levels] + [da.hi]
+    bal_edges = [lv - grid.delta / 2.0 for lv in grid.demand_levels] + [grid.hi]
+    cells = []
+    for t in range(T):
+        base = inst.exogenous.d_sys_base[t]
+        cuts = [e - base for e in da_edges] + [imb[s, t] - e for s in range(S) for e in bal_edges]
+        cuts = sorted([lo[t], hi[t]] + [c for c in cuts if lo[t] < c < hi[t]])
+        points = [cuts[0]]  # each cluster of cuts closer than 1e-9 is one point
+        for prev, c in zip(cuts, cuts[1:]):
+            if c - prev > 1e-9:
+                points.append(c)
+        points[-1] = hi[t]
+        spans = [(lo[t], hi[t])] if len(points) == 1 else list(zip(points, points[1:]))
+        combos = []
+        for a, b in spans:
+            mid = (a + b) / 2.0
+            f = [bracket_index(grid, imb[s, t] - mid) for s in range(S)]
+            combos.append((bracket_index(da, base + mid), f))
+            cells.append((t, a, b, *combos[-1]))
+        for i, q in enumerate(points):
+            b_q = loop_cheapest(da, da.prices, base + q, q)
+            f_q = [
+                loop_cheapest(grid, inst.bal_curves[s].prices, imb[s, t] - q, k_mat[s, t] - q)
+                for s in range(S)
+            ]
+
+            def alike(combo) -> bool:
+                return da.prices[combo[0]] == da.prices[b_q] and all(
+                    inst.bal_curves[s].prices[combo[1][s]] == inst.bal_curves[s].prices[f_q[s]]
+                    for s in range(S)
+                )
+
+            opens = i < len(spans) and alike(combos[i])
+            closes = i > 0 and alike(combos[i - 1])
+            if not (opens or closes):
+                cells.append((t, q, q, b_q, f_q))
+    return sorted(cells, key=lambda c: c[:3])
+
+
+def loop_cell_model(inst: ProcurementInstance) -> LinearMip:
+    """Per-entry ``MipBuilder`` form of the cell model ``procurement.solve``
     branches on, kept as the reference its array build must match bit for
     bit (names aside)."""
     T, S = inst.n_periods, inst.n_scenarios
     k_mat = inst.realized_demand()
-    lo, hi = red.lo, red.hi
-    big_m = hi - lo
     probs = inst.scenarios.probabilities
     m_cost = _cost_bound(inst)
-    da_prices = inst.da_curve.prices
-    da_levels = inst.da_curve.demand_levels
+    lo, hi, _ = loop_reduce(inst)
+    cells = loop_cells(inst, lo, hi)
+    n_cells = [sum(c[0] == t for c in cells) for t in range(T)]
+
+    def costs(cell):
+        """Per scenario: the cost per MWh of d_da in the cell and the cost at
+        its lower end."""
+        t, a, _, bb, f = cell
+        p_da = inst.da_curve.prices[bb]
+        p_bal = [inst.bal_curves[s].prices[f[s]] for s in range(S)]
+        slope = [p_da - p_bal[s] for s in range(S)]
+        at_lower = [p_da * a + p_bal[s] * (k_mat[s, t] - a) for s in range(S)]
+        return slope, at_lower, p_bal
 
     b = MipBuilder()
     d_cols = [b.add_col(f"d_da[{t}]", lo[t], hi[t]) for t in range(T)]
-    zeta_col = b.add_col("zeta", -m_cost, m_cost, obj=inst.beta)
-    eta_cols = [
+    zeta = b.add_col("zeta", -m_cost, m_cost, obj=inst.beta)
+    eta = [
         b.add_col(f"eta[{s}]", 0.0, 2.0 * m_cost, obj=inst.beta * probs[s] / (1.0 - inst.alpha))
         for s in range(S)
     ]
-    cvar_coeffs: list[dict[int, float]] = [
-        {zeta_col: -1.0, eta_cols[s]: -1.0} for s in range(S)
-    ]
+    multi = [c for c in cells if n_cells[c[0]] > 1]
+    z = [b.add_col(f"z[{i}]", 0.0, 1.0, integer=True) for i in range(len(multi))]
+    y = [b.add_col(f"y[{i}]", 0.0, c[2] - c[1]) for i, c in enumerate(multi)]
+
+    cvar = [{zeta: -1.0, eta[s]: -1.0} for s in range(S)]
     cvar_const = np.zeros(S)
-
-    free_da = [t for t in range(T) if red.da_range[t][0] < red.da_range[t][1]]
-    free_bal = [
-        (s, t)
-        for s in range(S)
-        for t in range(T)
-        if red.bal_range[s][t][0] < red.bal_range[s][t][1]
-    ]
-
-    u_da_cols: dict[tuple[int, int], int] = {}
-    u_bal_cols: dict[tuple[int, int, int], int] = {}
-    for t in free_da:
-        bmin, bmax = red.da_range[t]
-        for bb in range(bmin, bmax + 1):
-            u_da_cols[(t, bb)] = b.add_col(f"u_da[{t},{bb}]", 0.0, 1.0, integer=True)
-    for s, t in free_bal:
-        fmin, fmax = red.bal_range[s][t]
-        for f in range(fmin, fmax + 1):
-            u_bal_cols[(s, t, f)] = b.add_col(f"u_bal[{s},{t},{f}]", 0.0, 1.0, integer=True)
-    c_da_cols: dict[tuple[int, int], int] = {}
-    c_bal_cols: dict[tuple[int, int, int], int] = {}
-    for t, bb in u_da_cols:
-        c_da_cols[(t, bb)] = b.add_col(f"c_da[{t},{bb}]", 0.0, big_m[t])
-    for s, t, f in u_bal_cols:
-        c_bal_cols[(s, t, f)] = b.add_col(f"c_bal[{s},{t},{f}]", 0.0, big_m[t])
-
-    def _add_cost(col: int, coef: float, s: int | None, weight: float) -> None:
-        """Add a cost coefficient to the objective and the CVaR rows."""
-        b.add_obj(col, coef * weight)
-        if s is None:
-            for row in cvar_coeffs:
-                row[col] = row.get(col, 0.0) + coef
+    for cell in cells:
+        slope, at_lower, p_bal = costs(cell)
+        t = cell[0]
+        if n_cells[t] == 1:
+            b.add_obj(d_cols[t], sum(probs[s] * slope[s] for s in range(S)))
+            for s in range(S):
+                cvar[s][d_cols[t]] = slope[s]
+                cvar_const[s] -= p_bal[s] * k_mat[s, t]
         else:
-            cvar_coeffs[s][col] = cvar_coeffs[s].get(col, 0.0) + coef
-
-    # day-ahead cost terms
-    for t in range(T):
-        bmin, bmax = red.da_range[t]
-        if bmin == bmax:
-            _add_cost(d_cols[t], float(da_prices[bmin]), None, 1.0)
-        else:
-            for bb in range(bmin, bmax + 1):
-                _add_cost(c_da_cols[(t, bb)], float(da_prices[bb]), None, 1.0)
-                _add_cost(u_da_cols[(t, bb)], float(da_prices[bb] * lo[t]), None, 1.0)
-    # balancing cost terms: lambda * (K - d_da) for resolved groups
+            i = multi.index(cell)
+            b.add_obj(z[i], sum(probs[s] * at_lower[s] for s in range(S)))
+            b.add_obj(y[i], sum(probs[s] * slope[s] for s in range(S)))
+            for s in range(S):
+                cvar[s][z[i]] = at_lower[s]
+                cvar[s][y[i]] = slope[s]
     for s in range(S):
-        prices_s = inst.bal_curves[s].prices
-        for t in range(T):
-            fmin, fmax = red.bal_range[s][t]
-            if fmin == fmax:
-                lam = float(prices_s[fmin])
-                b.add_obj(d_cols[t], -probs[s] * lam)
-                b.obj_offset += probs[s] * lam * k_mat[s, t]
-                cvar_coeffs[s][d_cols[t]] = cvar_coeffs[s].get(d_cols[t], 0.0) - lam
-                cvar_const[s] -= lam * k_mat[s, t]
-            else:
-                lo_bal = k_mat[s, t] - hi[t]
-                for f in range(fmin, fmax + 1):
-                    _add_cost(c_bal_cols[(s, t, f)], float(prices_s[f]), s, probs[s])
-                    _add_cost(u_bal_cols[(s, t, f)], float(prices_s[f] * lo_bal), s, probs[s])
-
-    for s in range(S):
-        b.add_row(f"cvar[{s}]", cvar_coeffs[s], -INF, float(cvar_const[s]))
-
-    half_da = inst.da_curve.delta / 2.0
-    for t in free_da:
-        bmin, bmax = red.da_range[t]
-        base = inst.exogenous.d_sys_base[t]
-        b.add_row(
-            f"sos1_da[{t}]",
-            {u_da_cols[(t, bb)]: 1.0 for bb in range(bmin, bmax + 1)},
-            1.0,
-            1.0,
-        )
-        tie = {c_da_cols[(t, bb)]: 1.0 for bb in range(bmin, bmax + 1)}
-        tie[d_cols[t]] = -1.0
-        b.add_row(f"bracket_da[{t}]", tie, -lo[t], -lo[t])
-        for bb in range(bmin, bmax + 1):
-            cell_lo = da_levels[bb] - half_da - base
-            cell_hi = da_levels[bb] + half_da - base
-            a_b = max(0.0, cell_lo - lo[t])
-            c_b = min(big_m[t], cell_hi - lo[t])
-            c_col, u_col = c_da_cols[(t, bb)], u_da_cols[(t, bb)]
-            b.add_row(f"lin_ub_da[{t},{bb}]", {c_col: 1.0, u_col: -c_b}, -INF, 0.0)
-            b.add_row(f"lin_lb_da[{t},{bb}]", {c_col: 1.0, u_col: -a_b}, 0.0, INF)
-    for s, t in free_bal:
-        curve = inst.bal_curves[s]
-        fmin, fmax = red.bal_range[s][t]
-        half_bal = curve.delta / 2.0
-        base = inst.exogenous.d_imb_base[s, t]
-        lo_bal = k_mat[s, t] - hi[t]
-        b.add_row(
-            f"sos1_bal[{s},{t}]",
-            {u_bal_cols[(s, t, f)]: 1.0 for f in range(fmin, fmax + 1)},
-            1.0,
-            1.0,
-        )
-        tie = {c_bal_cols[(s, t, f)]: 1.0 for f in range(fmin, fmax + 1)}
-        tie[d_cols[t]] = 1.0
-        b.add_row(f"bracket_bal[{s},{t}]", tie, hi[t], hi[t])
-        for f in range(fmin, fmax + 1):
-            cell_lo = curve.demand_levels[f] - half_bal - base
-            cell_hi = curve.demand_levels[f] + half_bal - base
-            a_f = max(0.0, cell_lo - lo_bal)
-            c_f = min(big_m[t], cell_hi - lo_bal)
-            c_col, u_col = c_bal_cols[(s, t, f)], u_bal_cols[(s, t, f)]
-            b.add_row(f"lin_ub_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -c_f}, -INF, 0.0)
-            b.add_row(f"lin_lb_bal[{s},{t},{f}]", {c_col: 1.0, u_col: -a_f}, 0.0, INF)
-
+        b.add_row(f"cvar[{s}]", cvar[s], -INF, cvar_const[s])
+    b.obj_offset = -sum(probs[s] * cvar_const[s] for s in range(S))
+    periods = sorted({c[0] for c in multi})
+    for t in periods:
+        b.add_row(f"one[{t}]", {z[i]: 1.0 for i, c in enumerate(multi) if c[0] == t}, 1.0, 1.0)
+    for t in periods:
+        tie = {d_cols[t]: 1.0}
+        for i, c in enumerate(multi):
+            if c[0] == t:
+                tie[z[i]] = -c[1]
+                tie[y[i]] = -1.0
+        b.add_row(f"tie[{t}]", tie, 0.0, 0.0)
+    for i, c in enumerate(multi):
+        b.add_row(f"cap[{i}]", {y[i]: 1.0, z[i]: -(c[2] - c[1])}, -INF, 0.0)
     return b.build()
 
 
@@ -500,7 +519,7 @@ class _Pending:
     parent_bound: float
 
 
-def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, heuristic=None, max_nodes=500_000):
+def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
     """``branch_bound.solve_milp`` with each node kept as a list of
     ``(col, lo, hi)`` fixes that a pop replays over the original bounds, a
     solve before the loop and binaries fixed at 0 or 1.  General integers
@@ -520,15 +539,6 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, heuristic=None, max_nodes=5
     def note_pruned(bound):
         nonlocal worst_pruned
         worst_pruned = min(worst_pruned, bound)
-
-    def try_candidate(obj_hint, x_c):
-        nonlocal best_obj, best_x
-        if obj_hint >= best_obj - 1e-12:
-            return
-        obj_c = lp.objective_value(x_c)
-        if obj_c < best_obj - 1e-12 and check_feasibility(lp, x_c, integer_tol=int_tol) <= 1e-6:
-            best_obj = obj_c
-            best_x = x_c.copy()
 
     def reset_bounds(fixes):
         for c in int_cols:
@@ -566,40 +576,32 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, heuristic=None, max_nodes=5
                     best_x = cand
                 res = None
             else:
-                if heuristic is not None:
-                    proposal = heuristic(x)
-                    if proposal is not None:
-                        try_candidate(*proposal)
-                if bound >= best_obj - gap_tol:
-                    note_pruned(bound)
-                    res = None
+                dist = np.minimum(frac, 1.0 - frac)
+                j = int(int_cols[np.argmax(dist)])
+                near = float(np.round(x[j]))
+                if orig_ub[j] - orig_lb[j] == 1.0 and orig_lb[j] == 0.0:
+                    near_fix = (j, near, near)
+                    far_fix = (j, 1.0 - near, 1.0 - near)
                 else:
-                    dist = np.minimum(frac, 1.0 - frac)
-                    j = int(int_cols[np.argmax(dist)])
-                    near = float(np.round(x[j]))
-                    if orig_ub[j] - orig_lb[j] == 1.0 and orig_lb[j] == 0.0:
-                        near_fix = (j, near, near)
-                        far_fix = (j, 1.0 - near, 1.0 - near)
-                    else:
-                        lo_child = (j, orig_lb[j], float(np.floor(x[j])))
-                        hi_child = (j, float(np.ceil(x[j])), orig_ub[j])
-                        near_fix, far_fix = (
-                            (hi_child, lo_child) if near >= x[j] else (lo_child, hi_child)
-                        )
-                    basis, vstat = solver.snapshot()
-                    stack.append(_Pending(fixes + [far_fix], basis, vstat, bound))
-                    fixes = fixes + [near_fix]
-                    solver.set_col_bounds(*near_fix)
-                    if n_nodes >= max_nodes:
-                        raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
-                    res = solver.solve()
-                    n_nodes += 1
-                    lp_iterations += res.iterations
-                    if res.status == "unbounded":
-                        raise ValueError("child relaxation unbounded")
-                    if res.status == "infeasible":
-                        res = None
-                    continue
+                    lo_child = (j, orig_lb[j], float(np.floor(x[j])))
+                    hi_child = (j, float(np.ceil(x[j])), orig_ub[j])
+                    near_fix, far_fix = (
+                        (hi_child, lo_child) if near >= x[j] else (lo_child, hi_child)
+                    )
+                basis, vstat = solver.snapshot()
+                stack.append(_Pending(fixes + [far_fix], basis, vstat, bound))
+                fixes = fixes + [near_fix]
+                solver.set_col_bounds(*near_fix)
+                if n_nodes >= max_nodes:
+                    raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
+                res = solver.solve()
+                n_nodes += 1
+                lp_iterations += res.iterations
+                if res.status == "unbounded":
+                    raise ValueError("child relaxation unbounded")
+                if res.status == "infeasible":
+                    res = None
+                continue
 
         while res is None and stack:
             node = stack.pop()

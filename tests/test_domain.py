@@ -237,6 +237,42 @@ class TestMeterCsv:
         with pytest.raises(ValueError, match="missing"):
             read_meter_csv(path)
 
+    def test_duplicate_reading_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "meter_id,period_index,kwh\nb,0,5.0\na,0,1.0\nb,1,6.0\na,1,2.0\nb,1,7.0\n"
+        )
+        with pytest.raises(ValueError, match=r"^duplicate reading for meter 'b' period 1$"):
+            read_meter_csv(path)
+
+    def test_gap_rejected(self, tmp_path):
+        # meter "b" skips periods 2 and 3 inside the common range 0..4
+        rows = [f"a,{t},1.0" for t in range(5)] + [f"b,{t},1.0" for t in (4, 0, 1)]
+        path = tmp_path / "m.csv"
+        path.write_text("meter_id,period_index,kwh\n" + "\n".join(rows) + "\n")
+        with pytest.raises(
+            ValueError,
+            match=r"^meter 'b' is missing periods \(first few: \[2, 3\]\); "
+            r"panels must be 100% complete$",
+        ):
+            read_meter_csv(path)
+
+    def test_shuffled_rows_read_as_written(self, tmp_path):
+        rng = np.random.default_rng(11)
+        panel = MeterPanel(tuple(
+            LoadSeries(mid, 96, rng.normal(size=48)) for mid in ("m10", "m2", "a", "z")
+        ))
+        path = tmp_path / "m.csv"
+        write_meter_csv(panel, path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [rows[i] for i in rng.permutation(len(rows))]) + "\n")
+        back = read_meter_csv(path)
+        assert [m.meter_id for m in back.meters] == ["a", "m10", "m2", "z"]
+        assert back.start == 96
+        by_id = {m.meter_id: m.values for m in panel.meters}
+        for m in back.meters:
+            assert m.values.tobytes() == by_id[m.meter_id].tobytes()
+
     def test_comma_in_meter_id_round_trips(self, tmp_path):
         panel = MeterPanel((LoadSeries("flat 1, north", 0, np.array([0.1, 2.0])),))
         path = tmp_path / "m.csv"

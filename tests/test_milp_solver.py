@@ -9,11 +9,11 @@ from scipy.optimize import linprog, milp
 from scipy.optimize import Bounds, LinearConstraint
 
 from dpmeter import procurement
-from dpmeter.milp import MipBuilder, SimplexSolver, check_feasibility, solve_lp, solve_milp
+from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
 from dpmeter.milp.simplex import _AT_UPPER, _BASIC
-from dpmeter.procurement import _reduce, _reduced_model, read_instance
+from dpmeter.procurement import _cell_model, _reduce, read_instance
 
-from helpers import fixes_solve_milp, loop_basis_matrix, random_instance
+from helpers import MipBuilder, fixes_solve_milp, loop_basis_matrix, random_instance
 
 C11 = Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"
 
@@ -249,7 +249,7 @@ class TestKernelInverse:
 
     def test_mixed_bases_from_solver_states(self):
         rng = np.random.default_rng(5)
-        models = [_reduced_model(inst, _reduce(inst))[0] for inst in (
+        models = [_cell_model(inst, *_reduce(inst)[:2])[0] for inst in (
             random_instance(rng, T=6, S=4, B=3, F=3),
             random_instance(rng, T=12, S=3, B=4, F=2),
             read_instance(C11),
@@ -488,7 +488,7 @@ class TestFixesParity:
         assert n_branched >= 15
 
     def test_procurement_models(self, monkeypatch):
-        # procurement.solve hands both solvers its reduced model and heuristic
+        # procurement.solve hands both solvers its cell model
         n_nodes = []
 
         def both(lp, **kwargs):
@@ -500,7 +500,11 @@ class TestFixesParity:
         monkeypatch.setattr(procurement, "solve_milp", both)
         rng = np.random.default_rng(13)
         insts = [random_instance(rng) for _ in range(12)]
-        insts += [random_instance(rng, T=3, S=4, B=5, F=6), read_instance(C11)]
+        insts += [random_instance(rng, T=3, S=4, B=5, F=6)]
+        # the cell model closes most small instances at the root; these
+        # larger ones give the branched models the parity is about
+        insts += [random_instance(rng, T=5, S=5, B=5, F=6) for _ in range(8)]
+        insts += [read_instance(C11)]
         for inst in insts:
             procurement.solve(procurement.build_milp(inst))
         assert len(n_nodes) == len(insts)

@@ -5,13 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from dpmeter.market import SystemExogenous
-from dpmeter.milp import check_feasibility
+import dpmeter.procurement as procurement
+from dpmeter.milp import check_feasibility, solve_milp
 from dpmeter.procurement import (
     ProcurementInstance,
+    _cell_model,
     _reduce,
-    _reduced_model,
     brute_force_oracle,
     build_milp,
     cvar_kinks,
@@ -28,8 +30,9 @@ from helpers import (
     highs_objective,
     loop_build_milp,
     loop_check_coverage,
+    loop_cell_model,
+    loop_cells,
     loop_reduce,
-    loop_reduced_model,
     random_instance,
     uniform_curve,
 )
@@ -256,8 +259,8 @@ class TestArrayBuild:
 
 def grid_edge_sliver():
     """``flat_instance`` whose reachable day-ahead demand starts 5e-10 below
-    the curve: inside the coverage tolerance, so the one day-ahead bracket
-    is forced and ``_reduce`` clips ``d_da_lower`` up to its cell."""
+    the curve: inside the coverage tolerance, so ``_reduce`` clips
+    ``d_da_lower`` up to the curve's first cell."""
     inst = flat_instance()
     lower = inst.da_curve.lo - inst.exogenous.d_sys_base - 5e-10
     return dataclasses.replace(inst, d_da_lower=lower)
@@ -266,8 +269,8 @@ def grid_edge_sliver():
 def balancing_sliver():
     """T = 2, S = 2: two day-ahead brackets stay free, and the one balancing
     bracket of each scenario is forced.  The reachable imbalance of
-    (s=1, t=0) and (s=0, t=1) ends 5e-10 above the grid, so the balancing
-    groups clip ``d_da_lower`` up to their cells."""
+    (s=1, t=0) and (s=0, t=1) ends 5e-10 above the grid, so ``_reduce``
+    clips ``d_da_lower`` up to the grid's last cell."""
     k_mat = np.array([[10.0, 10.0], [11.0, 9.0]])
     return ProcurementInstance(
         d_fore=np.full(2, 10.0),
@@ -300,7 +303,7 @@ def zero_coefficient_instance():
 
 
 def parity_instances():
-    """The instances on which the array reduction and reduced model must
+    """The instances on which the array reduction, cells and cell model must
     equal the loop references."""
     rng = np.random.default_rng(17)
     insts = [random_instance(rng) for _ in range(40)]
@@ -311,42 +314,138 @@ def parity_instances():
     return insts
 
 
-def assert_same_reduction(got, want):
-    """``_reduce``'s bounds and bracket ranges equal the loop's bit for bit."""
-    assert got.lo.tobytes() == want.lo.tobytes()
-    assert got.hi.tobytes() == want.hi.tobytes()
-    da = np.array(want.da_range, dtype=np.int64)
-    bal = np.array(want.bal_range, dtype=np.int64)
-    for a, b in ((got.da_min, da[..., 0]), (got.da_max, da[..., 1]),
-                 (got.bal_min, bal[..., 0]), (got.bal_max, bal[..., 1])):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert got.infeasible_group == want.infeasible_group
+def assert_same_cells(got, want):
+    """``_cells`` equals the loop's list of cells bit for bit."""
+    assert got.period.tolist() == [c[0] for c in want]
+    assert got.lower.tobytes() == np.array([c[1] for c in want]).tobytes()
+    assert got.upper.tobytes() == np.array([c[2] for c in want]).tobytes()
+    assert got.bracket_da.tolist() == [c[3] for c in want]
+    assert got.bracket_bal.T.tolist() == [c[4] for c in want]
+
+
+def assert_same_cell_model(got, want, inst):
+    """Every array of the two cell models equal bit for bit, except three
+    kinds of sums that the array form adds in another order than the loop:
+    an objective entry (one term per scenario), a CVaR row's bound (one term
+    per period with one cell) and the offset (one term per scenario).  Each
+    may differ by the summation error bound ``n * eps * sum |term|``."""
+    S, eps = inst.n_scenarios, np.finfo(float).eps
+    bounds = want.row_upper.copy()
+    bounds[:S] = got.row_upper[:S]
+    assert_same_lp(
+        dataclasses.replace(got, obj=want.obj, obj_offset=want.obj_offset),
+        dataclasses.replace(want, row_upper=bounds),
+    )
+    probs = inst.scenarios.probabilities
+    m = want.row_matrix
+    cvar = csr_matrix((m.data, m.indices, m.indptr), shape=(m.n_rows, m.n_cols))[:S]
+    assert np.all(np.abs(got.obj - want.obj) <= S * eps * (probs @ np.abs(cvar).toarray()))
+    cells = loop_cells(inst, *loop_reduce(inst)[:2])
+    periods = [c[0] for c in cells]
+    k_mat = inst.realized_demand()
+    terms = np.array([
+        [inst.bal_curves[s].prices[c[4][s]] * k_mat[s, c[0]] for s in range(S)]
+        for c in cells if periods.count(c[0]) == 1
+    ]).reshape(-1, S)
+    const_err = terms.shape[0] * eps * np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(got.row_upper[:S] - want.row_upper[:S]) <= const_err)
+    offset_err = S * eps * (probs @ np.abs(want.row_upper[:S])) + probs @ const_err
+    assert abs(got.obj_offset - want.obj_offset) <= offset_err
+
+
+def coinciding_edge_instances():
+    """T = S = 1 instances whose day-ahead and balancing grids span mirrored
+    ranges with equally many brackets, so their edges meet in d_da terms
+    up to round-off: where they meet, the cheapest brackets can mix sides."""
+    rng = np.random.default_rng(7)
+    return [random_instance(rng, T=1, S=1, B=3, F=3) for _ in range(20)]
 
 
 class TestReducedModel:
-    """``solve`` reduces with whole-array passes and builds its model from
-    arrays; both must equal the per-(s, t) loops in ``helpers``."""
+    """``solve`` clips the bounds, cuts the cells and builds its cell model
+    from arrays; each must equal the per-period loops in ``helpers``."""
 
     @pytest.mark.parametrize("inst", parity_instances())
     def test_matches_loop_reference(self, inst):
-        red, want = _reduce(inst), loop_reduce(inst)
-        assert_same_reduction(red, want)
-        lp, _, _ = _reduced_model(inst, red)
-        assert_same_lp(lp, loop_reduced_model(inst, want))
+        lo, hi, group = _reduce(inst)
+        want_lo, want_hi, want_group = loop_reduce(inst)
+        assert (lo.tobytes(), hi.tobytes(), group) == (want_lo.tobytes(), want_hi.tobytes(), want_group)
+        lp, cells, _ = _cell_model(inst, lo, hi)
+        assert_same_cells(cells, loop_cells(inst, lo, hi))
+        assert_same_cell_model(lp, loop_cell_model(inst), inst)
 
     @pytest.mark.parametrize(
         "make, lower", [(grid_edge_sliver, [-10.0]), (balancing_sliver, [-9.0, -10.0])]
     )
     def test_sliver_bounds_clipped_to_cell(self, make, lower):
         inst = make()
-        red = _reduce(inst)
-        assert np.all(inst.d_da_lower < red.lo) and red.lo.tolist() == lower
-        assert red.hi.tobytes() == inst.d_da_upper.tobytes()
+        lo, hi, _ = _reduce(inst)
+        assert np.all(inst.d_da_lower < lo) and lo.tolist() == lower
+        assert hi.tobytes() == inst.d_da_upper.tobytes()
         model = build_milp(inst)
         sol = solve(model)
         assert sol.status == "optimal"
         assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
         assert sol.objective == pytest.approx(highs_objective(model.lp), rel=1e-9)
+
+    @pytest.mark.parametrize("market", ["da", "bal"])
+    def test_bound_on_bracket_edge(self, market):
+        # d_da_lower sits exactly on an edge of the day-ahead grid, or of
+        # scenario 0's balancing grid, in period 0; the solve must still
+        # give a feasible full-model point whose brackets are the reported ones
+        rng = np.random.default_rng(31)
+        inst = random_instance(rng, T=2, S=3, B=4, F=4)
+        if market == "da":
+            edge = inst.da_curve.demand_levels[1] - inst.da_curve.delta / 2.0
+            lower = edge - inst.exogenous.d_sys_base[0]
+        else:
+            grid = inst.bal_curves[0]
+            imb = inst.exogenous.d_imb_base[0, 0] + inst.realized_demand()[0, 0]
+            lower = imb - (grid.demand_levels[2] - grid.delta / 2.0)
+        bounds = inst.d_da_lower.copy()
+        bounds[0] = lower
+        inst = dataclasses.replace(inst, d_da_lower=bounds)
+        assert _reduce(inst)[0][0] == lower
+        model = build_milp(inst)
+        sol = solve(model)
+        assert sol.status == "optimal"
+        x = sol.lp_point
+        assert check_feasibility(model.lp, x) <= 1e-6
+        T, S, B, F = model.T, model.S, model.B, model.F
+        u_da = x[model.off_u_da : model.off_u_da + T * B].reshape(T, B)
+        u_bal = x[model.off_u_bal : model.off_u_bal + S * T * F].reshape(S, T, F)
+        assert np.array_equal(u_da, sol.u_da) and np.array_equal(u_bal, sol.u_bal)
+        assert np.array_equal(x[model.off_d_da : model.off_d_da + T], sol.d_da)
+        assert sol.objective == pytest.approx(highs_objective(model.lp), rel=1e-9)
+
+    def test_coinciding_edges_match_highs(self):
+        n_points = 0
+        for inst in coinciding_edge_instances():
+            lo, hi, _ = _reduce(inst)
+            cells = _cell_model(inst, lo, hi)[1]
+            n_points += int(np.count_nonzero(cells.lower == cells.upper))
+            model = build_milp(inst)
+            sol = solve(model)
+            assert sol.status == "optimal"
+            assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
+            assert sol.objective == pytest.approx(highs_objective(model.lp), rel=1e-9)
+        assert n_points >= 5
+
+    def test_solution_reports_solver_counters(self, monkeypatch):
+        results = []
+
+        def record(lp, **kwargs):
+            results.append(solve_milp(lp, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(procurement, "solve_milp", record)
+        inst = read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json")
+        sol = solve(build_milp(inst))
+        (res,) = results
+        assert res.lp_iterations > 0 and res.refactorizations > 0
+        assert (sol.n_nodes, sol.lp_iterations, sol.refactorizations) == (
+            res.n_nodes, res.lp_iterations, res.refactorizations
+        )
 
 
 class TestSolve:
