@@ -121,7 +121,7 @@ def cmd_forecast(args) -> int:
 
 def _read_forecast(path) -> np.ndarray:
     """The ``kwh`` column of a CSV written by ``dpmeter forecast``."""
-    return np.array([float(r["kwh"]) for r in read_csv(path, "forecast", ["kwh"])])
+    return np.array([float(kwh) for (kwh,) in read_csv(path, "forecast", ["kwh"])])
 
 
 def cmd_scenarios(args) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -297,22 +298,37 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def read_csv(path, what: str, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """The rows of a table with a header naming every one of ``columns``.
+def read_csv(path, what: str, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The rows of a table with a header naming every one of ``columns``,
+    each as the tuple of those columns' cells in ``columns`` order.
 
-    Rows are yielded as they are read, so a large meter file is never held
-    as dicts all at once.  A missing column raises ``ValueError`` before the
-    first row, and an empty table once the rows run out.
+    The columns are looked up in the header once (the last of a repeated
+    name), and rows are yielded as they are read, so a large meter file is
+    never held all at once.  Blank lines are skipped.  A missing column
+    raises ``ValueError`` before the first row, a row too short to hold
+    every column when it is read, and an empty table once the rows run out.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in position]
         if missing:
             raise ValueError(f"{what} CSV lacks columns {missing}")
+        index = [position[c] for c in columns]
+        pick = itemgetter(*index) if len(index) > 1 else lambda row, i=index[0]: (row[i],)
         empty = True
         for row in reader:
+            try:
+                cells = pick(row)
+            except IndexError:
+                if not row:
+                    continue
+                raise ValueError(
+                    f"{what} CSV line {reader.line_num} has {len(row)} of {len(header)} cells"
+                ) from None
             empty = False
-            yield row
+            yield cells
     if empty:
         raise ValueError(f"{what} CSV contains no rows")
 
@@ -327,10 +343,11 @@ def read_meter_csv(path) -> MeterPanel:
     """
     codes: dict[str, int] = {}  # meter id -> code, in order of first sight
     meter, period, kwh = array("q"), array("q"), array("d")
-    for row in read_csv(path, "meter", ["meter_id", "period_index", "kwh"]):
-        meter.append(codes.setdefault(row["meter_id"], len(codes)))
-        period.append(int(row["period_index"]))
-        kwh.append(float(row["kwh"]))
+    rows = read_csv(path, "meter", ["meter_id", "period_index", "kwh"])
+    for meter_id, period_index, value in rows:
+        meter.append(codes.setdefault(meter_id, len(codes)))
+        period.append(int(period_index))
+        kwh.append(float(value))
     ids = sorted(codes)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[[codes[m] for m in ids]] = np.arange(len(ids))

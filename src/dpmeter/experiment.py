@@ -546,20 +546,24 @@ def read_results_csv(path) -> list[SchemeResult]:
     ``RESULT_COLUMNS`` or has no rows raises ``ValueError``."""
     return [
         SchemeResult(
-            scheme=row["scheme"],
-            group=row["group"],
-            epsilon=_optional(row["epsilon"]),
-            gamma=_optional(row["gamma"]),
-            p=_optional(row["p"]),
-            seed=int(row["seed"]),
-            kld=float(row["kld"]),
-            wape=float(row["wape"]),
-            expected_cost=float(row["expected_cost"]),
-            cvar=float(row["cvar"]),
-            objective=float(row["objective"]),
-            omega_exp=_optional(row["omega_exp"]),
+            scheme=scheme,
+            group=group,
+            epsilon=_optional(epsilon),
+            gamma=_optional(gamma),
+            p=_optional(p),
+            seed=int(seed),
+            kld=float(kld),
+            wape=float(wape),
+            expected_cost=float(expected_cost),
+            cvar=float(cvar),
+            objective=float(objective),
+            omega_exp=_optional(omega_exp),
         )
-        for row in read_csv(path, "results", RESULT_COLUMNS)
+        # RESULT_COLUMNS lists SchemeResult's fields in order
+        for (
+            scheme, group, epsilon, gamma, p, seed, kld, wape, expected_cost, cvar, objective,
+            omega_exp,
+        ) in read_csv(path, "results", RESULT_COLUMNS)
     ]
 
 

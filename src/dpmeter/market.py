@@ -134,4 +134,4 @@ class SystemExogenous:
 def read_ladder_csv(path) -> list[tuple[float, float]]:
     """Read ``volume_mwh,price`` bid blocks."""
     rows = read_csv(path, "ladder", ["volume_mwh", "price"])
-    return [(float(row["volume_mwh"]), float(row["price"])) for row in rows]
+    return [(float(volume), float(price)) for volume, price in rows]

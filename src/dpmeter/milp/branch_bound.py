@@ -5,7 +5,8 @@ its parent and, for a far child, the basis snapshot it restarts from.  The
 integer bounds are rounded inward once at the root; a crossed pair has no
 integer point and is infeasible without an LP solve.  Every node, the root
 included, runs one path: install its bounds, re-activate its snapshot if it
-has one, solve the relaxation, then keep the point, prune or branch.
+has one, solve the relaxation, then keep the point, prune or branch.  The
+root goes on from the solver's start basis: the caller's, or all slacks.
 
 Branching picks the most fractional integer column with lowest-index
 tie-breaking, so the search path is deterministic, and splits the node's
@@ -39,6 +40,8 @@ class MilpResult:
     lp_iterations: int = 0  # simplex pivots and bound flips over all nodes
     refactorizations: int = 0  # basis inversions over all nodes
     infeasible_row: int = -1  # a row the root relaxation could not satisfy
+    phase1_iterations: int = 0  # of ``lp_iterations``, those taken in phase 1
+    bland_switches: int = 0  # node solves that switched to Bland's rule
 
 
 class _Node(NamedTuple):
@@ -53,9 +56,13 @@ def solve_milp(
     *,
     gap_tol: float = 1e-6,
     max_nodes: int = 500_000,
+    basis: np.ndarray | None = None,
 ) -> MilpResult:
+    """Branch and bound to absolute gap ``gap_tol``; the root LP starts from
+    ``basis`` (m column indices, the slack of row i being ``n + i``; all
+    slacks when None)."""
     int_cols = lp.integer_columns()
-    solver = SimplexSolver(lp)
+    solver = SimplexSolver(lp, basis)
     lower = np.ceil(lp.col_lower[int_cols])
     upper = np.floor(lp.col_upper[int_cols])
     stack = [] if (lower > upper).any() else [_Node(lower, upper, -INF, None)]
@@ -63,7 +70,7 @@ def solve_milp(
     best_obj = INF
     best_x: np.ndarray | None = None
     worst_pruned = INF
-    n_nodes = lp_iterations = 0
+    n_nodes = lp_iterations = phase1_iterations = bland_switches = 0
     root_row = -1
 
     while stack:
@@ -79,6 +86,8 @@ def solve_milp(
         res = solver.solve()
         n_nodes += 1
         lp_iterations += res.iterations
+        phase1_iterations += res.phase1_iterations
+        bland_switches += res.bland
         if res.status == "unbounded":
             raise ValueError("relaxation is unbounded; the model is missing finite bounds")
         if res.status == "infeasible":
@@ -105,7 +114,8 @@ def solve_milp(
         stack.append(_Node(*near, bound, None))
 
     counts = (n_nodes, lp_iterations, solver.refactorizations)
+    telemetry = (phase1_iterations, bland_switches)
     if best_x is None:
-        return MilpResult("infeasible", INF, None, INF, *counts, root_row)
+        return MilpResult("infeasible", INF, None, INF, *counts, root_row, *telemetry)
     gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0
-    return MilpResult("optimal", best_obj, best_x, gap, *counts)
+    return MilpResult("optimal", best_obj, best_x, gap, *counts, -1, *telemetry)

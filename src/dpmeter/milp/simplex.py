@@ -6,6 +6,8 @@ minimizing their sum (composite rule: an infeasible basic variable blocks
 at the bound it is violating); phase 2 prices the true objective.  Pivot
 selection is Dantzig with lowest-index tie-breaking, falling back to
 Bland's rule after a run of degenerate steps, so the path is deterministic.
+``LpResult`` counts the iterations taken in phase 1 and says whether the
+solve fell back to Bland's rule.
 
 The ratio test is Harris's two-pass test (Harris 1973, *Math.
 Programming* 5): pass 1 finds the longest step that keeps every basic
@@ -24,6 +26,16 @@ with the rows ``R_n`` no basic slack covers, the basic structural columns
 inverse is ``[[K⁻¹, 0], [C K⁻¹, -I]]``: O(k³ + (m − k) k²) work for k
 basic structurals instead of O(m³).  The entering column's solve uses only
 that column's nonzeros.
+
+A solve starts from the basis given at construction: m column indices,
+the slack of row i being ``n + i``; without one, from the all-slack basis,
+whose inverse is ``-I``.  ``reset_cold`` installs either with one
+refactorization, and every nonbasic column rests at a finite bound, lower
+first.  A caller that knows a primal-feasible basis (a crash basis, Bixby
+1992, *ORSA J. Computing* 4) skips phase 1 this way: the procurement cell
+model writes one down (``procurement._cell_model``).  A start basis that
+is infeasible only costs phase-1 iterations, and a singular one is
+repaired like any other.
 
 State persists between calls.  Branch and bound installs a node's column
 bounds with ``set_col_bounds`` and, for a node that restarts from a
@@ -64,10 +76,12 @@ class LpResult:
     x: np.ndarray  # structural column values
     iterations: int
     infeasible_row: int = -1  # row whose violation could not be removed
+    phase1_iterations: int = 0  # of ``iterations``, those taken in phase 1
+    bland: bool = False  # whether a degenerate run switched pricing to Bland's rule
 
 
 class SimplexSolver:
-    def __init__(self, lp: LinearMip):
+    def __init__(self, lp: LinearMip, basis: np.ndarray | None = None):
         self.A = lp.row_matrix
         self.m = lp.n_rows
         self.n = lp.n_cols
@@ -82,17 +96,21 @@ class SimplexSolver:
         self.x = np.zeros(self.N)
         self._pivots_since_refactor = 0
         self.refactorizations = 0  # kernel inversions since construction
-        self.reset_cold()
+        self.reset_cold(basis)
 
     # ----- state management -------------------------------------------------
 
-    def reset_cold(self) -> None:
-        """All-slack basis; structural columns rest at a finite bound."""
-        self.basis = self.n + np.arange(self.m, dtype=np.int64)
-        self.vstat[: self.n] = self._resting_status(np.arange(self.n))
+    def reset_cold(self, basis: np.ndarray | None = None) -> None:
+        """Install a start basis: m column indices, the slack of row i being
+        ``n + i``; ``None`` is the all-slack basis.  Every nonbasic column
+        rests at a finite bound, lower first.  A singular start basis is
+        repaired as at any refactorization."""
+        if basis is None:
+            basis = self.n + np.arange(self.m)
+        self.basis = np.array(basis, dtype=np.int64)
+        self.vstat[:] = self._resting_status(np.arange(self.N))
         self.vstat[self.basis] = _BASIC
-        self.binv = -np.eye(self.m)
-        self._pivots_since_refactor = 0
+        self._refactorize()
         self._recompute_x()
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +224,15 @@ class SimplexSolver:
     def solve(self) -> LpResult:
         max_iter = 2000 + 60 * (self.m + self.n)
         self._recompute_x()
-        iters = 0
+        iters = phase1_iters = 0
         degenerate_run = 0
         bland = False
         debug = _log.isEnabledFor(logging.DEBUG)  # per-iteration diagnostics
+
+        def result(status: str, objective: float, row: int = -1) -> LpResult:
+            x = self.x[: self.n].copy()
+            return LpResult(status, objective, x, iters, row, phase1_iters, bland)
+
         while True:
             if iters > max_iter:
                 raise RuntimeError(f"simplex exceeded {max_iter} iterations")
@@ -248,9 +271,9 @@ class SimplexSolver:
                     p = int(np.argmax(viol))
                     leaving = int(self.basis[p])
                     row = leaving - self.n if leaving >= self.n else -1
-                    return LpResult("infeasible", INF, self.x[: self.n].copy(), iters, row)
+                    return result("infeasible", INF, row)
                 obj = float(self.cost[: self.n] @ self.x[: self.n]) + self.obj_offset
-                return LpResult("optimal", obj, self.x[: self.n].copy(), iters)
+                return result("optimal", obj)
 
             cand = np.flatnonzero(improving)
             if bland:
@@ -308,7 +331,7 @@ class SimplexSolver:
             if not np.isfinite(theta_star):
                 if in_phase1:  # pragma: no cover - defensive
                     raise RuntimeError("phase 1 ray with unbounded improvement")
-                return LpResult("unbounded", -INF, self.x[: self.n].copy(), iters)
+                return result("unbounded", -INF)
 
             degenerate_run = degenerate_run + 1 if theta_star <= 1e-11 else 0
             if degenerate_run > 60:
@@ -338,6 +361,7 @@ class SimplexSolver:
                 self.vstat[j] = _AT_UPPER if t_dir > 0 else _AT_LOWER
                 self.x[j] = self.ub[j] if t_dir > 0 else self.lb[j]
             iters += 1
+            phase1_iters += in_phase1
 
 
 def solve_lp(lp: LinearMip) -> LpResult:

@@ -420,6 +420,8 @@ class Solution:
     n_nodes: int = 0
     lp_iterations: int = 0  # simplex pivots and bound flips over all nodes
     refactorizations: int = 0  # basis inversions over all nodes
+    phase1_iterations: int = 0  # of ``lp_iterations``, those taken in phase 1
+    bland_switches: int = 0  # node solves that switched to Bland's rule
     lp_point: np.ndarray | None = None  # raw solver point in full-model space
     infeasible_row: str | None = None
 
@@ -592,7 +594,7 @@ def _cells(inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray) -> _Cells:
 
 def _cell_model(
     inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray
-) -> tuple[LinearMip, _Cells, np.ndarray]:
+) -> tuple[LinearMip, _Cells, np.ndarray, np.ndarray]:
     """The model ``solve`` branches on: per period, the convex hull of its
     cells' cost lines (a multiple-choice model).  In cell c, scenario s pays
     ``p_da(c) * d + p_bal(s, c) * (k[s, t] - d)`` for ``d = d_da[t]``.
@@ -607,7 +609,24 @@ def _cell_model(
     cells of the periods with several.  Rows: ``cvar[s]``, then per such
     period its ``sum z = 1`` row, then per such period its tie row, then
     one ``y <= width * z`` row per cell.  Exact-zero coefficients are left
-    out.  Returns the model, the cells, and which cells have a ``z``."""
+    out.
+
+    The root LP starts from a primal-feasible basis (a crash basis, Bixby
+    1992): row ``cvar[s]`` takes ``eta[s]``, each period's ``sum z`` row the
+    ``z`` of its cell with the lowest ``obj[z]`` (lowest index on ties), its
+    tie row ``d_da[t]``, and each ``y`` row its own slack.  Every other
+    column rests at a finite bound, lower first: ``zeta`` at ``-m_cost``,
+    the other ``z`` and every ``y`` at 0, a one-cell period's ``d_da`` at
+    ``lo``.  Taken in the order ``sum z``, tie, ``cvar`` and ``y`` rows, each
+    row adds one basic column with a ±1 entry there, so the basis is
+    triangular and never singular.  Its point is feasible: the chosen ``z``
+    is 1, ``d_da[t]`` sits on that cell's lower edge inside ``[lo, hi]``,
+    each ``y`` row's activity is ``-width <= 0``, and ``eta[s]`` is scenario
+    s's cost plus ``m_cost``, inside ``[0, 2 m_cost]`` because every cost's
+    magnitude is below ``m_cost``.  So the root runs no phase 1.
+
+    Returns the model, the cells, which cells have a ``z``, and that start
+    basis (m column indices, the slack of row i being ``n + i``)."""
     T, S = inst.n_periods, inst.n_scenarios
     cells = _cells(inst, lo, hi)
     k_mat = inst.realized_demand()[:, cells.period]  # (S, N)
@@ -673,6 +692,11 @@ def _cell_model(
     add(cap, y, 1.0)
     add(cap, z, -width)
 
+    # start basis: per period, its cheapest z in the sum-z row
+    order = np.lexsort((obj[z], group))
+    first = np.flatnonzero(np.diff(group[order], prepend=-1))
+    basis = np.concatenate([eta, z[order[first]], periods, col_lower.size + cap])
+
     ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
     keep = v != 0.0
     lp = LinearMip(
@@ -685,7 +709,7 @@ def _cell_model(
         row_upper=row_upper,
         obj_offset=-float(probs @ cvar_const),
     )
-    return lp, cells, multi
+    return lp, cells, multi, basis
 
 
 # --------------------------------------------------------------------------
@@ -705,8 +729,8 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     lo, hi, infeasible_group = _reduce(inst)
     if infeasible_group is not None:
         return _empty_solution("infeasible", infeasible_group)
-    lp, cells, multi = _cell_model(inst, lo, hi)
-    result = solve_milp(lp, gap_tol=tol)
+    lp, cells, multi, basis = _cell_model(inst, lo, hi)
+    result = solve_milp(lp, gap_tol=tol, basis=basis)
     if result.status == "infeasible":
         row = f"cell model row {result.infeasible_row}" if result.infeasible_row >= 0 else None
         return _empty_solution("infeasible", row)
@@ -751,6 +775,8 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
         n_nodes=result.n_nodes,
         lp_iterations=result.lp_iterations,
         refactorizations=result.refactorizations,
+        phase1_iterations=result.phase1_iterations,
+        bland_switches=result.bland_switches,
         lp_point=full,
     )
 

@@ -97,11 +97,12 @@ def read_scenario_csv(path) -> ErrorScenarioSet:
     absent scenario or a scenario that misses a period raises ``ValueError``."""
     rows: dict[int, dict[int, float]] = {}
     probs: dict[int, float] = {}
-    for row in read_csv(path, "scenario", ["scenario", "period_index", "err_kwh", "prob"]):
-        s = int(row["scenario"])
-        t = int(row["period_index"])
-        rows.setdefault(s, {})[t] = float(row["err_kwh"])
-        probs[s] = float(row["prob"])
+    for scenario, period_index, err, prob in read_csv(
+        path, "scenario", ["scenario", "period_index", "err_kwh", "prob"]
+    ):
+        s, t = int(scenario), int(period_index)
+        rows.setdefault(s, {})[t] = float(err)
+        probs[s] = float(prob)
     if min(rows) < 0 or min(min(d) for d in rows.values()) < 0:
         raise ValueError("scenario CSV holds a negative scenario or period index")
     n_s = max(rows) + 1

@@ -519,7 +519,7 @@ class _Pending:
     parent_bound: float
 
 
-def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
+def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000, basis=None):
     """``branch_bound.solve_milp`` with each node kept as a list of
     ``(col, lo, hi)`` fixes that a pop replays over the original bounds, a
     solve before the loop and binaries fixed at 0 or 1.  General integers
@@ -527,7 +527,7 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
     binary models only."""
     int_tol = 1e-7
     int_cols = lp.integer_columns()
-    solver = SimplexSolver(lp)
+    solver = SimplexSolver(lp, basis)
     orig_lb = lp.col_lower.copy()
     orig_ub = lp.col_upper.copy()
 
@@ -548,13 +548,20 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
 
     stack = []
     fixes = []
-    res = solver.solve()
+    telemetry = [0, 0]  # phase-1 iterations, Bland switches
+
+    def note_solve(res):
+        telemetry[0] += res.phase1_iterations
+        telemetry[1] += res.bland
+        return res
+
+    res = note_solve(solver.solve())
     n_nodes = 1
     lp_iterations = res.iterations
     if res.status == "infeasible":
         return MilpResult(
             "infeasible", INF, None, INF, n_nodes, lp_iterations, solver.refactorizations,
-            res.infeasible_row,
+            res.infeasible_row, *telemetry,
         )
     if res.status == "unbounded":
         raise ValueError("relaxation is unbounded; the model is missing finite bounds")
@@ -594,7 +601,7 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
                 solver.set_col_bounds(*near_fix)
                 if n_nodes >= max_nodes:
                     raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
-                res = solver.solve()
+                res = note_solve(solver.solve())
                 n_nodes += 1
                 lp_iterations += res.iterations
                 if res.status == "unbounded":
@@ -613,7 +620,7 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
             solver.load_state(node.basis, node.vstat)
             if n_nodes >= max_nodes:
                 raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
-            res = solver.solve()
+            res = note_solve(solver.solve())
             n_nodes += 1
             lp_iterations += res.iterations
             if res.status == "unbounded":
@@ -623,7 +630,7 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000):
         if res is None and not stack:
             break
 
-    counts = (n_nodes, lp_iterations, solver.refactorizations)
+    counts = (n_nodes, lp_iterations, solver.refactorizations, -1, *telemetry)
     if best_x is None:
         return MilpResult("infeasible", INF, None, INF, *counts)
     gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0

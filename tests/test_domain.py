@@ -293,13 +293,26 @@ class TestCsvDialect:
         path.write_text("b\n1\n")
         with pytest.raises(ValueError, match=r"^thing CSV lacks columns \['c', 'a'\]$"):
             list(read_csv(path, "thing", ["c", "b", "a"]))
-        assert list(read_csv(path, "thing", ["b"])) == [{"b": "1"}]
+        assert list(read_csv(path, "thing", ["b"])) == [("1",)]
 
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("b\n")
         with pytest.raises(ValueError, match="^thing CSV contains no rows$"):
             list(read_csv(path, "thing", ["b"]))
+
+    def test_rows_follow_requested_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,2,3\n\n4,5,6\n")
+        assert list(read_csv(path, "thing", ["c", "a"])) == [("3", "1"), ("6", "4")]
+        assert list(read_csv(path, "thing", ["b"])) == [("2",), ("5",)]
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5\n")
+        with pytest.raises(ValueError, match="^thing CSV line 3 has 2 of 3 cells$"):
+            list(read_csv(path, "thing", ["c"]))
+        assert list(read_csv(path, "thing", ["a", "b"])) == [("1", "2"), ("4", "5")]
 
 
 @settings(max_examples=30, deadline=None)

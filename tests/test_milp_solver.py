@@ -191,6 +191,29 @@ class TestBasisRepair:
         assert res.objective == pytest.approx(ref.fun, abs=1e-9)
         assert check_feasibility(lp, res.x) <= 1e-9
 
+    def test_singular_start_basis_is_repaired(self, monkeypatch):
+        # a start basis with a dependent column is repaired at install and
+        # the solve still reaches the all-slack start's optimum
+        lp, _, basis, _ = singular_basis_solver()
+        repairs, repair = [], SimplexSolver._repair_basis
+
+        def recorded(self, B):
+            repairs.append(self.basis.copy())
+            repair(self, B)
+
+        monkeypatch.setattr(SimplexSolver, "_repair_basis", recorded)
+        solver = SimplexSolver(lp, basis)
+        assert len(repairs) == 1 and np.array_equal(repairs[0], basis)
+        assert not np.array_equal(solver.basis, basis)
+        assert np.linalg.matrix_rank(solver._basis_matrix()) == lp.n_rows
+        assert np.count_nonzero(solver.vstat == _BASIC) == lp.n_rows
+        res, cold = solver.solve(), solve_lp(lp)
+        assert res.status == cold.status == "optimal"
+        assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert check_feasibility(lp, res.x) <= 1e-9
+        milp_res = solve_milp(lp, basis=basis)
+        assert milp_res.objective == pytest.approx(cold.objective, abs=1e-9)
+
 
 def assert_kernel_inverse(solver):
     """The gathered basis equals the loop-built one, and the kernel inverse
@@ -332,7 +355,10 @@ def assert_same_result(got, want):
     assert (got.x is None) == (want.x is None)
     if got.x is not None:
         assert got.x.tobytes() == want.x.tobytes()
-    for name in ("n_nodes", "lp_iterations", "refactorizations", "infeasible_row"):
+    for name in (
+        "n_nodes", "lp_iterations", "refactorizations", "infeasible_row",
+        "phase1_iterations", "bland_switches",
+    ):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -380,12 +406,14 @@ class TestBranchAndBound:
     def test_counters_cover_every_node(self, monkeypatch):
         # each popped sibling refactorizes in load_state, so a search with
         # pops counts more refactorizations than its root solve alone
-        iterations, pops = [], []
+        iterations, phase1, bland, pops = [], [], [], []
         solve, load_state = SimplexSolver.solve, SimplexSolver.load_state
 
         def counted_solve(self, *args, **kwargs):
             res = solve(self, *args, **kwargs)
             iterations.append(res.iterations)
+            phase1.append(res.phase1_iterations)
+            bland.append(res.bland)
             return res
 
         def counted_load_state(self, *args):
@@ -398,11 +426,13 @@ class TestBranchAndBound:
         n_popped = 0
         for _ in range(40):
             lp = random_mip(rng)
-            iterations.clear()
-            pops.clear()
+            for counts in (iterations, phase1, bland, pops):
+                counts.clear()
             res = solve_milp(lp, gap_tol=1e-8)
             assert res.n_nodes == len(iterations)
             assert res.lp_iterations == sum(iterations)
+            assert res.phase1_iterations == sum(phase1) <= res.lp_iterations
+            assert res.bland_switches == sum(bland)
             assert res.refactorizations >= len(pops)
             if pops:
                 root = SimplexSolver(lp)

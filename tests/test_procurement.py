@@ -9,7 +9,8 @@ from scipy.sparse import csr_matrix
 
 from dpmeter.market import SystemExogenous
 import dpmeter.procurement as procurement
-from dpmeter.milp import check_feasibility, solve_milp
+from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
+from dpmeter.milp.simplex import _FEAS_TOL
 from dpmeter.procurement import (
     ProcurementInstance,
     _cell_model,
@@ -370,7 +371,7 @@ class TestReducedModel:
         lo, hi, group = _reduce(inst)
         want_lo, want_hi, want_group = loop_reduce(inst)
         assert (lo.tobytes(), hi.tobytes(), group) == (want_lo.tobytes(), want_hi.tobytes(), want_group)
-        lp, cells, _ = _cell_model(inst, lo, hi)
+        lp, cells = _cell_model(inst, lo, hi)[:2]
         assert_same_cells(cells, loop_cells(inst, lo, hi))
         assert_same_cell_model(lp, loop_cell_model(inst), inst)
 
@@ -446,6 +447,54 @@ class TestReducedModel:
         assert (sol.n_nodes, sol.lp_iterations, sol.refactorizations) == (
             res.n_nodes, res.lp_iterations, res.refactorizations
         )
+        assert (sol.phase1_iterations, sol.bland_switches) == (
+            res.phase1_iterations, res.bland_switches
+        )
+
+
+class TestStartBasis:
+    """``_cell_model``'s start basis is primal feasible, so the root LP of
+    every cell model runs no phase 1 and reaches the cold-start optimum."""
+
+    def test_start_basis_is_feasible(self):
+        rng = np.random.default_rng(29)
+        insts = parity_instances() + [random_instance(rng, T=5, S=5, B=5, F=6) for _ in range(10)]
+        n_multi = 0
+        for inst in insts:
+            lo, hi, group = _reduce(inst)
+            if group is not None:
+                continue
+            lp, _, multi, basis = _cell_model(inst, lo, hi)
+            solver = SimplexSolver(lp, basis)
+            assert np.array_equal(solver.basis, basis)  # installed without repair
+            xb = solver.x[basis]
+            assert np.all(solver.lb[basis] - _FEAS_TOL <= xb)
+            assert np.all(xb <= solver.ub[basis] + _FEAS_TOL)
+            res = solver.solve()
+            assert res.status == "optimal" and res.phase1_iterations == 0
+            assert res.objective == pytest.approx(solve_lp(lp).objective, rel=1e-9)
+            n_multi += bool(multi.any())
+        assert n_multi >= 20
+
+    def test_solve_roots_run_no_phase1(self, monkeypatch):
+        # the first LP solve of each procurement solve is its root
+        roots, solve_from = [], SimplexSolver.solve
+
+        def recorded(self):
+            res = solve_from(self)
+            if not hasattr(self, "seen"):
+                self.seen = True
+                roots.append(res)
+            return res
+
+        monkeypatch.setattr(SimplexSolver, "solve", recorded)
+        rng = np.random.default_rng(31)
+        insts = [random_instance(rng, T=5, S=5, B=5, F=6) for _ in range(6)]
+        insts.append(read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"))
+        for inst in insts:
+            assert solve(build_milp(inst)).status == "optimal"
+        assert len(roots) == len(insts)
+        assert all(r.iterations > 0 and r.phase1_iterations == 0 for r in roots)
 
 
 class TestSolve:

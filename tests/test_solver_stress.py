@@ -8,8 +8,10 @@ procurement solve must reach ``scipy.optimize.milp``'s optimum on the full
 
 The deep ``hhs-dlcsys`` cases (the same forecast as ``nhhs``) are the
 ones that once needed hundreds to thousands of nodes: S = 30 at scenario
-seeds 0 and 2, and S = 50 at seeds 0 and 5.  On the cell model they take
-17 to 57 nodes, each solve under 3 s on a 2-CPU machine.
+seeds 0 and 2, S = 50 at seeds 0 and 5, and S = 100 at seed 1.  On the
+cell model, with OpenBLAS on one thread on a 2-CPU machine, they take 7,
+31, 15, 55 and 3 nodes: 0.2 to 2 s per solve at S <= 50, and about 4 s at
+S = 100, where HiGHS takes about 2 s.
 """
 
 import dataclasses
@@ -52,6 +54,7 @@ CASES = (
     + [(50, name, seed) for name in ("hhs-ehh", "hhs-ddp") for seed in range(3)]
     + [(30, "hhs-dlcsys", seed) for seed in (0, 2)]
     + [(50, "hhs-dlcsys", seed) for seed in (0, 5)]
+    + [(100, "hhs-dlcsys", 1)]
 )
 
 
