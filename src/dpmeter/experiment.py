@@ -9,6 +9,13 @@ per experiment, so schemes compete under identical conditions; the
 heterogeneity sweep shares that market and takes its p = 0 and p = 1
 endpoints from the hhs-ehh and hhs-ddp cells.
 
+Forecasting runs in one phase per seed: every forecast the seed's cells
+and heterogeneity splits need is trained in one stack
+(``forecast.forecast_schemes``), and nhhs shares the hhs-dlcsys forecast,
+which takes the same daily pipeline.  The cells are then solved in the
+scheme grid's order, then the sweep's, so rows and failures come out in
+the same order as when each cell forecast for itself.
+
 Cells are isolated: a failing cell is logged and skipped, other cells run,
 and the caller decides the exit code from the failure list.
 """
@@ -38,7 +45,13 @@ from .domain import (
     read_meter_csv,
     write_csv,
 )
-from .forecast import BACKTEST_DAYS, TrainConfig, forecast_scheme
+from .forecast import (
+    BACKTEST_DAYS,
+    ForecastResult,
+    TrainConfig,
+    forecast_request,
+    forecast_schemes,
+)
 from .market import PriceCurve, SystemExogenous, build_curve, read_ladder_csv
 from .metrics import wape
 from .privacy import PrivacyParams
@@ -305,6 +318,17 @@ def _cell_seeds(seed: int) -> tuple[int, int]:
 
 
 Cell = tuple[str, float | None, float | None, int]  # (scheme, epsilon, gamma, seed)
+# (scheme, epsilon, gamma, n_priv): one forecast of a seed.  With n_priv None
+# the whole group is forecast under the scheme; otherwise the group is split
+# as in ``_hetero_split`` and the two sub-aggregate forecasts are summed.
+ForecastKey = tuple[str, float | None, float | None, int | None]
+Forecast = tuple[LoadSeries, float]  # next-day forecast (kWh) and its backtest WAPE
+
+
+def _forecast_key(name: str, eps: float | None, gam: float | None) -> ForecastKey:
+    """The forecast a scheme cell prices.  nhhs takes the hhs-dlcsys daily
+    pipeline with the same seed, so the two cells share one forecast."""
+    return ("hhs-dlcsys", None, None, None) if name == "nhhs" else (name, eps, gam, None)
 
 
 @dataclass(frozen=True)
@@ -328,24 +352,88 @@ class CellOutcome:
     objective: float
 
 
-def run_cell(
-    cell: Cell, ctx: ExperimentContext, cfg: ExperimentConfig, n_priv: int | None = None
-) -> CellOutcome | Exception:
-    """Forecast, price and solve one cell; a failure is returned, not raised.
+def _hetero_split(group_panel: MeterPanel, n_priv: int, seed: int) -> tuple[MeterPanel, MeterPanel]:
+    """The ``n_priv`` meters drawn from the seed, 0 < n_priv < n, and the rest."""
+    split_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    priv_idx = np.sort(split_rng.choice(group_panel.n_meters, size=n_priv, replace=False))
+    priv = set(priv_idx.tolist())
+    priv_ids = [group_panel.meters[i].meter_id for i in priv_idx]
+    rest_ids = [m.meter_id for i, m in enumerate(group_panel.meters) if i not in priv]
+    return group_panel.subset(priv_ids), group_panel.subset(rest_ids)
 
-    With ``n_priv`` the group is split: that many meters are forecast under
-    the cell's scheme and the rest under hhs-ehh (see ``_hetero_forecast``).
+
+def _summed(group_panel: MeterPanel, fc_priv: ForecastResult, fc_rest: ForecastResult) -> Forecast:
+    """Sum of the private and raw sub-aggregate forecasts; its backtest WAPE
+    against the whole group."""
+    combined = LoadSeries(
+        "hetero-forecast",
+        fc_priv.forecast.start,
+        fc_priv.forecast.values + fc_rest.forecast.values,
+    )
+    truth = aggregate_panel(group_panel)
+    holdout = truth.values[-BACKTEST_DAYS * PERIODS_PER_DAY :]
+    backtest = fc_priv.backtest.values + fc_rest.backtest.values
+    return combined, wape(holdout, backtest).value
+
+
+def _forecast_phase(
+    ctx: ExperimentContext, cfg: ExperimentConfig, seed: int, keys: list[ForecastKey]
+) -> dict[ForecastKey, Forecast | Exception]:
+    """Every forecast in ``keys`` for one seed, trained as one stack.
+
+    A split key forecasts its ``n_priv`` meters under its scheme and the
+    rest under hhs-ehh.  A forecast that cannot be built or trained maps to
+    its exception (for a split, the private part's first).
     """
-    name, eps, gam, seed = cell
-    fc_seed, scen_seed = _cell_seeds(seed)
+    fc_seed, _ = _cell_seeds(seed)
+    out: dict[ForecastKey, Forecast | Exception] = {}
+    requests, parts = [], {}
+    for key in keys:
+        name, eps, gam, n_priv = key
+        try:
+            scheme = _scheme_of(name, eps, gam)
+            if n_priv is None:
+                pipelines = [(scheme, ctx.group_panel)]
+            else:
+                priv, rest = _hetero_split(ctx.group_panel, n_priv, seed)
+                pipelines = [(scheme, priv), (SettlementScheme.hhs_ehh(), rest)]
+            reqs = [forecast_request(s, p, ctx.dlc_sys, cfg.train, fc_seed) for s, p in pipelines]
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            out[key] = exc
+            continue
+        parts[key] = slice(len(requests), len(requests) + len(reqs))
+        requests += reqs
     try:
-        scheme = _scheme_of(name, eps, gam)
-        if n_priv is None:
-            fc = forecast_scheme(scheme, ctx.group_panel, ctx.dlc_sys, cfg.train, fc_seed)
-            forecast, wape_value = fc.forecast, fc.wape_backtest.value
+        results = forecast_schemes(requests)
+    except Exception as exc:  # noqa: BLE001 - a stack-wide failure fails its cells
+        results = [exc] * len(requests)
+    for key, where in parts.items():
+        fcs = results[where]
+        failed = [fc for fc in fcs if isinstance(fc, Exception)]
+        if failed:
+            out[key] = failed[0]
+        elif len(fcs) == 1:
+            out[key] = (fcs[0].forecast, fcs[0].wape_backtest.value)
         else:
-            forecast, wape_value = _hetero_forecast(ctx, scheme, n_priv, cfg, seed)
-        inst = forecast_to_instance(forecast, wape_value, ctx.market, cfg, scen_seed)
+            try:
+                out[key] = _summed(ctx.group_panel, *fcs)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                out[key] = exc
+    return out
+
+
+def run_cell(
+    forecast: Forecast | Exception, seed: int, ctx: ExperimentContext, cfg: ExperimentConfig
+) -> CellOutcome | Exception:
+    """Price and solve one cell's forecast with the seed's scenarios; a
+    failure is returned, not raised.  A failed forecast is the cell's
+    failure."""
+    if isinstance(forecast, Exception):
+        return forecast
+    fc, wape_value = forecast
+    _, scen_seed = _cell_seeds(seed)
+    try:
+        inst = forecast_to_instance(fc, wape_value, ctx.market, cfg, scen_seed)
         sol = solve(build_milp(inst), tol=cfg.solver_tol)
         if sol.status != "optimal":
             raise RuntimeError(f"procurement {sol.status}: {sol.infeasible_row}")
@@ -368,7 +456,14 @@ def _add_row(results, failures, label: str, out, ctx: ExperimentContext, **field
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]]:
-    """All (scheme, epsilon, gamma, seed) cells; failures abort only their cell."""
+    """All (scheme, epsilon, gamma, seed) cells; failures abort only their cell.
+
+    Each seed first runs a forecast phase: every forecast that seed needs
+    (each scheme cell's, the heterogeneity endpoints' and each split's
+    private and rest forecasts) trains in one ``forecast_schemes`` stack,
+    so one stack's inputs are held at a time.  The cells are then solved
+    in the order of the scheme grid, then the heterogeneity sweep's.
+    """
     panel = load_panel(cfg)
     dlc_sys = compute_dlc(panel)
     group_panel, group_label, group_kld = select_group(cfg, panel)
@@ -385,65 +480,51 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
         else:
             cells.extend((name, None, None, s) for s in cfg.seeds)
 
+    keys = [_forecast_key(name, eps, gam) for name, eps, gam, _ in cells]
+    if cfg.hetero_p:
+        # the sweep's endpoints, and its splits short of none or all meters
+        eps, gam = cfg.epsilon_grid[0], cfg.gamma_grid[0]
+        n = group_panel.n_meters
+        keys += [("hhs-ehh", None, None, None), ("hhs-ddp", eps, gam, None)]
+        keys += [("hhs-ddp", eps, gam, round(p * n)) for p in cfg.hetero_p if 0 < round(p * n) < n]
+    keys = list(dict.fromkeys(keys))
+    forecasts: dict[tuple[int, ForecastKey], Forecast | Exception] = {}
+    for seed in cfg.seeds:
+        for key, fc in _forecast_phase(ctx, cfg, seed, keys).items():
+            forecasts[seed, key] = fc
+
     results: list[SchemeResult] = []
     failures: list[str] = []
     outcomes: dict[Cell, CellOutcome | Exception] = {}
     for cell in cells:
         name, eps, gam, seed = cell
-        outcomes[cell] = run_cell(cell, ctx, cfg)
+        outcomes[cell] = run_cell(forecasts[seed, _forecast_key(name, eps, gam)], seed, ctx, cfg)
         label = f"{name}(eps={eps},gamma={gam},seed={seed})"
         fields = dict(scheme=name, epsilon=eps, gamma=gam, p=None, seed=seed)
         _add_row(results, failures, label, outcomes[cell], ctx, **fields)
     results.sort(key=SchemeResult.sort_key)
     if cfg.hetero_p:
-        hetero, hfail = heterogeneity_sweep(ctx, cfg, outcomes)
+        hetero, hfail = heterogeneity_sweep(ctx, cfg, outcomes, forecasts)
         results.extend(hetero)
         failures.extend(hfail)
     return results, failures
 
 
-def _hetero_forecast(
-    ctx: ExperimentContext, scheme: SettlementScheme, n_priv: int, cfg: ExperimentConfig, seed: int
-) -> tuple[LoadSeries, float]:
-    """Sum of private and raw sub-aggregate forecasts; its backtest WAPE.
-
-    ``n_priv`` meters, 0 < n_priv < n, drawn from the seed, are forecast
-    under ``scheme`` and the rest under hhs-ehh.
-    """
-    fc_seed, _ = _cell_seeds(seed)
-    group_panel = ctx.group_panel
-    split_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-    priv_idx = np.sort(split_rng.choice(group_panel.n_meters, size=n_priv, replace=False))
-    priv = set(priv_idx.tolist())
-    priv_ids = [group_panel.meters[i].meter_id for i in priv_idx]
-    rest_ids = [m.meter_id for i, m in enumerate(group_panel.meters) if i not in priv]
-    fc_priv = forecast_scheme(
-        scheme, group_panel.subset(priv_ids), ctx.dlc_sys, cfg.train, fc_seed
-    )
-    fc_rest = forecast_scheme(
-        SettlementScheme.hhs_ehh(), group_panel.subset(rest_ids), ctx.dlc_sys, cfg.train, fc_seed
-    )
-    combined = LoadSeries(
-        "hetero-forecast",
-        fc_priv.forecast.start,
-        fc_priv.forecast.values + fc_rest.forecast.values,
-    )
-    truth = aggregate_panel(group_panel)
-    holdout = truth.values[-BACKTEST_DAYS * PERIODS_PER_DAY :]
-    backtest = fc_priv.backtest.values + fc_rest.backtest.values
-    return combined, wape(holdout, backtest).value
-
-
 def heterogeneity_sweep(
-    ctx: ExperimentContext, cfg: ExperimentConfig, outcomes: dict[Cell, CellOutcome | Exception]
+    ctx: ExperimentContext,
+    cfg: ExperimentConfig,
+    outcomes: dict[Cell, CellOutcome | Exception],
+    forecasts: dict[tuple[int, ForecastKey], Forecast | Exception],
 ) -> tuple[list[SchemeResult], list[str]]:
     """Cost of serving a group where only a fraction p demands privacy.
 
     Privacy is that of the grid's first epsilon and gamma.  The endpoints
     p = 0 and p = 1 are the hhs-ehh and hhs-ddp cells, read from
-    ``outcomes``; an endpoint the grid did not run is run here and reports
-    no row of its own.  A p whose split rounds to none or all of the group
-    is that endpoint.  Also reports the probability-weighted reference cost
+    ``outcomes``; an endpoint the grid did not run is solved here and
+    reports no row of its own.  A p whose split rounds to none or all of
+    the group is that endpoint.  Every forecast comes from ``forecasts``,
+    keyed by seed and ``ForecastKey``.  Also reports the
+    probability-weighted reference cost
     ``p * cost(all private) + (1 - p) * cost(none private)`` per seed.
     """
     eps, gam = cfg.epsilon_grid[0], cfg.gamma_grid[0]
@@ -455,7 +536,7 @@ def heterogeneity_sweep(
     for seed in cfg.seeds:
         for p, cell in ((0.0, ("hhs-ehh", None, None, seed)), (1.0, ("hhs-ddp", eps, gam, seed))):
             if cell not in outcomes:
-                outcomes[cell] = run_cell(cell, ctx, cfg)
+                outcomes[cell] = run_cell(forecasts[seed, (*cell[:3], None)], seed, ctx, cfg)
             if isinstance(outcomes[cell], Exception):
                 failures.append(f"hetero endpoint p={p} seed={seed}: {outcomes[cell]}")
                 _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, outcomes[cell])
@@ -469,7 +550,7 @@ def heterogeneity_sweep(
                 continue
             ehh, ddp = endpoints[(seed, 0.0)], endpoints[(seed, 1.0)]
             if 0 < n_priv < n:
-                out = run_cell(("hhs-ddp", eps, gam, seed), ctx, cfg, n_priv)
+                out = run_cell(forecasts[seed, ("hhs-ddp", eps, gam, n_priv)], seed, ctx, cfg)
             else:
                 out = ddp if n_priv == n else ehh
             omega_exp = p * ddp.expected_cost + (1.0 - p) * ehh.expected_cost

@@ -8,9 +8,18 @@ schemes reuse the same architecture with day-level lags {1, 2, 7} and
 spread the predicted daily energy over the system load shape.
 
 Features are built for a whole range of periods (or days) at once: the
-calendar columns elementwise, the lags in one gather.  Each pipeline builds
-one matrix, trains on the rows before the 14-day holdout and predicts the
-holdout and the next day in one batch.
+calendar columns elementwise, the lags in one gather.  Each pipeline
+(``forecast_request``) builds one matrix whose rows before the 14-day
+holdout are its training set; ``finish_forecast`` predicts the holdout and
+the next day in one batch and scores the backtest.
+
+Training has one path, for one model or many: ``train_many`` stacks the
+requests that share a shape and a schedule along a leading model axis and
+steps them together through one batched gradient kernel, so a step costs
+about as much numpy overhead for nine models as for one.  Each slice of the
+kernel makes the same BLAS call and the same reduction as a lone model, so
+every model is bit for bit the one it would be alone; ``train`` is the
+one-model form and ``forecast_schemes`` trains many pipelines in one call.
 
 Features and targets are z-scored once with training-set statistics; the
 inverse transform is applied at prediction time, which keeps one fixed
@@ -116,107 +125,194 @@ class MlpModel:
         return self.w1.shape[0]
 
 
-def _forward(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and the output for standardized rows ``xs``."""
-    a1 = np.maximum(xs @ model.w1 + model.b1, 0.0)
-    return a1, a1 @ model.w2 + model.b2
+def _layers(flat: np.ndarray, d: int):
+    """Views ``(w1, b1, w2, b2)`` of a stack of flat parameter rows (K, P),
+    laid out as ``pack_parameters`` and shaped (K, d, 4), (K, 1, 4), (K, 4, 1)
+    and (K, 1, 1) so that they broadcast as ``_forward`` uses them."""
+    k, h = flat.shape[0], HIDDEN_WIDTH
+    return (
+        flat[:, : d * h].reshape(k, d, h),
+        flat[:, d * h : d * h + h].reshape(k, 1, h),
+        flat[:, d * h + h : d * h + 2 * h].reshape(k, h, 1),
+        flat[:, -1:].reshape(k, 1, 1),
+    )
 
 
-def _gradient(model: MlpModel, xs: np.ndarray, ys: np.ndarray):
-    """Residuals and the exact gradient of the mean squared error on
-    standardized rows, as ``(r, d_w1, d_b1, d_w2, d_b2)``."""
-    a1, pred = _forward(model, xs)
+def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and outputs (K, n, 1) of a stack of K models, each
+    on its own standardized rows ``xs`` (K, n, d)."""
+    w1, b1, w2, b2 = layers
+    a1 = np.maximum(xs @ w1 + b1, 0.0)
+    return a1, a1 @ w2 + b2
+
+
+def _gradient(layers, xs: np.ndarray, ys: np.ndarray, grads) -> np.ndarray:
+    """Each model's residuals (K, n, 1) on its standardized rows; writes the
+    exact gradient of its mean squared error into ``grads``, views shaped as
+    ``layers``.  Each slice takes the same BLAS call and the same reduction
+    as the lone model would, so it comes out bit for bit the same."""
+    a1, pred = _forward(layers, xs)
     r = pred - ys
-    dl_dpred = 2.0 * r / xs.shape[0]
-    dz1 = np.outer(dl_dpred, model.w2) * (a1 > 0)
-    return r, xs.T @ dz1, dz1.sum(axis=0), a1.T @ dl_dpred, float(dl_dpred.sum())
+    dl_dpred = 2.0 * r / xs.shape[1]
+    dz1 = dl_dpred * layers[2].transpose(0, 2, 1) * (a1 > 0)
+    np.matmul(xs.transpose(0, 2, 1), dz1, out=grads[0])
+    np.add.reduce(dz1, axis=1, keepdims=True, out=grads[1])
+    np.matmul(a1.transpose(0, 2, 1), dl_dpred, out=grads[2])
+    np.add.reduce(dl_dpred, axis=1, keepdims=True, out=grads[3])
+    return r
 
 
 def loss_and_gradient(
     model: MlpModel, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared error on standardized data and its exact gradient."""
+    """Mean squared error on standardized data and its exact gradient,
+    through the training kernel at a stack of one."""
     xs = (X - model.x_mean) / model.x_std
     ys = (y - model.y_mean) / model.y_std
-    r, d_w1, d_b1, d_w2, d_b2 = _gradient(model, xs, ys)
-    return float((r**2).mean()), {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+    d = model.n_features
+    params = pack_parameters(model)[None]
+    grad = np.empty_like(params)
+    r = _gradient(_layers(params, d), xs[None], ys[None, :, None], _layers(grad, d))
+    w1, b1, w2, b2 = _unpack(grad[0], d)
+    return float((r**2).mean()), {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 
 def pack_parameters(model: MlpModel) -> np.ndarray:
     return np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
 
 
+def _unpack(flat: np.ndarray, d: int):
+    """``(w1, b1, w2, b2)`` copied out of one row laid out as ``pack_parameters``."""
+    w1, b1, w2, b2 = (a[0].copy() for a in _layers(flat[None], d))
+    return w1, b1[0], w2[:, 0], float(b2[0, 0])
+
+
 def with_parameters(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    d = model.n_features
-    w1 = flat[: d * HIDDEN_WIDTH].reshape(d, HIDDEN_WIDTH).copy()
-    b1 = flat[d * HIDDEN_WIDTH : d * HIDDEN_WIDTH + HIDDEN_WIDTH].copy()
-    w2 = flat[d * HIDDEN_WIDTH + HIDDEN_WIDTH : d * HIDDEN_WIDTH + 2 * HIDDEN_WIDTH].copy()
-    b2 = float(flat[-1])
     return MlpModel(
-        w1, b1, w2, b2, model.x_mean, model.x_std, model.y_mean, model.y_std
+        *_unpack(flat, model.n_features), model.x_mean, model.x_std, model.y_mean, model.y_std
     )
 
 
-def train(dataset, cfg: TrainConfig) -> MlpModel:
-    """Mini-batch gradient descent at a fixed learning rate on ``(X, y)``.
-
-    The rows are standardized once; each step takes the gradient of one
-    mini-batch of the standardized rows.  Deterministic for a fixed seed.
-    Stops early once the epoch loss changes by less than ``early_stop_tol``
-    (relative to the initial loss); diverging losses or non-finite data are
-    hard errors.
-    """
+def _checked(dataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     X, y = (np.asarray(a, dtype=float) for a in dataset)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("dataset must pair one feature row with one target")
-    n, d = X.shape
-    if n < cfg.min_samples:
-        raise ValueError(f"need at least {cfg.min_samples} samples, got {n}")
+    if X.shape[0] < cfg.min_samples:
+        raise ValueError(f"need at least {cfg.min_samples} samples, got {X.shape[0]}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("dataset contains non-finite values")
+    return X, y
 
-    x_mean = X.mean(axis=0)
-    x_std = X.std(axis=0)
-    x_std = np.where(x_std < 1e-8, 1.0, x_std)
-    y_mean = float(y.mean())
-    y_std = float(y.std())
-    y_std = y_std if y_std > 1e-8 else 1.0
 
-    rng = np.random.default_rng(cfg.seed)
-    model = MlpModel(
-        w1=rng.normal(0.0, np.sqrt(2.0 / d), (d, HIDDEN_WIDTH)),
-        b1=np.zeros(HIDDEN_WIDTH),
-        w2=rng.normal(0.0, np.sqrt(2.0 / HIDDEN_WIDTH), HIDDEN_WIDTH),
-        b2=0.0,
-        x_mean=x_mean,
-        x_std=x_std,
-        y_mean=y_mean,
-        y_std=y_std,
-    )
+def train_many(datasets, cfgs) -> list[MlpModel | Exception]:
+    """Mini-batch gradient descent at a fixed learning rate, one model per
+    ``(X, y)`` dataset and ``TrainConfig``; one model or one exception per
+    request, in order.
 
-    xs = (X - x_mean) / x_std
-    ys = (y - y_mean) / y_std
-    prev = None
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, d_w1, d_b1, d_w2, d_b2 = _gradient(model, xs[idx], ys[idx])
-            model.w1 -= cfg.learning_rate * d_w1
-            model.b1 -= cfg.learning_rate * d_b1
-            model.w2 -= cfg.learning_rate * d_w2
-            model.b2 -= cfg.learning_rate * d_b2
-        _, pred = _forward(model, xs)
-        loss_std = float(((pred - ys) ** 2).mean())
-        loss = loss_std * y_std**2
-        model.epoch_losses.append(loss)
-        if not np.isfinite(loss) or loss > 1e12:
-            raise ValueError("training diverged")
-        if prev is not None and abs(prev - loss) < cfg.early_stop_tol * max(
-            model.epoch_losses[0], 1e-12
-        ):
-            break
-        prev = loss
+    Requests that share ``(n, d, batch_size, epochs, learning_rate)`` train
+    as one stack: every step gathers each member's mini-batch with one
+    index and runs the gradient kernel on the whole stack.  Each member
+    keeps its own ``default_rng(seed)`` (first-layer weights, then output
+    weights, then one permutation per epoch), its own standardization and
+    its own loss checks.  A member whose epoch loss changes by less than
+    ``early_stop_tol`` (relative to its first epoch's) stops, and one whose
+    loss diverges fails; either leaves the stack.  The kernel computes each
+    slice exactly as it would for that model alone, so the members left
+    keep the same bits, and every model equals the one trained alone.  A
+    request with too few samples or non-finite data fails in its own slot.
+    """
+    out: list = [None] * len(datasets)
+    stacks: dict[tuple, list[tuple[int, np.ndarray, np.ndarray, TrainConfig]]] = {}
+    for i, (dataset, cfg) in enumerate(zip(datasets, cfgs, strict=True)):
+        try:
+            X, y = _checked(dataset, cfg)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        key = (*X.shape, cfg.batch_size, cfg.epochs, cfg.learning_rate)
+        stacks.setdefault(key, []).append((i, X, y, cfg))
+    for members in stacks.values():
+        for (i, *_), trained in zip(members, _train_stack(members)):
+            out[i] = trained
+    return out
+
+
+def _train_stack(members) -> list[MlpModel | Exception]:
+    """Train the members of one ``train_many`` stack; see there."""
+    _, X0, _, cfg0 = members[0]
+    n, d = X0.shape
+    batch, lr = cfg0.batch_size, cfg0.learning_rate
+    k_all = len(members)
+    xs = np.empty((k_all, n, d))
+    ys = np.empty((k_all, n, 1))
+    params = np.zeros((k_all, d * HIDDEN_WIDTH + 2 * HIDDEN_WIDTH + 1))
+    w1, _, w2, _ = _layers(params, d)
+    stats, rngs = [], []
+    for k, (_, X, y, cfg) in enumerate(members):
+        x_mean = X.mean(axis=0)
+        x_std = X.std(axis=0)
+        x_std = np.where(x_std < 1e-8, 1.0, x_std)
+        y_mean = float(y.mean())
+        y_std = float(y.std())
+        y_std = y_std if y_std > 1e-8 else 1.0
+        np.divide(np.subtract(X, x_mean, out=xs[k]), x_std, out=xs[k])
+        np.divide(np.subtract(y, y_mean, out=ys[k, :, 0]), y_std, out=ys[k, :, 0])
+        rng = np.random.default_rng(cfg.seed)
+        w1[k] = rng.normal(0.0, np.sqrt(2.0 / d), (d, HIDDEN_WIDTH))
+        w2[k, :, 0] = rng.normal(0.0, np.sqrt(2.0 / HIDDEN_WIDTH), HIDDEN_WIDTH)
+        stats.append((x_mean, x_std, y_mean, y_std))
+        rngs.append(rng)
+
+    out: list = [None] * k_all
+    losses: list[list[float]] = [[] for _ in members]
+    active = list(range(k_all))  # member of each stack slot
+
+    def finish(j: int, k: int) -> None:
+        out[k] = MlpModel(*_unpack(params[j], d), *stats[k], losses[k])
+
+    grad = np.empty_like(params)
+    layers, grads = _layers(params, d), _layers(grad, d)
+
+    for _ in range(cfg0.epochs):
+        # row r of member slot j sits at xs.reshape(-1, d)[j * n + r]
+        order = np.stack([rngs[k].permutation(n) for k in active])
+        order += n * np.arange(len(active))[:, None]
+        flat_x, flat_y = xs.reshape(-1, d), ys.reshape(-1, 1)
+        for start in range(0, n, batch):
+            idx = order[:, start : start + batch]
+            x_batch, y_batch = np.take(flat_x, idx, axis=0), np.take(flat_y, idx, axis=0)
+            _gradient(layers, x_batch, y_batch, grads)
+            params -= lr * grad
+        _, pred = _forward(layers, xs)
+        loss_std = ((pred - ys) ** 2).mean(axis=1)
+        keep = []
+        for j, k in enumerate(active):
+            loss = float(loss_std[j, 0]) * stats[k][3] ** 2
+            history = losses[k]
+            history.append(loss)
+            tol = members[k][3].early_stop_tol * max(history[0], 1e-12)
+            if not np.isfinite(loss) or loss > 1e12:
+                out[k] = ValueError("training diverged")
+            elif len(history) > 1 and abs(history[-2] - loss) < tol:
+                finish(j, k)
+            else:
+                keep.append(j)
+        if len(keep) < len(active):
+            if not keep:
+                return out
+            xs, ys, params, grad = xs[keep], ys[keep], params[keep], grad[keep]
+            layers, grads = _layers(params, d), _layers(grad, d)
+            active = [active[j] for j in keep]
+    for j, k in enumerate(active):
+        finish(j, k)
+    return out
+
+
+def train(dataset, cfg: TrainConfig) -> MlpModel:
+    """One model through ``train_many``; a failed request raises its error."""
+    (model,) = train_many([dataset], [cfg])
+    if isinstance(model, Exception):
+        raise model
     return model
 
 
@@ -227,8 +323,8 @@ def predict(model: MlpModel, x) -> float:
 
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     xs = (np.asarray(X, dtype=float) - model.x_mean) / model.x_std
-    _, pred = _forward(model, xs)
-    return pred * model.y_std + model.y_mean
+    _, pred = _forward(_layers(pack_parameters(model)[None], model.n_features), xs[None])
+    return pred[0, :, 0] * model.y_std + model.y_mean
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -300,22 +396,41 @@ def _seeds(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
     return noise_seed, train_seed
 
 
-def forecast_scheme(
+@dataclass(frozen=True)
+class ForecastRequest:
+    """One scheme pipeline up to training: what to train and how to finish.
+
+    ``X`` runs from the first period (or day) with full lag history to the
+    end of the next day; its first ``y.size`` rows are the training rows
+    and the rest the holdout and the next day.  ``dlc_sys`` spreads
+    predicted daily energies over the system shape; it is ``None`` for a
+    half-hourly pipeline.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    cfg: TrainConfig  # the scheme's, with the drawn training seed
+    truth: LoadSeries  # the true aggregate the backtest scores against
+    dlc_sys: DlcProfile | None
+
+    @property
+    def dataset(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.X[: self.y.size], self.y
+
+
+def forecast_request(
     scheme: SettlementScheme,
     panel: MeterPanel,
     dlc_sys: DlcProfile,
     cfg: TrainConfig,
     seed: int,
-) -> ForecastResult:
-    """Day-ahead forecast of the panel aggregate under one scheme.
+) -> ForecastRequest:
+    """The features, targets and train config of one scheme's pipeline.
 
-    The backtest holds out the trailing 14 days and always scores against
-    the true aggregate; the training inputs are whatever the scheme makes
-    visible (true half-hourly data, daily energies plus the system shape,
-    or a noised aggregate whose noise also feeds the lag features).  One
-    feature matrix runs from the first period (or day) with full lag
-    history to the end of the next day: the model trains on the rows
-    before the holdout and predicts the holdout and the next day together.
+    The training inputs are whatever the scheme makes visible: true
+    half-hourly data, daily energies plus the system shape, or a noised
+    aggregate whose noise also feeds the lag features.  The 14 trailing
+    days are held out.
     """
     truth = aggregate_panel(panel)
     n = len(truth)
@@ -336,20 +451,61 @@ def forecast_scheme(
         days = np.arange(max(DAILY_LAG_OFFSETS), n_days + 1)
         X = _daily_features(daily, truth.start, days)
         n_train = n_days - BACKTEST_DAYS - days[0]
-        model = train((X[:n_train], daily[days[:n_train]]), cfg)
-        predicted = spread_daily(predict_batch(model, X[n_train:]), holdout_start, dlc_sys).values
+        return ForecastRequest(X, daily[days[:n_train]], cfg, truth, dlc_sys)
+    if scheme.kind == HHS_DDP:
+        series = privatize_aggregate(panel, scheme.privacy, noise_seed)
     else:
-        if scheme.kind == HHS_DDP:
-            series = privatize_aggregate(panel, scheme.privacy, noise_seed)
-        else:
-            series = truth
-        t = np.arange(series.start + max(LAG_OFFSETS), series.end + PERIODS_PER_DAY)
-        X = build_features(series, t)
-        n_train = holdout_start - t[0]
-        model = train((X[:n_train], series.values[t[:n_train] - series.start]), cfg)
-        predicted = predict_batch(model, X[n_train:])
+        series = truth
+    t = np.arange(series.start + max(LAG_OFFSETS), series.end + PERIODS_PER_DAY)
+    X = build_features(series, t)
+    n_train = holdout_start - t[0]
+    return ForecastRequest(X, series.values[t[:n_train] - series.start], cfg, truth, None)
 
+
+def finish_forecast(request: ForecastRequest, model: MlpModel) -> ForecastResult:
+    """Predict the holdout and the next day in one batch, spread daily
+    predictions, and score the backtest against the true aggregate."""
+    truth = request.truth
+    holdout_start = truth.end - BACKTEST_DAYS * PERIODS_PER_DAY
+    predicted = predict_batch(model, request.X[request.y.size :])
+    if request.dlc_sys is not None:
+        predicted = spread_daily(predicted, holdout_start, request.dlc_sys).values
     backtest = LoadSeries("backtest", holdout_start, predicted[:-PERIODS_PER_DAY])
     forecast = LoadSeries("forecast", truth.end, predicted[-PERIODS_PER_DAY:])
     score = wape(truth.values[holdout_start - truth.start :], backtest.values)
     return ForecastResult(forecast, score, backtest, model)
+
+
+def forecast_schemes(requests: list[ForecastRequest]) -> list[ForecastResult | Exception]:
+    """Train every request in one ``train_many`` call and finish each; one
+    result or one exception per request, in order."""
+    models = train_many([r.dataset for r in requests], [r.cfg for r in requests])
+    out: list[ForecastResult | Exception] = []
+    for request, model in zip(requests, models):
+        result = model
+        if not isinstance(model, Exception):
+            try:
+                result = finish_forecast(request, model)
+            except ValueError as exc:  # e.g. a holdout whose true load sums to 0
+                result = exc
+        out.append(result)
+    return out
+
+
+def forecast_scheme(
+    scheme: SettlementScheme,
+    panel: MeterPanel,
+    dlc_sys: DlcProfile,
+    cfg: TrainConfig,
+    seed: int,
+) -> ForecastResult:
+    """Day-ahead forecast of the panel aggregate under one scheme.
+
+    The one-request form of ``forecast_schemes``: the backtest holds out
+    the trailing 14 days and always scores against the true aggregate
+    (see ``forecast_request``); a failed training raises its error.
+    """
+    (result,) = forecast_schemes([forecast_request(scheme, panel, dlc_sys, cfg, seed)])
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -149,6 +149,20 @@ class TestRunExperiment:
         b, _ = run_experiment(FAST_CFG)
         assert a == b
 
+    def test_one_failed_pipeline_leaves_the_other(self):
+        # five weeks leave the daily pipeline 14 training days, below its
+        # floor of 21, and the half-hourly one 864 rows
+        cfg = clone(
+            FAST_CFG,
+            schemes=("nhhs", "hhs-ehh"),
+            synth=SynthConfig(n_meters=40, n_weeks=5, seed=3),
+        )
+        results, failures = run_experiment(cfg)
+        assert failures == ["nhhs(eps=None,gamma=None,seed=0): need at least 21 samples, got 14"]
+        alone, alone_failures = run_experiment(clone(cfg, schemes=("hhs-ehh",)))
+        assert not alone_failures
+        assert results == alone
+
     def test_failed_cell_isolated(self):
         # an absurd group share makes forecasting impossible for one scheme
         cfg = clone(
@@ -191,11 +205,13 @@ class TestHeterogeneity:
         import dpmeter.experiment as experiment
 
         calls = {}
-        for name in ("load_panel", "select_group", "make_market", "forecast_scheme", "solve"):
+        for name in ("load_panel", "select_group", "make_market", "forecast_schemes", "solve"):
             original = getattr(experiment, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "forecast_schemes":
+                    calls["requests"] = calls.get("requests", 0) + len(args[0])
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(experiment, name, counted)
@@ -204,14 +220,37 @@ class TestHeterogeneity:
         assert not failures
         assert len(results) == 5
         # 2 scheme cells plus the p = 0.5 split (2 forecasts, 1 solve); the
-        # p = 0 and p = 1 rows are the hhs-ehh and hhs-ddp cells
+        # p = 0 and p = 1 rows are the hhs-ehh and hhs-ddp cells.  The seed's
+        # 4 forecasts train as one stack.
         assert calls == {
             "load_panel": 1,
             "select_group": 1,
             "make_market": 1,
-            "forecast_scheme": 4,
+            "forecast_schemes": 1,
+            "requests": 4,
             "solve": 3,
         }
+
+    def test_one_stack_per_seed(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        stacks = []
+        original = experiment.forecast_schemes
+
+        def counted(requests):
+            stacks.append(len(requests))
+            return original(requests)
+
+        monkeypatch.setattr(experiment, "forecast_schemes", counted)
+        cfg = clone(
+            FAST_CFG, schemes=("nhhs", "hhs-dlcsys", "hhs-ehh"), hetero_p=(0.5,), seeds=(0, 1)
+        )
+        results, failures = run_experiment(cfg)
+        assert not failures
+        assert len(results) == 8
+        # per seed: one daily forecast shared by nhhs and hhs-dlcsys, hhs-ehh,
+        # the hhs-ddp endpoint and the p = 0.5 split's two forecasts
+        assert stacks == [5, 5]
 
     def test_midpoint_reports_both_costs(self):
         results, failures = run_experiment(self.hetero_cfg())

@@ -1,5 +1,7 @@
 """MLP forecaster: features, gradients, determinism, scheme pipelines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from dpmeter.forecast import (
     MlpModel,
     TrainConfig,
     build_features,
+    forecast_request,
     forecast_scheme,
+    forecast_schemes,
     load_model,
     loss_and_gradient,
     pack_parameters,
@@ -18,6 +22,7 @@ from dpmeter.forecast import (
     predict_batch,
     save_model,
     train,
+    train_many,
     with_parameters,
 )
 from dpmeter.privacy import PrivacyParams
@@ -207,6 +212,85 @@ class TestTrainingParity:
         self.assert_same(model, loop_train(X, y, cfg))
 
 
+class TestStackedTraining:
+    """``train_many`` trains each stack of like requests together; every model
+    equals the one ``loop_train`` gives it alone, bit for bit."""
+
+    @staticmethod
+    def request(seed, n, d, batch_size, epochs=12, **cfg):
+        rng = np.random.default_rng(200 + seed)
+        X = rng.normal(rng.uniform(-5, 5, d), rng.uniform(0.1, 20, d), (n, d))
+        X[:, 0] = rng.integers(1, 54, n)
+        y = X @ rng.normal(0, 1, d) + rng.normal(0, 0.3, n)
+        config = TrainConfig(
+            epochs=epochs, batch_size=batch_size, seed=seed, min_samples=1, **cfg
+        )
+        return (X, y), config
+
+    def test_stack_matches_loop(self):
+        requests = [
+            self.request(0, 203, 8, 50),  # partial last batch
+            self.request(1, 203, 8, 50),
+            self.request(2, 203, 8, 50, early_stop_tol=0.05),  # stops early
+            self.request(3, 203, 8, 64),
+            self.request(4, 40, 5, 500),  # batch larger than n
+            self.request(5, 40, 5, 500),
+            self.request(6, 40, 5, 16),
+            self.request(7, 203, 8, 50, learning_rate=0.01),
+        ]
+        models = train_many(*zip(*requests))
+        # the early stopper leaves the stack it shares with requests 0 and 1
+        assert len(models[2].epoch_losses) < 12
+        assert len(models[1].epoch_losses) == 12
+        for ((X, y), cfg), model in zip(requests, models):
+            TestTrainingParity.assert_same(model, loop_train(X, y, cfg))
+
+    def test_failed_member_leaves_the_others(self):
+        requests = [self.request(k, 120, 8, 32) for k in range(4)]
+        (X, y), cfg = requests[1]
+        requests[1] = (X, y), TrainConfig(epochs=12, batch_size=32, seed=1, min_samples=121)
+        (X, y), cfg = requests[2]
+        y = y.copy()
+        y[5] = np.inf
+        requests[2] = (X, y), cfg
+        models = train_many(*zip(*requests))
+        with pytest.raises(ValueError, match="need at least 121 samples, got 120"):
+            raise models[1]
+        with pytest.raises(ValueError, match="non-finite"):
+            raise models[2]
+        for k in (0, 3):
+            (X, y), cfg = requests[k]
+            TestTrainingParity.assert_same(models[k], loop_train(X, y, cfg))
+
+    def test_diverged_member_leaves_the_others(self):
+        requests = [self.request(k, 120, 8, 32) for k in range(3)]
+        (X, y), cfg = requests[1]
+        requests[1] = (X, y * 1e9), cfg
+        models = train_many(*zip(*requests))
+        assert isinstance(models[1], ValueError) and str(models[1]) == "training diverged"
+        with pytest.raises(ValueError, match="training diverged"):
+            train(*requests[1])
+        for k in (0, 2):
+            (X, y), cfg = requests[k]
+            TestTrainingParity.assert_same(models[k], loop_train(X, y, cfg))
+
+    def test_gradient_is_the_stacked_kernel(self):
+        rng = np.random.default_rng(8)
+        X, y = linear_dataset(rng, n=120)
+        model = train((X, y), TrainConfig(epochs=2, seed=9))
+        _, grads = loss_and_gradient(model, X, y)
+        # written out term by term, as loop_train does
+        xs = (X - model.x_mean) / model.x_std
+        ys = (y - model.y_mean) / model.y_std
+        z1 = xs @ model.w1 + model.b1
+        dl = 2.0 * (np.maximum(z1, 0.0) @ model.w2 + model.b2 - ys) / xs.shape[0]
+        dz1 = np.outer(dl, model.w2) * (z1 > 0)
+        np.testing.assert_array_equal(grads["w1"], xs.T @ dz1)
+        np.testing.assert_array_equal(grads["b1"], dz1.sum(axis=0))
+        np.testing.assert_array_equal(grads["w2"], np.maximum(z1, 0.0).T @ dl)
+        assert grads["b2"] == float(dl.sum())
+
+
 class TestPredict:
     def test_zero_weight_model_returns_bias(self):
         model = MlpModel(
@@ -313,6 +397,23 @@ class TestSchemePipelines:
         )
         assert len(out.forecast) == 48
         assert out.forecast.start == panel.start + panel.n_periods
+
+    def test_stack_of_pipelines_fails_per_request(self):
+        rng = np.random.default_rng(17)
+        panel = synthetic_panel(rng)
+        dlc = compute_dlc(panel)
+        schemes = (SettlementScheme.hhs_ehh(), SettlementScheme.hhs_dlc_sys())
+        requests = [forecast_request(s, panel, dlc, FAST, seed=10) for s in schemes]
+        # a truth that sums to zero leaves the backtest unscorable
+        zero = LoadSeries("zero", panel.start, np.zeros(panel.n_periods))
+        results = forecast_schemes([*requests, replace(requests[0], truth=zero)])
+        with pytest.raises(ValueError, match="actuals sum to zero"):
+            raise results[2]
+        for scheme, result in zip(schemes, results):
+            alone = forecast_scheme(scheme, panel, dlc, FAST, seed=10)
+            np.testing.assert_array_equal(result.forecast.values, alone.forecast.values)
+            assert result.wape_backtest == alone.wape_backtest
+            TestTrainingParity.assert_same(result.model, alone.model)
 
     def test_short_panel_rejected(self):
         rng = np.random.default_rng(16)
