@@ -3,9 +3,21 @@
 Works on the augmented system ``[A | -I] z = 0`` where the slack of each
 range row carries the row bounds.  Phase 1 drives out bound violations by
 minimizing their sum (composite rule: an infeasible basic variable blocks
-at the bound it is violating); phase 2 prices the true objective.  Pivot
-selection is Dantzig with lowest-index tie-breaking, falling back to
-Bland's rule after a run of degenerate steps, so the path is deterministic.
+at the bound it is violating); phase 2 prices the true objective.
+
+Both phases price by reduced cost per unit column length: the entering
+column maximizes ``d_j² / w_j``, lowest index on ties, with the
+steepest-edge weights of the all-slack basis, ``w_j = 1 + ‖a_j‖²`` for a
+structural column and ``2`` for a slack (Goldfarb & Reid 1977, *Math.
+Programming* 12; Forrest & Goldfarb 1992, *Math. Programming* 57).  The
+weights depend only on ``A``, so they are computed once per solver and
+never updated: branch and bound changes bounds, not ``A``, and updating
+them (Devex, or exact steepest edge) costs a product with the pivot row
+per iteration.  In the procurement cell model column norms run from 1
+to about 4e4 at S = 50 scenarios (a cell's binary column holds every
+scenario's cost at its lower edge), and ranking by raw ``|d_j|`` keeps
+choosing short, badly scaled steps.  After a run of degenerate steps
+pricing falls back to Bland's rule, so the path is deterministic.
 ``LpResult`` counts the iterations taken in phase 1 and says whether the
 solve fell back to Bland's rule.
 
@@ -90,6 +102,10 @@ class SimplexSolver:
         self.ub = np.concatenate([lp.col_upper, lp.row_upper])
         self.cost = np.concatenate([lp.obj, np.zeros(self.m)])
         self.obj_offset = lp.obj_offset
+        # frozen steepest-edge weights of the all-slack basis: 1 + ‖a_j‖²
+        # for a structural column, 2 for a slack (its column is -e_i)
+        sq = np.bincount(self.A.indices, weights=self.A.data**2, minlength=self.n)
+        self.weights = np.concatenate([1.0 + sq, np.full(self.m, 2.0)])
         self.basis = np.empty(self.m, dtype=np.int64)
         self.vstat = np.empty(self.N, dtype=np.int8)
         self.binv = np.empty((self.m, self.m))
@@ -279,7 +295,7 @@ class SimplexSolver:
             if bland:
                 j = int(cand[0])
             else:
-                j = int(cand[np.argmax(np.abs(d[cand]))])
+                j = int(cand[np.argmax(d[cand] ** 2 / self.weights[cand])])
             t_dir = 1.0
             if self.vstat[j] == _AT_UPPER or (self.vstat[j] == _FREE and d[j] > 0):
                 t_dir = -1.0

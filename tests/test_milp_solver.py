@@ -125,6 +125,23 @@ class TestSimplexAgainstScipy:
             solve_lp(lp)
         assert caplog.records and caplog.records[0].getMessage().startswith("it=0 phase1=")
 
+    def test_prices_by_reduced_cost_per_column_length(self, caplog):
+        # x has the larger |d_j| (2 > 1) but a long column, w = 1 + 10² + 10²;
+        # y has the larger d_j² / w_j (1/2 > 4/201): y enters first
+        b = MipBuilder()
+        x = b.add_col("x", 0, 10, obj=-2.0)
+        y = b.add_col("y", 0, 10, obj=-1.0)
+        b.add_row("r0", {x: 10.0, y: 1.0}, -np.inf, 20.0)
+        b.add_row("r1", {x: 10.0}, -np.inf, 15.0)
+        lp = b.build()
+        np.testing.assert_array_equal(SimplexSolver(lp).weights, [201.0, 2.0, 2.0, 2.0])
+        with caplog.at_level(logging.DEBUG, logger="dpmeter.milp.simplex"):
+            res = solve_lp(lp)
+        assert caplog.records[0].getMessage().startswith(f"it=0 phase1=False j={y} ")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(scipy_solve(lp).fun, rel=1e-12)
+        assert res.objective == pytest.approx(-12.0)
+
     def test_zero_row_lp(self):
         # every column rests at the bound its cost points to
         b = MipBuilder()
