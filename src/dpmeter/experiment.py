@@ -135,6 +135,10 @@ class ExperimentConfig:
             raise ValueError("need at least one scenario")
         if not all(0.0 <= p <= 1.0 for p in self.hetero_p):
             raise ValueError("heterogeneity fractions must lie in [0, 1]")
+        if self.group_kind not in ("whole", "kmeans", "share"):
+            raise ValueError(f"unknown group kind {self.group_kind!r}")
+        if self.group_kind == "kmeans" and not 0 <= self.group_index < self.group_k:
+            raise ValueError("kmeans group_index must lie in [0, group_k)")
 
 
 @dataclass(frozen=True)
@@ -299,10 +303,8 @@ def select_group(cfg: ExperimentConfig, panel: MeterPanel):
         groups = kmeans_groups(panel, cfg.group_k, cfg.group_seed)
         g = groups[cfg.group_index]
         return g.panel(panel), g.label, g.kld_vs_system.value
-    if cfg.group_kind == "share":
-        g = sample_group(panel, cfg.group_share, cfg.group_seed)
-        return g.panel(panel), g.label, g.kld_vs_system.value
-    raise ValueError(f"unknown group kind {cfg.group_kind!r}")
+    g = sample_group(panel, cfg.group_share, cfg.group_seed)
+    return g.panel(panel), g.label, g.kld_vs_system.value
 
 
 def _scheme_of(name: str, epsilon: float | None, gamma: float | None) -> SettlementScheme:

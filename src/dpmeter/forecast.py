@@ -85,6 +85,10 @@ def build_features(history: LoadSeries, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters.  Every scheme pipeline (``forecast_request``)
+    replaces ``seed`` with one drawn from its cell seed, so an experiment
+    config's ``train.seed`` has no effect."""
+
     learning_rate: float = 0.05
     epochs: int = 150
     batch_size: int = 64

@@ -9,8 +9,10 @@ four-constraint linearization, applied to variables shifted by their lower
 bound so signed volumes stay exact.  Risk aversion enters as
 ``beta * CVaR_alpha`` of the per-scenario cost.
 
-``build_milp`` emits the complete model.  ``solve`` branches on a smaller
-one with the same optimum.  Every cost at period t depends on the one
+``build_milp`` lays out the complete model's columns, and ``MilpModel.lp``
+assembles that model when first read; tests and checks read it, and the
+run-time ``solve`` never does.  ``solve`` builds and branches on a smaller
+model with the same optimum.  Every cost at period t depends on the one
 scalar ``d_da[t]``, so ``solve`` cuts each period's volume range at the
 day-ahead and every scenario's balancing bracket edges into cells, inside
 which all brackets are fixed and every scenario cost is linear.  A binary
@@ -162,9 +164,9 @@ def default_volume_bounds(d_fore: np.ndarray, mult: float = 3.0) -> tuple[np.nda
 
 @dataclass
 class MilpModel:
-    """Complete linearized model plus the index maps into its columns."""
+    """Column layout of the complete linearized model; ``lp``, the model
+    itself, is assembled from the instance when first read."""
 
-    lp: LinearMip
     instance: ProcurementInstance
     T: int
     S: int
@@ -195,6 +197,141 @@ class MilpModel:
 
     def u_bal_col(self, s: int, t: int, f: int) -> int:
         return self.off_u_bal + (s * self.T + t) * self.F + f
+
+    @cached_property
+    def lp(self) -> LinearMip:
+        """The exact MILP: objective, balance, CVaR, bracket selection,
+        SOS1 rows, and the shifted four-row linearization per bilinear term.
+
+        Columns, in order: ``d_da[t]``, ``d_bal[s,t]``, ``zeta``, ``eta[s]``,
+        ``c_da[t,b]``, ``c_bal[s,t,f]``, ``u_da[t,b]``, ``u_bal[s,t,f]``.  Rows,
+        in order: ``balance[s,t]``, ``cvar[s]``, ``bracket_da[t]``,
+        ``bracket_bal[s,t]``, ``sos1_da[t]``, ``sos1_bal[s,t]``, then three
+        linearization rows per ``(t,b)`` and per ``(s,t,f)``.  Each block is
+        filled with index arithmetic; exact-zero coefficients are left out of
+        the matrix, and the model carries no names.
+        """
+        inst, T, S, B, F = self.instance, self.T, self.S, self.B, self.F
+        grid = inst.bal_curves[0]
+        k_mat, big_m = self.k_mat, self.big_m
+        lo, hi = inst.d_da_lower, inst.d_da_upper
+        probs = inst.scenarios.probabilities
+        m_cost = _cost_bound(inst)
+        lo_bal = k_mat - hi  # (S, T) lower bound of d_bal
+
+        col_zeta, off_u_da = self.col_zeta, self.off_u_da
+        n_cols = self.off_u_bal + S * T * F
+        d_da = self.off_d_da + np.arange(T)
+        d_bal = self.off_d_bal + np.arange(S * T).reshape(S, T)
+        eta = self.off_eta + np.arange(S)
+        c_da = self.off_c_da + np.arange(T * B).reshape(T, B)
+        c_bal = self.off_c_bal + np.arange(S * T * F).reshape(S, T, F)
+        u_da = c_da + (off_u_da - self.off_c_da)
+        u_bal = c_bal + (self.off_u_bal - self.off_c_bal)
+
+        col_lower = np.zeros(n_cols)
+        col_upper = np.ones(n_cols)  # the binaries keep these bounds
+        col_lower[d_da], col_upper[d_da] = lo, hi
+        col_lower[d_bal], col_upper[d_bal] = lo_bal, k_mat - lo
+        col_lower[col_zeta], col_upper[col_zeta] = -m_cost, m_cost
+        col_upper[eta] = 2.0 * m_cost
+        col_upper[c_da] = big_m[:, None]
+        col_upper[c_bal] = big_m[None, :, None]
+        is_integer = np.zeros(n_cols, dtype=bool)
+        is_integer[off_u_da:] = True
+
+        # scenario cost per linearized term: c_da + lo * u_da and c_bal + lo_bal
+        # * u_bal; the objective weighs the balancing terms by probability
+        da_prices = inst.da_curve.prices
+        bal_prices = inst.bal_prices
+        cost_u_da = da_prices[None, :] * lo[:, None]
+        cost_u_bal = bal_prices[:, None, :] * lo_bal[:, :, None]
+        w_bal = probs[:, None] * bal_prices
+        obj = np.zeros(n_cols)
+        obj[col_zeta] = inst.beta
+        obj[eta] = inst.beta * probs / (1.0 - inst.alpha)
+        obj[c_da] += da_prices[None, :]
+        obj[u_da] += cost_u_da
+        obj[c_bal] += w_bal[:, None, :]
+        obj[u_bal] += w_bal[:, None, :] * lo_bal[:, :, None]
+
+        row_lower: list[np.ndarray] = []
+        row_upper: list[np.ndarray] = []
+        entries: list[tuple[np.ndarray, ...]] = []
+
+        def rows(shape: tuple[int, ...], lower, upper) -> np.ndarray:
+            """Indices of the next block of rows, which get the given bounds."""
+            start = sum(b.size for b in row_lower)
+            row_lower.append(np.broadcast_to(lower, shape).ravel())
+            row_upper.append(np.broadcast_to(upper, shape).ravel())
+            return start + np.arange(row_lower[-1].size).reshape(shape)
+
+        def add(row, col, val) -> None:
+            entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
+
+        # balance: d_da + d_bal = forecast + error
+        r = rows((S, T), k_mat, k_mat)
+        add(r, d_da, 1.0)
+        add(r, d_bal, 1.0)
+
+        # CVaR rows: scenario cost (via linearized terms) - zeta <= eta_s
+        r = rows((S,), -INF, 0.0)
+        add(r, col_zeta, -1.0)
+        add(r, eta, -1.0)
+        r = r[:, None, None]
+        add(r, c_da, da_prices)
+        add(r, u_da, cost_u_da)
+        add(r, c_bal, bal_prices[:, None, :])
+        add(r, u_bal, cost_u_bal)
+
+        # bracket selection: chosen level within half a spacing of total demand
+        half_da = inst.da_curve.delta / 2.0
+        base = inst.exogenous.d_sys_base
+        r = rows((T,), base - half_da, base + half_da)
+        add(r[:, None], u_da, inst.da_curve.demand_levels)
+        add(r, d_da, -1.0)
+        half_bal = grid.delta / 2.0
+        base = inst.exogenous.d_imb_base
+        r = rows((S, T), base - half_bal, base + half_bal)
+        add(r[:, :, None], u_bal, grid.demand_levels)
+        add(r, d_bal, -1.0)
+
+        # exactly one bracket per market and period
+        add(rows((T,), 1.0, 1.0)[:, None], u_da, 1.0)
+        add(rows((S, T), 1.0, 1.0)[:, :, None], u_bal, 1.0)
+
+        # linearization of u * (d - lower bound), three rows per term: c <= M u,
+        # c <= d - lower, c >= d - lower - M (1 - u); c >= 0 is the column bound
+        for c, u, d, lower, m in (
+            (c_da, u_da, d_da[:, None], lo[:, None], big_m[:, None]),
+            (c_bal, u_bal, d_bal[:, :, None], lo_bal[:, :, None], big_m[None, :, None]),
+        ):
+            r = rows(
+                c.shape + (3,),
+                np.stack(np.broadcast_arrays(-INF, -INF, -lower - m), axis=-1),
+                np.stack(np.broadcast_arrays(0.0, -lower, INF), axis=-1),
+            )
+            ub_u, ub_d, lb = r[..., 0], r[..., 1], r[..., 2]
+            add(ub_u, c, 1.0)
+            add(ub_u, u, -m)
+            add(ub_d, c, 1.0)
+            add(ub_d, d, -1.0)
+            add(lb, c, 1.0)
+            add(lb, d, -1.0)
+            add(lb, u, -m)
+
+        row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
+        ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
+        keep = v != 0.0
+        return LinearMip(
+            col_lower=col_lower,
+            col_upper=col_upper,
+            obj=obj,
+            is_integer=is_integer,
+            row_matrix=SparseMatrix.from_coo(row_lower.size, n_cols, ri[keep], ci[keep], v[keep]),
+            row_lower=row_lower,
+            row_upper=row_upper,
+        )
 
 
 def _check_coverage(inst: ProcurementInstance) -> None:
@@ -238,162 +375,14 @@ def _cost_bound(inst: ProcurementInstance) -> float:
 
 
 def build_milp(inst: ProcurementInstance) -> MilpModel:
-    """Assemble the exact MILP: objective, balance, CVaR, bracket selection,
-    SOS1 rows, and the shifted four-row linearization per bilinear term.
-
-    Columns, in order: ``d_da[t]``, ``d_bal[s,t]``, ``zeta``, ``eta[s]``,
-    ``c_da[t,b]``, ``c_bal[s,t,f]``, ``u_da[t,b]``, ``u_bal[s,t,f]``.  Rows,
-    in order: ``balance[s,t]``, ``cvar[s]``, ``bracket_da[t]``,
-    ``bracket_bal[s,t]``, ``sos1_da[t]``, ``sos1_bal[s,t]``, then three
-    linearization rows per ``(t,b)`` and per ``(s,t,f)``.  Each block is
-    filled with index arithmetic; exact-zero coefficients are left out of
-    the matrix, and the model carries no names.
-    """
+    """The exact MILP's column layout, after checking that every price grid
+    covers the instance; ``MilpModel.lp`` assembles the model when read."""
     _check_coverage(inst)
     T, S = inst.n_periods, inst.n_scenarios
-    B = inst.da_curve.n_levels
-    grid = inst.bal_curves[0]
-    F = grid.n_levels
-    k_mat = inst.realized_demand()
-    lo, hi = inst.d_da_lower, inst.d_da_upper
-    big_m = hi - lo
-    probs = inst.scenarios.probabilities
-    m_cost = _cost_bound(inst)
-    lo_bal = k_mat - hi  # (S, T) lower bound of d_bal
-
-    sizes = (T, S * T, 1, S, T * B, S * T * F, T * B, S * T * F)
-    off_d_da, off_d_bal, col_zeta, off_eta, off_c_da, off_c_bal, off_u_da, off_u_bal, n_cols = (
-        itertools.accumulate(sizes, initial=0)
-    )
-    d_da = off_d_da + np.arange(T)
-    d_bal = off_d_bal + np.arange(S * T).reshape(S, T)
-    eta = off_eta + np.arange(S)
-    c_da = off_c_da + np.arange(T * B).reshape(T, B)
-    c_bal = off_c_bal + np.arange(S * T * F).reshape(S, T, F)
-    u_da = c_da + (off_u_da - off_c_da)
-    u_bal = c_bal + (off_u_bal - off_c_bal)
-
-    col_lower = np.zeros(n_cols)
-    col_upper = np.ones(n_cols)  # the binaries keep these bounds
-    col_lower[d_da], col_upper[d_da] = lo, hi
-    col_lower[d_bal], col_upper[d_bal] = lo_bal, k_mat - lo
-    col_lower[col_zeta], col_upper[col_zeta] = -m_cost, m_cost
-    col_upper[eta] = 2.0 * m_cost
-    col_upper[c_da] = big_m[:, None]
-    col_upper[c_bal] = big_m[None, :, None]
-    is_integer = np.zeros(n_cols, dtype=bool)
-    is_integer[off_u_da:] = True
-
-    # scenario cost per linearized term: c_da + lo * u_da and c_bal + lo_bal
-    # * u_bal; the objective weighs the balancing terms by probability
-    da_prices = inst.da_curve.prices
-    bal_prices = inst.bal_prices
-    cost_u_da = da_prices[None, :] * lo[:, None]
-    cost_u_bal = bal_prices[:, None, :] * lo_bal[:, :, None]
-    w_bal = probs[:, None] * bal_prices
-    obj = np.zeros(n_cols)
-    obj[col_zeta] = inst.beta
-    obj[eta] = inst.beta * probs / (1.0 - inst.alpha)
-    obj[c_da] += da_prices[None, :]
-    obj[u_da] += cost_u_da
-    obj[c_bal] += w_bal[:, None, :]
-    obj[u_bal] += w_bal[:, None, :] * lo_bal[:, :, None]
-
-    row_lower: list[np.ndarray] = []
-    row_upper: list[np.ndarray] = []
-    entries: list[tuple[np.ndarray, ...]] = []
-
-    def rows(shape: tuple[int, ...], lower, upper) -> np.ndarray:
-        """Indices of the next block of rows, which get the given bounds."""
-        start = sum(b.size for b in row_lower)
-        row_lower.append(np.broadcast_to(lower, shape).ravel())
-        row_upper.append(np.broadcast_to(upper, shape).ravel())
-        return start + np.arange(row_lower[-1].size).reshape(shape)
-
-    def add(row, col, val) -> None:
-        entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
-
-    # balance: d_da + d_bal = forecast + error
-    r = rows((S, T), k_mat, k_mat)
-    add(r, d_da, 1.0)
-    add(r, d_bal, 1.0)
-
-    # CVaR rows: scenario cost (via linearized terms) - zeta <= eta_s
-    r = rows((S,), -INF, 0.0)
-    add(r, col_zeta, -1.0)
-    add(r, eta, -1.0)
-    r = r[:, None, None]
-    add(r, c_da, da_prices)
-    add(r, u_da, cost_u_da)
-    add(r, c_bal, bal_prices[:, None, :])
-    add(r, u_bal, cost_u_bal)
-
-    # bracket selection: chosen level within half a spacing of total demand
-    half_da = inst.da_curve.delta / 2.0
-    base = inst.exogenous.d_sys_base
-    r = rows((T,), base - half_da, base + half_da)
-    add(r[:, None], u_da, inst.da_curve.demand_levels)
-    add(r, d_da, -1.0)
-    half_bal = grid.delta / 2.0
-    base = inst.exogenous.d_imb_base
-    r = rows((S, T), base - half_bal, base + half_bal)
-    add(r[:, :, None], u_bal, grid.demand_levels)
-    add(r, d_bal, -1.0)
-
-    # exactly one bracket per market and period
-    add(rows((T,), 1.0, 1.0)[:, None], u_da, 1.0)
-    add(rows((S, T), 1.0, 1.0)[:, :, None], u_bal, 1.0)
-
-    # linearization of u * (d - lower bound), three rows per term: c <= M u,
-    # c <= d - lower, c >= d - lower - M (1 - u); c >= 0 is the column bound
-    for c, u, d, lower, m in (
-        (c_da, u_da, d_da[:, None], lo[:, None], big_m[:, None]),
-        (c_bal, u_bal, d_bal[:, :, None], lo_bal[:, :, None], big_m[None, :, None]),
-    ):
-        r = rows(
-            c.shape + (3,),
-            np.stack(np.broadcast_arrays(-INF, -INF, -lower - m), axis=-1),
-            np.stack(np.broadcast_arrays(0.0, -lower, INF), axis=-1),
-        )
-        ub_u, ub_d, lb = r[..., 0], r[..., 1], r[..., 2]
-        add(ub_u, c, 1.0)
-        add(ub_u, u, -m)
-        add(ub_d, c, 1.0)
-        add(ub_d, d, -1.0)
-        add(lb, c, 1.0)
-        add(lb, d, -1.0)
-        add(lb, u, -m)
-
-    row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
-    ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
-    keep = v != 0.0
-    lp = LinearMip(
-        col_lower=col_lower,
-        col_upper=col_upper,
-        obj=obj,
-        is_integer=is_integer,
-        row_matrix=SparseMatrix.from_coo(row_lower.size, n_cols, ri[keep], ci[keep], v[keep]),
-        row_lower=row_lower,
-        row_upper=row_upper,
-    )
-    return MilpModel(
-        lp=lp,
-        instance=inst,
-        T=T,
-        S=S,
-        B=B,
-        F=F,
-        off_d_da=off_d_da,
-        off_d_bal=off_d_bal,
-        col_zeta=col_zeta,
-        off_eta=off_eta,
-        off_c_da=off_c_da,
-        off_c_bal=off_c_bal,
-        off_u_da=off_u_da,
-        off_u_bal=off_u_bal,
-        big_m=big_m,
-        k_mat=k_mat,
-    )
+    B, F = inst.da_curve.n_levels, inst.bal_curves[0].n_levels
+    offsets = itertools.accumulate((T, S * T, 1, S, T * B, S * T * F, T * B), initial=0)
+    big_m = inst.d_da_upper - inst.d_da_lower
+    return MilpModel(inst, T, S, B, F, *offsets, big_m=big_m, k_mat=inst.realized_demand())
 
 
 # --------------------------------------------------------------------------
@@ -985,6 +974,8 @@ def _curve_from_doc(doc) -> PriceCurve:
     levels = np.asarray(doc["levels"], dtype=float)
     if "delta" in doc:
         delta = float(doc["delta"])
+    elif levels.size < 2:
+        raise ValueError("a price curve with fewer than two levels needs field 'delta'")
     else:
         delta = float(levels[1] - levels[0])
     return PriceCurve(levels, np.asarray(doc["prices"], dtype=float), delta)

@@ -225,7 +225,6 @@ def loop_build_milp(inst: ProcurementInstance) -> MilpModel:
                 b.add_col(f"u_bal[{s},{t},{f}]", 0.0, 1.0, integer=True)
 
     model = MilpModel(
-        lp=None,  # filled below
         instance=inst,
         T=T,
         S=S,

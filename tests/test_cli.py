@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dpmeter.experiment as experiment
 from dpmeter.cli import main
 from dpmeter.domain import read_csv
 from dpmeter.experiment import RESULT_COLUMNS, ExperimentConfig, MarketConfig, config_to_json
@@ -166,6 +167,25 @@ class TestInputErrors:
         assert_usage_error(capsys, args, "must lie in [0, 1]")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("group_index", 7), ("group_index", -5), ("group_kind", "bogus")],
+        ids=["index-7", "index-minus-5", "kind-bogus"],
+    )
+    def test_experiment_group_outside_its_kind(self, tmp_path, capsys, monkeypatch, field, value):
+        def load_panel(cfg):
+            raise AssertionError("the panel was built before the config was checked")
+
+        monkeypatch.setattr(experiment, "load_panel", load_panel)
+        doc = json.loads(config_to_json(ExperimentConfig()))  # 4 kmeans groups
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        args = ["experiment", "--config", path, "--out", tmp_path / "x"]
+        reason = "group_index must lie in [0, group_k)" if field == "group_index" else "bogus"
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
+
     def test_report_invalid_config(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         results.write_text("")
@@ -203,6 +223,15 @@ class TestInputErrors:
         path.write_text(json.dumps(doc))
         args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
         assert_usage_error(capsys, args, "inst.json: instance JSON lacks field 'beta'")
+
+    def test_procure_one_level_curve_without_delta(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        write_instance(one_period_instance(), path)
+        doc = json.loads(path.read_text())
+        doc["da_curve"] = {"levels": [50.0], "prices": [45.0]}
+        path.write_text(json.dumps(doc))
+        args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
+        assert_usage_error(capsys, args, "fewer than two levels needs field 'delta'")
 
     @pytest.mark.parametrize("field", ["input_csv", "market"], ids=["input_csv", "da_ladder_csv"])
     def test_experiment_missing_input_file(self, tmp_path, capsys, field):

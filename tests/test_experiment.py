@@ -66,6 +66,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"fractions must lie in \[0, 1\]"):
             config_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"group_kind": "bogus"},
+            {"group_kind": "kmeans", "group_index": 7},
+            {"group_kind": "kmeans", "group_index": -5},
+            {"group_kind": "kmeans", "group_k": 0, "group_index": 0},
+        ],
+    )
+    def test_group_outside_its_kind_rejected(self, fields):
+        with pytest.raises(ValueError, match="group"):
+            clone(FAST_CFG, **fields)
+
+    def test_group_index_checked_for_kmeans_only(self):
+        assert clone(FAST_CFG, group_index=7).group_index == 7  # a whole-panel config
+        assert clone(FAST_CFG, group_kind="share", group_index=-5).group_index == -5
+        assert clone(FAST_CFG, group_kind="kmeans", group_k=8, group_index=7).group_k == 8
+
 
 class TestMarket:
     def test_shapes_and_coverage(self):
@@ -148,6 +166,14 @@ class TestRunExperiment:
         a, _ = run_experiment(FAST_CFG)
         b, _ = run_experiment(FAST_CFG)
         assert a == b
+
+    def test_train_seed_has_no_effect(self):
+        # every scheme pipeline draws its training seed from the cell seed
+        cfg = clone(FAST_CFG, schemes=("nhhs", "hhs-dlcsys", "hhs-ehh", "hhs-ddp"))
+        a, failures = run_experiment(cfg)
+        assert len(a) == 4 and not failures
+        b, _ = run_experiment(clone(cfg, train=TrainConfig(epochs=30, seed=12345)))
+        assert cfg.train.seed != 12345 and a == b
 
     def test_one_failed_pipeline_leaves_the_other(self):
         # five weeks leave the daily pipeline 14 training days, below its

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from dpmeter.forecast import TrainConfig
 from dpmeter.market import SystemExogenous
 import dpmeter.procurement as procurement
 from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
@@ -26,6 +27,7 @@ from dpmeter.procurement import (
     write_instance,
 )
 from dpmeter.scenario import ErrorScenarioSet
+from dpmeter.synth import SynthConfig
 
 from helpers import (
     highs_objective,
@@ -256,6 +258,49 @@ class TestArrayBuild:
             else:
                 assert_same_model(build_milp(bad), loop_build_milp(bad))
         assert n_raised >= 10
+
+
+class TestRunTimePath:
+    """The run-time solve builds the cell model alone: the exact model is
+    assembled only when ``MilpModel.lp`` is first read."""
+
+    def test_solve_leaves_exact_model_unbuilt(self):
+        inst = read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json")
+        model = build_milp(inst)
+        sol = solve(model)
+        assert sol.status == "optimal"
+        assert "lp" not in vars(model)
+        assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
+        assert "lp" in vars(model) and model.lp is model.lp
+
+    def test_experiment_and_procure_command_never_assemble(self, monkeypatch, tmp_path):
+        import dpmeter.cli as cli
+        import dpmeter.experiment as experiment
+
+        models = []
+        for module in (experiment, cli):
+
+            def recorded(inst, _original=module.build_milp):
+                models.append(_original(inst))
+                return models[-1]
+
+            monkeypatch.setattr(module, "build_milp", recorded)
+        cfg = experiment.ExperimentConfig(
+            synth=SynthConfig(n_meters=30, n_weeks=5, seed=7),
+            schemes=("hhs-ehh",),
+            epsilon_grid=(1.0,),
+            gamma_grid=(0.0,),
+            n_scenarios=4,
+            train=TrainConfig(epochs=15),
+            group_kind="whole",
+        )
+        results, failures = experiment.run_experiment(cfg)
+        assert len(results) == 1 and not failures
+        path = tmp_path / "inst.json"
+        write_instance(random_instance(np.random.default_rng(3), T=2, S=2), path)
+        assert cli.main(["procure", "--instance", str(path), "--out", str(tmp_path / "sol")]) == 0
+        assert len(models) == 2
+        assert not any("lp" in vars(m) for m in models)
 
 
 def grid_edge_sliver():
