@@ -108,8 +108,8 @@ def cmd_forecast(args) -> int:
     scheme = _checked(_scheme_of, args.scheme, args.epsilon, args.gamma)
     cfg = _checked(TrainConfig, epochs=args.epochs)
     panel = _load(read_meter_csv, args.input)
-    dlc = compute_dlc(panel)
-    result = forecast_scheme(scheme, panel, dlc, cfg, args.seed)
+    dlc = _checked(compute_dlc, panel)
+    result = _checked(forecast_scheme, scheme, panel, dlc, cfg, args.seed)
     out = _out_dir(args)
     path = out / "forecast.csv"
     fc = result.forecast

@@ -1,7 +1,7 @@
 """Minimal compressed sparse matrix support for the simplex solver.
 
-Only the operations the solver needs: COO assembly, matrix-vector products
-in both orientations, and column extraction.
+Only the operations the solver needs: COO assembly, the product ``A @ x``, a
+dense copy, and column extraction.
 """
 
 from __future__ import annotations
@@ -59,13 +59,11 @@ class SparseMatrix:
             self._row_of, weights=self.data * x[self.indices], minlength=self.n_rows
         )
 
-    def t_dot(self, y: np.ndarray) -> np.ndarray:
-        """A.T @ y."""
-        if self.data.size == 0:
-            return np.zeros(self.n_cols)
-        return np.bincount(
-            self.indices, weights=self.data * y[self._row_of], minlength=self.n_cols
-        )
+    def toarray(self) -> np.ndarray:
+        """The dense n_rows × n_cols matrix."""
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[self._row_of, self.indices] = self.data
+        return out
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(row indices, values) of column j."""

@@ -21,6 +21,17 @@ pricing falls back to Bland's rule, so the path is deterministic.
 ``LpResult`` counts the iterations taken in phase 1 and says whether the
 solve fell back to Bland's rule.
 
+The reduced costs ``c − Aᵀy`` come from one dense product ``y @ A``: each
+solver keeps a dense copy of ``A`` for pricing, m·n doubles (about 0.45 MB
+for the largest model of the ``procure`` benchmark, 188 rows by 299
+columns).  Each column carries the sign of the step that moves it off its
+bound, +1 at a movable lower bound, −1 at a movable upper one and 0 if
+basic or fixed, so the improving columns are ``sign · d < 0`` and the
+choice is one ``argmax``; nonbasic free columns are priced apart.  The
+values, bounds and costs of the basic columns are carried by basis
+position from pivot to pivot and written back to the point only at exit
+and at a refactorization.
+
 The ratio test is Harris's two-pass test (Harris 1973, *Math.
 Programming* 5): pass 1 finds the longest step that keeps every basic
 variable within ``_FEAS_TOL`` of the bound it runs into, pass 2 lets the
@@ -29,8 +40,19 @@ Entries below ``_PIVOT_TOL`` are round-off standing in for zeros and never
 become pivots; should the basis still turn out singular at a
 refactorization, the dependent columns are swapped for slacks.
 
-The inverse is kept dense and updated by one rank-1 product per pivot.  A
-refactorization inverts only the structural kernel of the basis (Suhl &
+Between refactorizations the inverse is kept in product form as a
+low-rank update of a dense ``B0⁻¹``: ``B⁻¹ = B0⁻¹ − Uᵀ V`` (the
+Sherman–Morrison–Woodbury identity; Hager 1989, *SIAM Review* 31; the
+product form of the inverse goes back to Dantzig & Orchard-Hays 1954,
+*Math. Tables Aids Comput.* 8).  A pivot on row p with entering column
+``w = B⁻¹ a_j`` appends ``u = w − e_p`` and ``v = (row p of B⁻¹) / w_p``,
+so the prices, the entering column's solve and row p each cost one or two
+extra skinny products instead of a dense m × m rank-1 update per pivot.
+Every ``_FOLD_EVERY`` pivots one matrix product folds the update into
+``B0⁻¹``, and it is folded at exit, so between solves ``binv`` is the
+dense inverse of the current basis.
+
+A refactorization inverts only the structural kernel of the basis (Suhl &
 Suhl 1990, *ORSA J. Computing* 2): each basic slack covers its own row, so
 with the rows ``R_n`` no basic slack covers, the basic structural columns
 ``S`` and the slack-covered rows ``R_s``, the basis permutes to
@@ -77,6 +99,7 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-9  # how far a basic value may lie outside its bounds
 _OPT_TOL = 1e-9  # how far a reduced cost must point downhill to enter
 _REFACTOR_EVERY = 400  # pivots between refactorizations of the inverse
+_FOLD_EVERY = 48  # pivots held as a low-rank update before one product folds them in
 
 _log = logging.getLogger(__name__)
 
@@ -106,6 +129,7 @@ class SimplexSolver:
         # for a structural column, 2 for a slack (its column is -e_i)
         sq = np.bincount(self.A.indices, weights=self.A.data**2, minlength=self.n)
         self.weights = np.concatenate([1.0 + sq, np.full(self.m, 2.0)])
+        self.dense = self.A.toarray()  # pricing's copy of A: m × n doubles
         self.basis = np.empty(self.m, dtype=np.int64)
         self.vstat = np.empty(self.N, dtype=np.int8)
         self.binv = np.empty((self.m, self.m))
@@ -231,22 +255,48 @@ class SimplexSolver:
         rhs = self.A.dot(tmp[: self.n]) - tmp[self.n :]
         self.x[self.basis] = -self.binv @ rhs
 
-    def _reduced_costs(self, y: np.ndarray, c: np.ndarray | None) -> np.ndarray:
-        z = np.concatenate([self.A.t_dot(y), -y])
-        return (c - z) if c is not None else -z
+    def _basic_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Values, bounds and costs of the basic columns, by basis position."""
+        b = self.basis
+        return self.x[b], self.lb[b], self.ub[b], self.cost[b]
+
+    def _directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per column, the sign of the step that moves it off its bound: +1
+        at a movable lower bound, -1 at a movable upper one, 0 if basic or
+        fixed; and the nonbasic free columns, which may move either way."""
+        movable = (self.ub - self.lb) > 0
+        dirn = np.zeros(self.N)
+        dirn[(self.vstat == _AT_LOWER) & movable] = 1.0
+        dirn[(self.vstat == _AT_UPPER) & movable] = -1.0
+        return dirn, np.flatnonzero((self.vstat == _FREE) & movable)
 
     # ----- main loop ---------------------------------------------------------
 
     def solve(self) -> LpResult:
         max_iter = 2000 + 60 * (self.m + self.n)
         self._recompute_x()
+        # the basic values, bounds and costs travel from pivot to pivot;
+        # ``x`` holds them only at exit and after a refactorization
+        xB, lbB, ubB, cB = self._basic_state()
+        dirn, free = self._directions()
+        # between folds the inverse is binv − U[:k].T @ V[:k]: each pivot appends
+        # u = w − e_p and v = (row p of the inverse) / w_p
+        U = np.empty((_FOLD_EVERY, self.m))
+        V = np.empty((_FOLD_EVERY, self.m))
+        k = 0
         iters = phase1_iters = 0
         degenerate_run = 0
         bland = False
         debug = _log.isEnabledFor(logging.DEBUG)  # per-iteration diagnostics
 
-        def result(status: str, objective: float, row: int = -1) -> LpResult:
+        def result(status: str, row: int = -1) -> LpResult:
+            self.x[self.basis] = xB
+            if k:
+                self.binv -= U[:k].T @ V[:k]
             x = self.x[: self.n].copy()
+            objective = -INF if status == "unbounded" else INF
+            if status == "optimal":
+                objective = float(self.cost[: self.n] @ x) + self.obj_offset
             return LpResult(status, objective, x, iters, row, phase1_iters, bland)
 
         while True:
@@ -255,99 +305,89 @@ class SimplexSolver:
             if self._pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
                 self._recompute_x()
+                xB, lbB, ubB, cB = self._basic_state()
+                dirn, free = self._directions()
+                k = 0
 
-            xB = self.x[self.basis]
-            lbB = self.lb[self.basis]
-            ubB = self.ub[self.basis]
             below = xB < lbB - _FEAS_TOL
             above = xB > ubB + _FEAS_TOL
             in_phase1 = bool(below.any() or above.any())
 
+            # prices y = g B⁻¹ for the basic costs g (phase 1: -1 below a
+            # lower bound, +1 above an upper one) and reduced costs
+            # d = c − [A | −I]ᵀ y, whose slack part is y (a slack costs 0)
             if in_phase1:
-                sigma = np.zeros(self.m)
-                sigma[below] = -1.0
-                sigma[above] = 1.0
-                y = sigma @ self.binv
-                d = self._reduced_costs(y, None)
+                g = np.zeros(self.m)
+                g[below] = -1.0
+                g[above] = 1.0
+                c = 0.0
             else:
-                cB = self.cost[self.basis]
-                y = cB @ self.binv
-                d = self._reduced_costs(y, self.cost)
+                g, c = cB, self.cost[: self.n]
+            y = g @ self.binv
+            if k:
+                y -= (U[:k] @ g) @ V[:k]
+            d = np.concatenate([c - y @ self.dense, y])
 
-            nonbasic = self.vstat != _BASIC
-            movable = (self.ub - self.lb) > 0  # fixed columns cannot enter
-            improving = nonbasic & movable & (
-                ((self.vstat == _AT_LOWER) & (d < -_OPT_TOL))
-                | ((self.vstat == _AT_UPPER) & (d > _OPT_TOL))
-                | ((self.vstat == _FREE) & (np.abs(d) > _OPT_TOL))
-            )
-            if not improving.any():
+            # a column improves when its step points downhill: d_j < 0 at a
+            # lower bound, > 0 at an upper one, either way if free
+            score = np.where(dirn * d < -_OPT_TOL, d**2 / self.weights, -1.0)
+            if free.size:
+                df = d[free]
+                score[free] = np.where(np.abs(df) > _OPT_TOL, df**2 / self.weights[free], -1.0)
+            j = int(np.argmax(score >= 0.0) if bland else np.argmax(score))
+            if score[j] < 0.0:
                 if in_phase1:
-                    viol = np.maximum(lbB - xB, xB - ubB)
-                    p = int(np.argmax(viol))
+                    p = int(np.argmax(np.maximum(lbB - xB, xB - ubB)))
                     leaving = int(self.basis[p])
-                    row = leaving - self.n if leaving >= self.n else -1
-                    return result("infeasible", INF, row)
-                obj = float(self.cost[: self.n] @ self.x[: self.n]) + self.obj_offset
-                return result("optimal", obj)
-
-            cand = np.flatnonzero(improving)
-            if bland:
-                j = int(cand[0])
-            else:
-                j = int(cand[np.argmax(d[cand] ** 2 / self.weights[cand])])
-            t_dir = 1.0
-            if self.vstat[j] == _AT_UPPER or (self.vstat[j] == _FREE and d[j] > 0):
-                t_dir = -1.0
+                    return result("infeasible", leaving - self.n if leaving >= self.n else -1)
+                return result("optimal")
+            t_dir = dirn[j] if dirn[j] else (-1.0 if d[j] > 0 else 1.0)
 
             # the entering column's solve B⁻¹ a_j over a_j's nonzeros only
             if j < self.n:
                 rows, vals = self.A.column(j)
                 w = self.binv[:, rows] @ vals
+                if k:
+                    w -= U[:k].T @ (V[:k, rows] @ vals)
             else:
                 w = -self.binv[:, j - self.n]
+                if k:
+                    w += U[:k].T @ V[:k, j - self.n]
             rate = -t_dir * w
 
-            # ratio test, pass 1: basics block at the first bound they meet
-            # (a phase-1 violator where it becomes feasible again), and each
-            # may overshoot it by _FEAS_TOL; entries below _PIVOT_TOL are
+            # ratio test, pass 1: a basic blocks at the first bound it meets,
+            # rising at its upper and falling at its lower one; a phase-1
+            # violator blocks where it becomes feasible again, and moving
+            # further out it does not block (its cost is in the gradient).
+            # Each may overshoot by _FEAS_TOL; entries below _PIVOT_TOL are
             # round-off, not rates, so they neither block nor pivot
-            theta = np.full(self.m, INF)
-            target = np.full(self.m, np.nan)
             rising = rate > _PIVOT_TOL
-            falling = rate < -_PIVOT_TOL
-            if rising.any():
-                # a violator below its lower bound blocks on re-entry at lb;
-                # one above its upper bound rises freely (cost in gradient)
-                tgt = np.where(below, lbB, ubB)
-                ok = rising & ~above & np.isfinite(tgt)
-                theta[ok] = (tgt[ok] - xB[ok]) / rate[ok]
-                target[ok] = tgt[ok]
-            if falling.any():
-                tgt = np.where(above, ubB, lbB)
-                ok = falling & ~below & np.isfinite(tgt)
-                theta[ok] = (tgt[ok] - xB[ok]) / rate[ok]
-                target[ok] = tgt[ok]
-            blocking = np.flatnonzero(np.isfinite(theta))
+            target = np.where(rising != (below | above), ubB, lbB)
+            blocking = np.flatnonzero(
+                ((rising & ~above) | ((rate < -_PIVOT_TOL) & ~below)) & np.isfinite(target)
+            )
             theta_row = INF
             if blocking.size:
+                rate_b = rate[blocking]
+                theta = (target[blocking] - xB[blocking]) / rate_b
                 # pass 2: of the rows blocking within the relaxed step, the
                 # largest |rate| leaves (lowest index on ties)
-                relax = _FEAS_TOL / np.abs(rate[blocking])
-                theta_max = float((theta[blocking] + relax).min())
-                near = blocking[theta[blocking] <= theta_max]
-                p = int(near[np.argmax(np.abs(rate[near]))])
-                theta_row = max(float(theta[p]), 0.0)
+                abs_rate = np.abs(rate_b)
+                theta_max = float((theta + _FEAS_TOL / abs_rate).min())
+                near = np.flatnonzero(theta <= theta_max)
+                q = int(near[np.argmax(abs_rate[near])])
+                p = int(blocking[q])
+                theta_row = max(float(theta[q]), 0.0)
 
             flip_theta = INF
-            if self.vstat[j] != _FREE and np.isfinite(self.lb[j]) and np.isfinite(self.ub[j]):
+            if dirn[j] and np.isfinite(self.lb[j]) and np.isfinite(self.ub[j]):
                 flip_theta = self.ub[j] - self.lb[j]
 
             theta_star = min(theta_row, flip_theta)
             if not np.isfinite(theta_star):
                 if in_phase1:  # pragma: no cover - defensive
                     raise RuntimeError("phase 1 ray with unbounded improvement")
-                return result("unbounded", -INF)
+                return result("unbounded")
 
             degenerate_run = degenerate_run + 1 if theta_star <= 1e-11 else 0
             if degenerate_run > 60:
@@ -358,24 +398,36 @@ class SimplexSolver:
                     iters, in_phase1, j, t_dir, d[j], theta_star, flip_theta < theta_row,
                 )
 
-            self.x[self.basis] = xB + theta_star * rate
-            self.x[j] += t_dir * theta_star
-
+            xB += theta_star * rate
             if theta_row <= flip_theta:
                 leaving = int(self.basis[p])
                 hit = target[p]
                 self.x[leaving] = hit
-                self.vstat[leaving] = _AT_LOWER if hit == self.lb[leaving] else _AT_UPPER
+                at_lower = hit == self.lb[leaving]
+                self.vstat[leaving] = _AT_LOWER if at_lower else _AT_UPPER
+                movable = (self.ub[leaving] - self.lb[leaving]) > 0
+                dirn[leaving] = (1.0 if at_lower else -1.0) if movable else 0.0
+                xB[p] = self.x[j] + t_dir * theta_star
+                lbB[p], ubB[p], cB[p] = self.lb[j], self.ub[j], self.cost[j]
                 self.basis[p] = j
                 self.vstat[j] = _BASIC
-                pr = self.binv[p] / w[p]
-                self.binv -= np.outer(w, pr)
-                self.binv[p] = pr
+                dirn[j] = 0.0
+                if free.size:
+                    free = free[free != j]
+                row_p = self.binv[p] - U[:k, p] @ V[:k] if k else self.binv[p]
+                V[k] = row_p / w[p]
+                U[k] = w
+                U[k, p] -= 1.0
+                k += 1
+                if k == _FOLD_EVERY:
+                    self.binv -= U.T @ V
+                    k = 0
                 self._pivots_since_refactor += 1
             else:
                 # entering column travels to its other bound; basis unchanged
                 self.vstat[j] = _AT_UPPER if t_dir > 0 else _AT_LOWER
                 self.x[j] = self.ub[j] if t_dir > 0 else self.lb[j]
+                dirn[j] = -t_dir
             iters += 1
             phase1_iters += in_phase1
 

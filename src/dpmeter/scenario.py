@@ -94,15 +94,23 @@ def write_scenario_csv(scenarios: ErrorScenarioSet, path) -> None:
 
 def read_scenario_csv(path) -> ErrorScenarioSet:
     """Scenarios ``0..S-1`` over periods ``0..T-1``; a negative index, an
-    absent scenario or a scenario that misses a period raises ``ValueError``."""
+    absent scenario, a scenario that misses a period, a repeated (scenario,
+    period) row or two probabilities for one scenario raise ``ValueError``."""
     rows: dict[int, dict[int, float]] = {}
     probs: dict[int, float] = {}
     for scenario, period_index, err, prob in read_csv(
         path, "scenario", ["scenario", "period_index", "err_kwh", "prob"]
     ):
         s, t = int(scenario), int(period_index)
-        rows.setdefault(s, {})[t] = float(err)
-        probs[s] = float(prob)
+        errs = rows.setdefault(s, {})
+        if t in errs:
+            raise ValueError(f"duplicate row for scenario {s} period {t}")
+        errs[t] = float(err)
+        if probs.setdefault(s, float(prob)) != float(prob):
+            raise ValueError(
+                f"scenario {s} period {t} has probability {float(prob)!r}, "
+                f"earlier rows {probs[s]!r}"
+            )
     if min(rows) < 0 or min(min(d) for d in rows.values()) < 0:
         raise ValueError("scenario CSV holds a negative scenario or period index")
     n_s = max(rows) + 1

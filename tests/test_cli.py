@@ -9,7 +9,7 @@ import pytest
 
 import dpmeter.experiment as experiment
 from dpmeter.cli import main
-from dpmeter.domain import read_csv
+from dpmeter.domain import PERIODS_PER_DAY, read_csv
 from dpmeter.experiment import RESULT_COLUMNS, ExperimentConfig, MarketConfig, config_to_json
 from dpmeter.forecast import TrainConfig
 from dpmeter.market import SystemExogenous
@@ -262,6 +262,24 @@ class TestInputErrors:
         path.write_text("meter_id,kwh\nm0,1.0\n")
         args = ["forecast", "--input", path, "--scheme", "hhs-ehh", "--out", tmp_path / "x"]
         assert_usage_error(capsys, args, "meter CSV lacks columns ['period_index']")
+
+    def test_forecast_panel_too_short_for_scheme(self, tmp_path, capsys):
+        # four weeks give nhhs seven daily samples, fewer than it trains on
+        out = tmp_path / "synth"
+        assert run(["synth", "--meters", 5, "--weeks", 4, "--out", out]) == 0
+        args = ["forecast", "--input", out / "meters.csv", "--scheme", "nhhs",
+                "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "need at least 21 samples, got 7")
+
+    def test_forecast_panel_under_two_weeks(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert run(["synth", "--meters", 5, "--weeks", 4, "--out", out]) == 0
+        header, *rows = (out / "meters.csv").read_text().splitlines()
+        first_20_days = [r for r in rows if int(r.split(",")[1]) < 20 * PERIODS_PER_DAY]
+        path = tmp_path / "meters.csv"
+        path.write_text("\n".join([header, *first_20_days]) + "\n")
+        args = ["forecast", "--input", path, "--scheme", "hhs-ehh", "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "panel must span at least two whole weeks")
 
     @pytest.mark.parametrize(
         "text, reason",

@@ -10,7 +10,7 @@ from scipy.optimize import Bounds, LinearConstraint
 
 from dpmeter import procurement
 from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
-from dpmeter.milp.simplex import _AT_UPPER, _BASIC
+from dpmeter.milp.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FOLD_EVERY, _FREE
 from dpmeter.procurement import _cell_model, _reduce, read_instance
 
 from helpers import MipBuilder, fixes_solve_milp, loop_basis_matrix, random_instance
@@ -313,6 +313,130 @@ class TestKernelInverse:
         solver.load_state(basis, vstat)
         assert solver.basis.tobytes() != basis.tobytes()
         assert_kernel_inverse(solver)
+
+
+def assert_live_inverse(solver):
+    """The inverse the solver carries, low-rank updates folded in, inverts
+    the loop-built basis."""
+    B = loop_basis_matrix(solver)
+    assert np.abs(solver.binv @ B - np.eye(solver.m)).max() <= 1e-9
+
+
+class TestLowRankInverse:
+    """Between refactorizations the inverse is the last factorization less
+    a low-rank update, folded in every ``_FOLD_EVERY`` pivots and at exit."""
+
+    def test_live_inverse_through_folds_and_after_load_state(self):
+        inst = read_instance(C11)
+        lp = _cell_model(inst, *_reduce(inst)[:2])[0]
+        solver = SimplexSolver(lp)  # the all-slack start makes the root long
+        assert solver.solve().status == "optimal"
+        # no refactorization since the start: every pivot went through the update
+        assert solver.refactorizations == 1
+        assert solver._pivots_since_refactor > 2 * _FOLD_EVERY
+        assert solver._pivots_since_refactor % _FOLD_EVERY  # exit folds a partial update
+        assert_live_inverse(solver)
+        root = solver.snapshot()
+        # a branch goes on from the live inverse, and a far sibling reloads
+        for c in lp.integer_columns()[:3]:
+            solver.set_col_bounds(c, 1.0, 1.0)
+            solver.solve()
+            assert_live_inverse(solver)
+        solver.set_col_bounds(lp.integer_columns(), 0.0, 1.0)
+        solver.load_state(*root)
+        assert_kernel_inverse(solver)
+        res = solver.solve()
+        assert res.status == "optimal" and res.iterations == 0
+        assert_live_inverse(solver)
+
+
+def masked_rule_entering(solver):
+    """(entering column, direction) by the per-status mask rule: among the
+    nonbasic columns that can move, those at a lower bound with d_j < 0, at
+    an upper bound with d_j > 0 and free with d_j ≠ 0, the largest
+    d_j² / w_j enters; prices from the loop-built basis."""
+    solver._recompute_x()
+    A = np.zeros((solver.m, solver.n))
+    for j in range(solver.n):
+        rows, vals = solver.A.column(j)
+        A[rows, j] = vals
+    binv = np.linalg.inv(loop_basis_matrix(solver))
+    xB, lbB, ubB = (v[solver.basis] for v in (solver.x, solver.lb, solver.ub))
+    sigma = np.where(xB < lbB - 1e-9, -1.0, np.where(xB > ubB + 1e-9, 1.0, 0.0))
+    if sigma.any():
+        y = sigma @ binv
+        d = -np.concatenate([A.T @ y, -y])
+    else:
+        y = solver.cost[solver.basis] @ binv
+        d = solver.cost - np.concatenate([A.T @ y, -y])
+    vstat = solver.vstat
+    improving = (vstat != _BASIC) & (solver.ub - solver.lb > 0) & (
+        ((vstat == _AT_LOWER) & (d < -1e-9))
+        | ((vstat == _AT_UPPER) & (d > 1e-9))
+        | ((vstat == _FREE) & (np.abs(d) > 1e-9))
+    )
+    cand = np.flatnonzero(improving)
+    j = int(cand[np.argmax(d[cand] ** 2 / solver.weights[cand])])
+    return j, -1.0 if vstat[j] == _AT_UPPER or (vstat[j] == _FREE and d[j] > 0) else 1.0
+
+
+def first_pivot(solver, caplog):
+    """(entering column, direction) of the first iteration, from its DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="dpmeter.milp.simplex"):
+        solver.solve()
+    fields = dict(f.split("=") for f in caplog.records[0].getMessage().split())
+    return int(fields["j"]), float(fields["dir"])
+
+
+class TestDirectionPricing:
+    """Pricing reads each column's direction from one array: +1 at a
+    movable lower bound, -1 at a movable upper one, 0 if basic or fixed,
+    with free columns apart.  It must pick what the per-status masks did."""
+
+    def hand_made(self, x1_status):
+        # with all slacks basic, d = c: fixed x2 and x4 (at its upper bound,
+        # d < 0) would score highest, but neither may enter
+        b = MipBuilder()
+        b.add_col("x0", 0, 10, obj=-1.0)
+        b.add_col("x1", 0, 4, obj=5.0)
+        b.add_col("x2", 2, 2, obj=-100.0)
+        b.add_col("x3", -np.inf, np.inf, obj=2.0)
+        b.add_col("x4", 0, 1, obj=-50.0)
+        b.add_row("r0", {0: 1.0, 1: 1.0, 3: 1.0}, -20.0, 20.0)
+        b.add_row("r1", {2: 1.0, 3: 1.0, 4: 1.0}, -20.0, 20.0)
+        solver = SimplexSolver(b.build())
+        basis, vstat = solver.snapshot()
+        vstat[[1, 4]] = [x1_status, _AT_UPPER]
+        solver.load_state(basis, vstat)
+        return solver
+
+    @pytest.mark.parametrize("x1_status, picked", [(_AT_UPPER, (1, -1.0)), (_AT_LOWER, (3, -1.0))])
+    def test_hand_made_lp(self, caplog, x1_status, picked):
+        # at its upper bound x1 (d = 5, w = 2) enters downwards; at its lower
+        # bound it cannot improve, and free x3 (d = 2, w = 3) enters downwards
+        solver = self.hand_made(x1_status)
+        assert solver.vstat[3] == _FREE
+        assert masked_rule_entering(solver) == picked
+        assert first_pivot(solver, caplog) == picked
+
+    def test_random_statuses(self, caplog):
+        rng = np.random.default_rng(17)
+        n_checked = 0
+        for _ in range(40):
+            lp = random_lp(rng)
+            solver = SimplexSolver(lp)
+            basis, vstat = solver.snapshot()
+            up = np.flatnonzero(np.isfinite(solver.ub[: lp.n_cols]) & (rng.random(lp.n_cols) < 0.5))
+            vstat[up] = _AT_UPPER
+            solver.load_state(basis, vstat)
+            try:
+                expected = masked_rule_entering(solver)
+            except ValueError:  # optimal at the start: no column enters
+                continue
+            assert first_pivot(solver, caplog) == expected
+            n_checked += 1
+        assert n_checked >= 20
 
 
 def random_mip(rng, general=True):

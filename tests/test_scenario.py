@@ -114,3 +114,17 @@ class TestCsv:
         path.write_text(f"scenario,period_index,err_kwh,prob\n0,0,1.0,0.5\n1,0,2.0,0.5\n{row}\n")
         with pytest.raises(ValueError, match="negative scenario or period index"):
             read_scenario_csv(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text("scenario,period_index,err_kwh,prob\n0,0,1.0,1.0\n0,1,2.0,1.0\n0,0,9.0,1.0\n")
+        with pytest.raises(ValueError, match="duplicate row for scenario 0 period 0"):
+            read_scenario_csv(path)
+
+    def test_contradictory_probabilities_rejected(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text(
+            "scenario,period_index,err_kwh,prob\n0,0,1.0,0.3\n0,1,2.0,0.5\n1,0,1.0,0.7\n1,1,2.0,0.7\n"
+        )
+        with pytest.raises(ValueError, match="scenario 0 period 1 has probability 0.5, earlier rows 0.3"):
+            read_scenario_csv(path)
