@@ -137,7 +137,7 @@ def cmd_scenarios(args) -> int:
 def cmd_procure(args) -> int:
     model = _load(lambda path: build_milp(read_instance(path)), args.instance)
     inst = model.instance
-    sol = solve(model, tol=args.tol)
+    sol = _checked(solve, model, tol=args.tol)
     if sol.status != "optimal":
         print(f"infeasible: {sol.infeasible_row}", file=sys.stderr)
         return 1

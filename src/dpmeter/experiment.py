@@ -133,6 +133,12 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.n_scenarios < 1:
             raise ValueError("need at least one scenario")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError("beta must be finite and >= 0")
+        if not (np.isfinite(self.solver_tol) and self.solver_tol >= 0.0):
+            raise ValueError("solver_tol must be finite and >= 0")
         if not all(0.0 <= p <= 1.0 for p in self.hetero_p):
             raise ValueError("heterogeneity fractions must lie in [0, 1]")
         if self.group_kind not in ("whole", "kmeans", "share"):

@@ -10,8 +10,8 @@ an optional start basis (m column indices, the slack of row i being
 ``n + i``); without one the root starts from the all-slack basis.  A
 primal-feasible start basis, such as the one the procurement cell model
 builds, lets the root LP skip phase 1.  The results count simplex
-iterations, those of phase 1 among them, refactorizations and switches
-to Bland's rule.
+iterations, those of phase 1 and those of the root node among them,
+refactorizations and switches to Bland's rule.
 """
 
 from .model import LinearMip, check_feasibility

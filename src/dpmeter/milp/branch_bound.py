@@ -42,6 +42,7 @@ class MilpResult:
     infeasible_row: int = -1  # a row the root relaxation could not satisfy
     phase1_iterations: int = 0  # of ``lp_iterations``, those taken in phase 1
     bland_switches: int = 0  # node solves that switched to Bland's rule
+    root_iterations: int = 0  # of ``lp_iterations``, those of the root node
 
 
 class _Node(NamedTuple):
@@ -60,7 +61,10 @@ def solve_milp(
 ) -> MilpResult:
     """Branch and bound to absolute gap ``gap_tol``; the root LP starts from
     ``basis`` (m column indices, the slack of row i being ``n + i``; all
-    slacks when None)."""
+    slacks when None).  A negative or non-finite ``gap_tol`` raises
+    ``ValueError``: a NaN one would turn off every prune."""
+    if not (np.isfinite(gap_tol) and gap_tol >= 0.0):
+        raise ValueError(f"gap tolerance must be finite and >= 0, got {gap_tol}")
     int_cols = lp.integer_columns()
     solver = SimplexSolver(lp, basis)
     lower = np.ceil(lp.col_lower[int_cols])
@@ -70,7 +74,7 @@ def solve_milp(
     best_obj = INF
     best_x: np.ndarray | None = None
     worst_pruned = INF
-    n_nodes = lp_iterations = phase1_iterations = bland_switches = 0
+    n_nodes = lp_iterations = phase1_iterations = bland_switches = root_iterations = 0
     root_row = -1
 
     while stack:
@@ -88,11 +92,11 @@ def solve_milp(
         lp_iterations += res.iterations
         phase1_iterations += res.phase1_iterations
         bland_switches += res.bland
+        if n_nodes == 1:
+            root_iterations, root_row = res.iterations, res.infeasible_row
         if res.status == "unbounded":
             raise ValueError("relaxation is unbounded; the model is missing finite bounds")
         if res.status == "infeasible":
-            if n_nodes == 1:
-                root_row = res.infeasible_row
             continue
         bound, x = res.objective, res.x
         if bound >= best_obj - gap_tol:
@@ -114,7 +118,7 @@ def solve_milp(
         stack.append(_Node(*near, bound, None))
 
     counts = (n_nodes, lp_iterations, solver.refactorizations)
-    telemetry = (phase1_iterations, bland_switches)
+    telemetry = (phase1_iterations, bland_switches, root_iterations)
     if best_x is None:
         return MilpResult("infeasible", INF, None, INF, *counts, root_row, *telemetry)
     gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0

@@ -67,7 +67,9 @@ whose inverse is ``-I``.  ``reset_cold`` installs either with one
 refactorization, and every nonbasic column rests at a finite bound, lower
 first.  A caller that knows a primal-feasible basis (a crash basis, Bixby
 1992, *ORSA J. Computing* 4) skips phase 1 this way: the procurement cell
-model writes one down (``procurement._cell_model``).  A start basis that
+model writes one down (``procurement._cell_model``) whose CVaR columns
+already sit at the VaR split of its point, so the root also skips the
+pivots that would move them there.  A start basis that
 is infeasible only costs phase-1 iterations, and a singular one is
 repaired like any other.
 

@@ -411,6 +411,7 @@ class Solution:
     refactorizations: int = 0  # basis inversions over all nodes
     phase1_iterations: int = 0  # of ``lp_iterations``, those taken in phase 1
     bland_switches: int = 0  # node solves that switched to Bland's rule
+    root_iterations: int = 0  # of ``lp_iterations``, those of the root node
     lp_point: np.ndarray | None = None  # raw solver point in full-model space
     infeasible_row: str | None = None
 
@@ -601,18 +602,28 @@ def _cell_model(
     out.
 
     The root LP starts from a primal-feasible basis (a crash basis, Bixby
-    1992): row ``cvar[s]`` takes ``eta[s]``, each period's ``sum z`` row the
-    ``z`` of its cell with the lowest ``obj[z]`` (lowest index on ties), its
-    tie row ``d_da[t]``, and each ``y`` row its own slack.  Every other
-    column rests at a finite bound, lower first: ``zeta`` at ``-m_cost``,
-    the other ``z`` and every ``y`` at 0, a one-cell period's ``d_da`` at
-    ``lo``.  Taken in the order ``sum z``, tie, ``cvar`` and ``y`` rows, each
-    row adds one basic column with a ±1 entry there, so the basis is
-    triangular and never singular.  Its point is feasible: the chosen ``z``
-    is 1, ``d_da[t]`` sits on that cell's lower edge inside ``[lo, hi]``,
-    each ``y`` row's activity is ``-width <= 0``, and ``eta[s]`` is scenario
-    s's cost plus ``m_cost``, inside ``[0, 2 m_cost]`` because every cost's
-    magnitude is below ``m_cost``.  So the root runs no phase 1.
+    1992) that is already at the CVaR optimum of its own point.  Each
+    period with several cells takes the cell edge of lowest expected cost,
+    ``obj[z_c]`` at ``a_c`` or ``obj[z_c] + obj[y_c] * width_c`` at ``b_c``
+    (lowest index, then the lower edge, on ties): its ``sum z`` row takes
+    that ``z_c``, its tie row ``d_da[t]``, and that cell's ``y`` row takes
+    ``y_c`` where ``b_c`` won, so the row is tight at ``y_c = width_c``.
+    Every other ``y`` row takes its own slack.  With the scenario costs at
+    that point, ``zeta`` is the minimizing kink of ``cvar_kinks`` (a VaR;
+    Rockafellar & Uryasev 2000, *J. Risk* 2): it is basic in the ``cvar``
+    row of a scenario that costs exactly ``zeta``, each scenario that costs
+    more has ``eta[s]`` basic, and every other ``cvar`` row its slack.  So
+    only about ``(1 - alpha) S`` of the ``cvar`` rows start tight, as at
+    the optimum, not all S.  Every other column rests at a finite bound,
+    lower first: the other ``z``, ``y`` and ``eta`` at 0, a one-cell
+    period's ``d_da`` at ``lo``.  Taken in the order ``sum z``, ``y``, tie
+    and ``cvar`` rows (the row of ``zeta`` first), each row adds one basic
+    column with a ±1 entry there, so the basis is triangular and never
+    singular.  Its point is feasible: the chosen ``z`` is 1, ``d_da[t]``
+    sits on an edge of that cell inside ``[lo, hi]``, each ``y`` row's
+    activity is ``-width`` or 0, ``zeta`` is a scenario cost, inside
+    ``[-m_cost, m_cost]``, and ``eta[s]`` is a cost difference, inside
+    ``[0, 2 m_cost]``.  So the root runs no phase 1.
 
     Returns the model, the cells, which cells have a ``z``, and that start
     basis (m column indices, the slack of row i being ``n + i``)."""
@@ -681,10 +692,26 @@ def _cell_model(
     add(cap, y, 1.0)
     add(cap, z, -width)
 
-    # start basis: per period, its cheapest z in the sum-z row
-    order = np.lexsort((obj[z], group))
-    first = np.flatnonzero(np.diff(group[order], prepend=-1))
-    basis = np.concatenate([eta, z[order[first]], periods, col_lower.size + cap])
+    # start basis: per period its cheapest cell edge (a_c, then b_c, per
+    # cell), then the VaR split of the scenario costs at that point
+    edge_cost = np.column_stack([obj[z], obj[z] + obj[y] * width]).ravel()
+    edge_group = np.repeat(group, 2)
+    order = np.lexsort((edge_cost, edge_group))
+    pick = order[np.flatnonzero(np.diff(edge_group[order], prepend=-1))]
+    cell, top = pick // 2, pick[pick % 2 == 1] // 2  # top: y at its cap
+    at_cell = np.flatnonzero(multi)
+    costs = (
+        at_lower[:, one].sum(axis=1)
+        + at_lower[:, at_cell[cell]].sum(axis=1)
+        + slope[:, at_cell[top]] @ width[top]
+    )
+    zeta = cvar_kinks(costs, probs, inst.alpha)[1][0]
+    slack = col_lower.size + np.arange(n_rows)
+    cvar_basic = np.where(costs > zeta, eta, slack[:S])
+    cvar_basic[np.argmax(costs == zeta)] = col_zeta
+    cap_basic = slack[cap]
+    cap_basic[top] = y[top]
+    basis = np.concatenate([cvar_basic, z[cell], periods, cap_basic])
 
     ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
     keep = v != 0.0
@@ -712,7 +739,9 @@ def _one_hot(sel: np.ndarray, n: int) -> np.ndarray:
 
 def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     """Branch-and-bound solve of the procurement MILP to absolute gap ``tol``,
-    on the cell model of ``model``'s instance."""
+    on the cell model of ``model``'s instance.  ``solve_milp`` rejects a
+    negative or non-finite ``tol`` with ``ValueError``; an instance whose
+    volume bounds cross returns ``infeasible`` before that."""
     inst = model.instance
     T, S = model.T, model.S
     lo, hi, infeasible_group = _reduce(inst)
@@ -766,6 +795,7 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
         refactorizations=result.refactorizations,
         phase1_iterations=result.phase1_iterations,
         bland_switches=result.bland_switches,
+        root_iterations=result.root_iterations,
         lp_point=full,
     )
 

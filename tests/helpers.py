@@ -556,11 +556,11 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000, basis=No
 
     res = note_solve(solver.solve())
     n_nodes = 1
-    lp_iterations = res.iterations
+    lp_iterations = root_iterations = res.iterations
     if res.status == "infeasible":
         return MilpResult(
             "infeasible", INF, None, INF, n_nodes, lp_iterations, solver.refactorizations,
-            res.infeasible_row, *telemetry,
+            res.infeasible_row, *telemetry, root_iterations,
         )
     if res.status == "unbounded":
         raise ValueError("relaxation is unbounded; the model is missing finite bounds")
@@ -629,7 +629,7 @@ def fixes_solve_milp(lp: LinearMip, *, gap_tol=1e-6, max_nodes=500_000, basis=No
         if res is None and not stack:
             break
 
-    counts = (n_nodes, lp_iterations, solver.refactorizations, -1, *telemetry)
+    counts = (n_nodes, lp_iterations, solver.refactorizations, -1, *telemetry, root_iterations)
     if best_x is None:
         return MilpResult("infeasible", INF, None, INF, *counts)
     gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0

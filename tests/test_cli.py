@@ -168,6 +168,27 @@ class TestInputErrors:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "field, value, reason",
+        [("alpha", 1.0, "alpha must lie in (0, 1)"),
+         ("beta", -0.5, "beta must be finite and >= 0"),
+         ("solver_tol", float("nan"), "solver_tol must be finite and >= 0")],
+        ids=["alpha-1", "beta-negative", "tol-nan"],
+    )
+    def test_experiment_bad_risk_or_tolerance(self, tmp_path, capsys, monkeypatch, field, value,
+                                              reason):
+        def load_panel(cfg):
+            raise AssertionError("the panel was built before the config was checked")
+
+        monkeypatch.setattr(experiment, "load_panel", load_panel)
+        doc = json.loads(config_to_json(ExperimentConfig()))
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        args = ["experiment", "--config", path, "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [("group_index", 7), ("group_index", -5), ("group_kind", "bogus")],
         ids=["index-7", "index-minus-5", "kind-bogus"],
@@ -335,6 +356,14 @@ class TestArgumentErrors:
         forecast.write_text("period_index,kwh\n0,1.0\n")
         args = [str(a).format(meters=meters, forecast=forecast) for a in args]
         assert_usage_error(capsys, args + ["--out", tmp_path / "x"], reason)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_procure_bad_tolerance(self, tmp_path, capsys, tol):
+        path = tmp_path / "inst.json"
+        write_instance(one_period_instance(), path)
+        args = ["procure", "--instance", path, "--tol", tol, "--out", tmp_path / "sol"]
+        assert_usage_error(capsys, args, "gap tolerance must be finite and >= 0")
+        assert not (tmp_path / "sol").exists()
 
 
 class TestExperimentCommand:

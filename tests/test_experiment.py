@@ -79,6 +79,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="group"):
             clone(FAST_CFG, **fields)
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("alpha", 1.0, r"alpha must lie in \(0, 1\)"),
+            ("alpha", 0.0, r"alpha must lie in \(0, 1\)"),
+            ("alpha", float("nan"), r"alpha must lie in \(0, 1\)"),
+            ("beta", -0.5, "beta must be finite and >= 0"),
+            ("beta", float("nan"), "beta must be finite and >= 0"),
+            ("solver_tol", -1e-6, "solver_tol must be finite and >= 0"),
+            ("solver_tol", float("nan"), "solver_tol must be finite and >= 0"),
+            ("solver_tol", float("inf"), "solver_tol must be finite and >= 0"),
+        ],
+    )
+    def test_risk_and_tolerance_rejected(self, field, value, reason):
+        with pytest.raises(ValueError, match=reason):
+            clone(FAST_CFG, **{field: value})
+        doc = json.loads(config_to_json(FAST_CFG))
+        doc[field] = value
+        with pytest.raises(ValueError, match=reason):
+            config_from_json(json.dumps(doc))
+
     def test_group_index_checked_for_kmeans_only(self):
         assert clone(FAST_CFG, group_index=7).group_index == 7  # a whole-panel config
         assert clone(FAST_CFG, group_kind="share", group_index=-5).group_index == -5

@@ -498,7 +498,7 @@ def assert_same_result(got, want):
         assert got.x.tobytes() == want.x.tobytes()
     for name in (
         "n_nodes", "lp_iterations", "refactorizations", "infeasible_row",
-        "phase1_iterations", "bland_switches",
+        "phase1_iterations", "bland_switches", "root_iterations",
     ):
         assert getattr(got, name) == getattr(want, name), name
 
@@ -572,6 +572,7 @@ class TestBranchAndBound:
             res = solve_milp(lp, gap_tol=1e-8)
             assert res.n_nodes == len(iterations)
             assert res.lp_iterations == sum(iterations)
+            assert res.root_iterations == iterations[0]
             assert res.phase1_iterations == sum(phase1) <= res.lp_iterations
             assert res.bland_switches == sum(bland)
             assert res.refactorizations >= len(pops)
@@ -581,6 +582,11 @@ class TestBranchAndBound:
                 assert res.refactorizations > root.refactorizations
                 n_popped += 1
         assert n_popped >= 2
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6, float("inf")])
+    def test_bad_gap_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="gap tolerance must be finite and >= 0"):
+            solve_milp(random_mip(np.random.default_rng(5)), gap_tol=tol)
 
     def test_gap_is_reported(self):
         rng = np.random.default_rng(5)

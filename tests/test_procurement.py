@@ -541,6 +541,64 @@ class TestStartBasis:
         assert len(roots) == len(insts)
         assert all(r.iterations > 0 and r.phase1_iterations == 0 for r in roots)
 
+    def test_start_is_the_var_split_of_its_crash_point(self):
+        # the crash point's scenario costs, from its volumes and cells alone;
+        # at alpha = 0.9 and S <= 5 only the costliest scenario is in the tail
+        rng = np.random.default_rng(29)
+        insts = parity_instances() + [random_instance(rng, T=5, S=5, B=5, F=6) for _ in range(10)]
+        insts += [random_instance(rng, S=8, alpha=a) for a in (0.2, 0.4, 0.6) for _ in range(4)]
+        n_checked = n_tail = 0
+        for inst in insts:
+            lo, hi, group = _reduce(inst)
+            if group is not None:
+                continue
+            lp, cells, multi, basis = _cell_model(inst, lo, hi)
+            T, S = inst.n_periods, inst.n_scenarios
+            x = SimplexSolver(lp, basis).x
+            chosen = ~multi
+            chosen[multi] = x[T + 1 + S : T + 1 + S + multi.sum()] > 0.5
+            sel = np.flatnonzero(chosen)
+            assert sel.size == T
+            d_da = x[:T]
+            assert np.all(np.isclose(d_da, cells.lower[sel]) | np.isclose(d_da, cells.upper[sel]))
+            b_sel, f_sel = cells.bracket_da[sel], cells.bracket_bal[:, sel]
+            costs = evaluate_selection(inst, d_da, b_sel, f_sel)[4]
+            # each cvar row has one of eta[s], its slack or zeta basic
+            eta_basic = np.isin(T + 1 + np.arange(S), basis)
+            slack_basic = np.isin(lp.n_cols + np.arange(S), basis)
+            assert T in basis and not np.any(eta_basic & slack_basic)
+            (at_var,) = np.flatnonzero(~eta_basic & ~slack_basic)
+            zeta = costs[at_var]
+            assert x[T] == pytest.approx(zeta, rel=1e-12)
+            # zeta minimizes the kink function; where it is flat between two
+            # costs, round-off may pick either end
+            probs = inst.scenarios.probabilities
+            at_zeta = zeta + probs @ np.maximum(costs - zeta, 0.0) / (1.0 - inst.alpha)
+            assert at_zeta == pytest.approx(cvar_kinks(costs, probs, inst.alpha)[0][0], rel=1e-12)
+            np.testing.assert_array_equal(eta_basic, costs > zeta)
+            n_tail += int(eta_basic.any())
+            n_checked += 1
+        assert n_checked >= 50 and n_tail >= 10
+
+    def test_root_iterations_are_the_first_solve(self, monkeypatch):
+        roots, solve_from = [], SimplexSolver.solve
+
+        def recorded(self):
+            res = solve_from(self)
+            if not hasattr(self, "seen"):
+                self.seen = True
+                roots.append(res)
+            return res
+
+        monkeypatch.setattr(SimplexSolver, "solve", recorded)
+        rng = np.random.default_rng(31)
+        insts = [random_instance(rng, T=5, S=5, B=5, F=6) for _ in range(3)]
+        insts.append(read_instance(Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"))
+        for inst in insts:
+            sol = solve(build_milp(inst))
+            assert sol.root_iterations == roots[-1].iterations > 0
+            assert sol.root_iterations <= sol.lp_iterations
+
 
 class TestSolve:
     def test_flat_price_closed_form(self):
@@ -552,6 +610,11 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.d_da[0] == pytest.approx(15.0, abs=1e-6)
         assert sol.objective == pytest.approx(350.0, abs=1e-5)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_gap_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="gap tolerance must be finite and >= 0"):
+            solve(build_milp(random_instance(np.random.default_rng(7))), tol=tol)
 
     def test_solution_feasible_in_full_model(self):
         rng = np.random.default_rng(7)

@@ -9,11 +9,12 @@ procurement solve must reach ``scipy.optimize.milp``'s optimum on the full
 The deep ``hhs-dlcsys`` cases (the same forecast as ``nhhs``) are the
 ones that once needed hundreds to thousands of nodes: S = 30 at scenario
 seeds 0 and 2, S = 50 at seeds 0-5, and S = 100 at seed 1.  On the cell
-model, with OpenBLAS on one thread on a 2-CPU Xeon, they take 7 and 31
-nodes at S = 30; 19, 7, 5, 13, 65 and 69 at S = 50; and 3 at S = 100:
-0.08 to 1.3 s per solve, and 0.23 s (202 LP iterations) at S = 100,
-where HiGHS takes about 2 s.  That last case also caps its LP
-iterations, so that a regression in the simplex pricing fails here.
+model, with OpenBLAS on one thread on a 2-CPU Xeon, they take 9 and 29
+nodes at S = 30; 19, 9, 3, 13, 55 and 85 at S = 50; and 3 at S = 100:
+0.02 to 0.4 s per solve, and 0.06 s (111 LP iterations, 78 of them in
+the root LP) at S = 100, where HiGHS takes about 2 s.  That last case
+also caps its LP iterations, so that a regression in the simplex
+pricing or in the cell model's start basis fails here.
 """
 
 import dataclasses
@@ -88,5 +89,6 @@ def test_solve_matches_highs(reference, forecasts, n_scen, scheme, seed):
     assert sol.objective == pytest.approx(highs_objective(model.lp), rel=1e-6)
     assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
     if (n_scen, scheme, seed) == (100, "hhs-dlcsys", 1):
-        # guards the simplex pricing: Dantzig's rule took 3,788 iterations here
-        assert sol.lp_iterations <= 1000
+        # guards the simplex pricing and the start basis: Dantzig's rule took
+        # 3,788 iterations here, and a crash with every CVaR row tight 202
+        assert sol.lp_iterations <= 150
