@@ -14,12 +14,25 @@ holdout are its training set; ``finish_forecast`` predicts the holdout and
 the next day in one batch and scores the backtest.
 
 Training has one path, for one model or many: ``train_many`` stacks the
-requests that share a shape and a schedule along a leading model axis and
+requests that share a shape, a schedule and a seed along a model axis and
 steps them together through one batched gradient kernel, so a step costs
-about as much numpy overhead for nine models as for one.  Each slice of the
-kernel makes the same BLAS call and the same reduction as a lone model, so
-every model is bit for bit the one it would be alone; ``train`` is the
-one-model form and ``forecast_schemes`` trains many pipelines in one call.
+about as much numpy overhead for nine models as for one.  A step allocates
+nothing.  Standardized rows are stored batch-major, (n, K, d); each epoch
+gathers them once, in the order of the stack's one permutation, with one
+``np.take`` into a preallocated buffer of that shape, and each mini-batch
+is a view of it.  Hidden activations stay batch-major, (B, K, 4), so the
+bias terms run over K * 4 contiguous values and the first-layer bias
+gradient sums over the leading axis; outputs and residuals stay
+model-major, (K, B), so each output-bias gradient is the pairwise sum a
+lone model takes.  Parameters are stored layer by layer, so each layer of
+the stack is contiguous.  Every intermediate, and the epoch-loss forward
+pass, is written into buffers built once per stack and again only when a
+member leaves it.  The output gradient is ``r / (B / 2)``, which equals
+``2r / B`` bit for bit because doubling a float is exact.  Each slice of
+the kernel makes the same BLAS call and the same reduction as a lone
+model, so every model is bit for bit the one it would be alone; ``train``
+is the one-model form and ``forecast_schemes`` trains many pipelines in
+one call.
 
 Features and targets are z-scored once with training-set statistics; the
 inverse transform is applied at prediction time, which keeps one fixed
@@ -29,6 +42,7 @@ aggregates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,6 +111,15 @@ class TrainConfig:
     min_samples: int = 100
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "min_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("learning_rate", "early_stop_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning rate, epochs, and batch size must be positive")
         if self.early_stop_tol <= 0 or self.min_samples <= 0:
@@ -118,51 +141,106 @@ class MlpModel:
     epoch_losses: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.w1.shape[1] != HIDDEN_WIDTH or self.b1.shape != (HIDDEN_WIDTH,):
+        if self.w1.ndim != 2 or self.w1.shape[1] != HIDDEN_WIDTH:
             raise ValueError(f"hidden layer must have exactly {HIDDEN_WIDTH} units")
-        for arr in (self.w1, self.b1, self.w2):
+        if self.b1.shape != (HIDDEN_WIDTH,) or self.w2.shape != (HIDDEN_WIDTH,):
+            raise ValueError(f"hidden bias and output weights must have {HIDDEN_WIDTH} entries")
+        d = self.n_features
+        if np.shape(self.x_mean) != (d,) or np.shape(self.x_std) != (d,):
+            raise ValueError(f"feature mean and scale must have {d} entries, one per feature")
+        for arr in (self.w1, self.b1, self.w2, self.b2):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("model parameters must be finite")
+        for arr in (self.x_mean, self.x_std, self.y_mean, self.y_std):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("scaling statistics must be finite")
+        if not (np.all(self.x_std > 0) and self.y_std > 0):
+            raise ValueError("feature and target scales must be positive")
 
     @property
     def n_features(self) -> int:
         return self.w1.shape[0]
 
 
-def _layers(flat: np.ndarray, d: int):
-    """Views ``(w1, b1, w2, b2)`` of a stack of flat parameter rows (K, P),
-    laid out as ``pack_parameters`` and shaped (K, d, 4), (K, 1, 4), (K, 4, 1)
-    and (K, 1, 1) so that they broadcast as ``_forward`` uses them."""
-    k, h = flat.shape[0], HIDDEN_WIDTH
+def _layers(flat: np.ndarray, k: int, d: int):
+    """Views ``(w1, b1, w2, b2)`` of the parameters of a stack of K models,
+    stored layer by layer in ``flat``: every model's first-layer weights,
+    then every model's hidden biases, output weights and output bias.  They
+    are shaped (K, d, 4), (K, 4), (K, 4, 1) and (K, 1), as the kernel reads
+    them, and each is contiguous; at K = 1 ``flat`` is ``pack_parameters``."""
+    h = HIDDEN_WIDTH
+    e1, e2, e3 = k * d * h, k * (d + 1) * h, k * (d + 2) * h  # where w1, b1 and w2 end
     return (
-        flat[:, : d * h].reshape(k, d, h),
-        flat[:, d * h : d * h + h].reshape(k, 1, h),
-        flat[:, d * h + h : d * h + 2 * h].reshape(k, h, 1),
-        flat[:, -1:].reshape(k, 1, 1),
+        flat[:e1].reshape(k, d, h),
+        flat[e1:e2].reshape(k, h),
+        flat[e2:e3].reshape(k, h, 1),
+        flat[e3:].reshape(k, 1),
     )
 
 
-def _forward(layers, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and outputs (K, n, 1) of a stack of K models, each
-    on its own standardized rows ``xs`` (K, n, d)."""
+def _member(layers, j: int):
+    """``(w1, b1, w2, b2)`` of stack slot ``j``, copied out of ``layers``."""
     w1, b1, w2, b2 = layers
-    a1 = np.maximum(xs @ w1 + b1, 0.0)
-    return a1, a1 @ w2 + b2
+    return w1[j].copy(), b1[j].copy(), w2[j, :, 0].copy(), float(b2[j, 0])
 
 
-def _gradient(layers, xs: np.ndarray, ys: np.ndarray, grads) -> np.ndarray:
-    """Each model's residuals (K, n, 1) on its standardized rows; writes the
+class _Batch:
+    """One mini-batch of a stack of K models: rows ``x`` (B, K, d), targets
+    ``y`` (K, B), and the kernel's work buffers with the views of them that
+    a step reads.  Hidden activations, their ReLU mask and their gradient
+    are batch-major, (B, K, 4); outputs, residuals and the output gradient
+    model-major, (K, B) (see the module docstring for why).  A batch built
+    with ``work``, an earlier batch at least as long, uses its buffers, so
+    every mini-batch of an epoch shares one set.
+    """
+
+    def __init__(self, x: np.ndarray, y, work: _Batch | None = None):
+        b, k, _ = x.shape
+        if work is None:
+            hidden = (b, k, HIDDEN_WIDTH)
+            a, on, dz = np.empty(hidden), np.empty(hidden, bool), np.empty(hidden)
+            self.buffers = a, on, dz, np.empty((k, b)), np.empty((k, b))
+        else:
+            self.buffers = work.buffers
+        a, on, dz, r, dl = self.buffers
+        self.y = y
+        self.x, self.x_t = x.transpose(1, 0, 2), x.transpose(1, 2, 0)  # (K, B, d), (K, d, B)
+        self.a, self.on, self.dz = a[:b], on[:b], dz[:b]
+        self.a_k, self.a_t = self.a.transpose(1, 0, 2), self.a.transpose(1, 2, 0)
+        self.dz_k, self.dz_t = self.dz.transpose(1, 0, 2), self.dz.transpose(1, 2, 0)
+        self.r, self.dl = r[:, :b], dl[:, :b]
+        self.r_col, self.dl_col = self.r[:, :, None], self.dl[:, :, None]  # (K, B, 1)
+        self.dl_mid = self.dl[:, None]  # (K, 1, B)
+        self.half_rows = b / 2
+
+
+def _forward(layers, batch: _Batch) -> np.ndarray:
+    """Each model's outputs (K, B) on its rows of ``batch``, written into
+    the batch's residual buffer."""
+    w1, b1, w2, b2 = layers
+    np.matmul(batch.x, w1, out=batch.a_k)
+    np.add(batch.a, b1, out=batch.a)
+    np.maximum(batch.a, 0.0, out=batch.a)
+    np.matmul(batch.a_k, w2, out=batch.r_col)
+    return np.add(batch.r, b2, out=batch.r)
+
+
+def _gradient(layers, batch: _Batch, grads) -> np.ndarray:
+    """Each model's residuals (K, B) on its rows of ``batch``; writes the
     exact gradient of its mean squared error into ``grads``, views shaped as
     ``layers``.  Each slice takes the same BLAS call and the same reduction
     as the lone model would, so it comes out bit for bit the same."""
-    a1, pred = _forward(layers, xs)
-    r = pred - ys
-    dl_dpred = 2.0 * r / xs.shape[1]
-    dz1 = dl_dpred * layers[2].transpose(0, 2, 1) * (a1 > 0)
-    np.matmul(xs.transpose(0, 2, 1), dz1, out=grads[0])
-    np.add.reduce(dz1, axis=1, keepdims=True, out=grads[1])
-    np.matmul(a1.transpose(0, 2, 1), dl_dpred, out=grads[2])
-    np.add.reduce(dl_dpred, axis=1, keepdims=True, out=grads[3])
+    r = np.subtract(_forward(layers, batch), batch.y, out=batch.r)
+    np.divide(r, batch.half_rows, out=batch.dl)  # = 2r / B: doubling is exact
+    g_w1, g_b1, g_w2, g_b2 = grads
+    np.add.reduce(batch.dl, axis=1, keepdims=True, out=g_b2)
+    np.matmul(batch.a_t, batch.dl_col, out=g_w2)
+    np.greater(batch.a, 0.0, out=batch.on)
+    # iterate in C order over (K, 4, B) views: the inner loop runs over B
+    np.multiply(batch.dl_mid, layers[2], out=batch.dz_t, order="C")
+    np.multiply(batch.dz, batch.on, out=batch.dz)
+    np.matmul(batch.x_t, batch.dz_k, out=g_w1)
+    np.add.reduce(batch.dz, axis=0, out=g_b1)
     return r
 
 
@@ -174,10 +252,10 @@ def loss_and_gradient(
     xs = (X - model.x_mean) / model.x_std
     ys = (y - model.y_mean) / model.y_std
     d = model.n_features
-    params = pack_parameters(model)[None]
-    grad = np.empty_like(params)
-    r = _gradient(_layers(params, d), xs[None], ys[None, :, None], _layers(grad, d))
-    w1, b1, w2, b2 = _unpack(grad[0], d)
+    params = pack_parameters(model)
+    grads = _layers(np.empty_like(params), 1, d)
+    r = _gradient(_layers(params, 1, d), _Batch(xs[:, None], ys[None]), grads)
+    w1, b1, w2, b2 = _member(grads, 0)
     return float((r**2).mean()), {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 
@@ -185,21 +263,14 @@ def pack_parameters(model: MlpModel) -> np.ndarray:
     return np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
 
 
-def _unpack(flat: np.ndarray, d: int):
-    """``(w1, b1, w2, b2)`` copied out of one row laid out as ``pack_parameters``."""
-    w1, b1, w2, b2 = (a[0].copy() for a in _layers(flat[None], d))
-    return w1, b1[0], w2[:, 0], float(b2[0, 0])
-
-
 def with_parameters(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    return MlpModel(
-        *_unpack(flat, model.n_features), model.x_mean, model.x_std, model.y_mean, model.y_std
-    )
+    layers = _layers(flat, 1, model.n_features)
+    return MlpModel(*_member(layers, 0), model.x_mean, model.x_std, model.y_mean, model.y_std)
 
 
 def _checked(dataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     X, y = (np.asarray(a, dtype=float) for a in dataset)
-    if X.ndim != 2 or X.shape[0] != y.size:
+    if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("dataset must pair one feature row with one target")
     if X.shape[0] < cfg.min_samples:
         raise ValueError(f"need at least {cfg.min_samples} samples, got {X.shape[0]}")
@@ -213,17 +284,21 @@ def train_many(datasets, cfgs) -> list[MlpModel | Exception]:
     ``(X, y)`` dataset and ``TrainConfig``; one model or one exception per
     request, in order.
 
-    Requests that share ``(n, d, batch_size, epochs, learning_rate)`` train
-    as one stack: every step gathers each member's mini-batch with one
-    index and runs the gradient kernel on the whole stack.  Each member
-    keeps its own ``default_rng(seed)`` (first-layer weights, then output
-    weights, then one permutation per epoch), its own standardization and
-    its own loss checks.  A member whose epoch loss changes by less than
-    ``early_stop_tol`` (relative to its first epoch's) stops, and one whose
-    loss diverges fails; either leaves the stack.  The kernel computes each
-    slice exactly as it would for that model alone, so the members left
-    keep the same bits, and every model equals the one trained alone.  A
-    request with too few samples or non-finite data fails in its own slot.
+    Requests that share ``(n, d, batch_size, epochs, learning_rate, seed)``
+    train as one stack, and every step runs the gradient kernel on the
+    whole stack.  A model draws its first-layer weights, then its output
+    weights, then one permutation per epoch from ``default_rng(seed)``, so
+    the members of a stack draw the same numbers: one stream starts them
+    all, and each epoch one permutation orders every member's rows.  (The
+    pipelines of one experiment cell seed share their training seed.)  Each
+    member keeps its own standardization and its own loss checks.  A member
+    whose epoch loss changes by less than ``early_stop_tol`` (relative to
+    its first epoch's) stops, and one whose loss diverges fails; either
+    leaves the stack.  The kernel computes each slice exactly as it would
+    for that model alone, so the members left keep the same bits, and every
+    model equals the one trained alone.  A request with too few samples, a
+    target that is not one value per row, or non-finite data fails in its
+    own slot.
     """
     out: list = [None] * len(datasets)
     stacks: dict[tuple, list[tuple[int, np.ndarray, np.ndarray, TrainConfig]]] = {}
@@ -233,7 +308,7 @@ def train_many(datasets, cfgs) -> list[MlpModel | Exception]:
         except ValueError as exc:
             out[i] = exc
             continue
-        key = (*X.shape, cfg.batch_size, cfg.epochs, cfg.learning_rate)
+        key = (*X.shape, cfg.batch_size, cfg.epochs, cfg.learning_rate, cfg.seed)
         stacks.setdefault(key, []).append((i, X, y, cfg))
     for members in stacks.values():
         for (i, *_), trained in zip(members, _train_stack(members)):
@@ -242,53 +317,62 @@ def train_many(datasets, cfgs) -> list[MlpModel | Exception]:
 
 
 def _train_stack(members) -> list[MlpModel | Exception]:
-    """Train the members of one ``train_many`` stack; see there."""
+    """Train the members of one ``train_many`` stack; see there, and the
+    module docstring for the layout of its rows and buffers."""
     _, X0, _, cfg0 = members[0]
     n, d = X0.shape
     batch, lr = cfg0.batch_size, cfg0.learning_rate
     k_all = len(members)
-    xs = np.empty((k_all, n, d))
-    ys = np.empty((k_all, n, 1))
-    params = np.zeros((k_all, d * HIDDEN_WIDTH + 2 * HIDDEN_WIDTH + 1))
-    w1, _, w2, _ = _layers(params, d)
-    stats, rngs = [], []
-    for k, (_, X, y, cfg) in enumerate(members):
+    xs = np.empty((n, k_all, d))
+    ys = np.empty((n, k_all))
+    params = np.zeros(k_all * (d * HIDDEN_WIDTH + 2 * HIDDEN_WIDTH + 1))
+    w1, _, w2, _ = _layers(params, k_all, d)
+    rng = np.random.default_rng(cfg0.seed)  # the stream of every member
+    w1[:] = rng.normal(0.0, np.sqrt(2.0 / d), (d, HIDDEN_WIDTH))
+    w2[:, :, 0] = rng.normal(0.0, np.sqrt(2.0 / HIDDEN_WIDTH), HIDDEN_WIDTH)
+    stats = []
+    for k, (_, X, y, _) in enumerate(members):
         x_mean = X.mean(axis=0)
         x_std = X.std(axis=0)
         x_std = np.where(x_std < 1e-8, 1.0, x_std)
         y_mean = float(y.mean())
         y_std = float(y.std())
         y_std = y_std if y_std > 1e-8 else 1.0
-        np.divide(np.subtract(X, x_mean, out=xs[k]), x_std, out=xs[k])
-        np.divide(np.subtract(y, y_mean, out=ys[k, :, 0]), y_std, out=ys[k, :, 0])
-        rng = np.random.default_rng(cfg.seed)
-        w1[k] = rng.normal(0.0, np.sqrt(2.0 / d), (d, HIDDEN_WIDTH))
-        w2[k, :, 0] = rng.normal(0.0, np.sqrt(2.0 / HIDDEN_WIDTH), HIDDEN_WIDTH)
+        np.divide(np.subtract(X, x_mean, out=xs[:, k]), x_std, out=xs[:, k])
+        np.divide(np.subtract(y, y_mean, out=ys[:, k]), y_std, out=ys[:, k])
         stats.append((x_mean, x_std, y_mean, y_std))
-        rngs.append(rng)
 
     out: list = [None] * k_all
     losses: list[list[float]] = [[] for _ in members]
     active = list(range(k_all))  # member of each stack slot
 
-    def finish(j: int, k: int) -> None:
-        out[k] = MlpModel(*_unpack(params[j], d), *stats[k], losses[k])
+    def finish(layers, j: int, k: int) -> None:
+        out[k] = MlpModel(*_member(layers, j), *stats[k], losses[k])
 
-    grad = np.empty_like(params)
-    layers, grads = _layers(params, d), _layers(grad, d)
-
+    rebuild = True
     for _ in range(cfg0.epochs):
-        # row r of member slot j sits at xs.reshape(-1, d)[j * n + r]
-        order = np.stack([rngs[k].permutation(n) for k in active])
-        order += n * np.arange(len(active))[:, None]
-        flat_x, flat_y = xs.reshape(-1, d), ys.reshape(-1, 1)
-        for start in range(0, n, batch):
-            idx = order[:, start : start + batch]
-            x_batch, y_batch = np.take(flat_x, idx, axis=0), np.take(flat_y, idx, axis=0)
-            _gradient(layers, x_batch, y_batch, grads)
-            params -= lr * grad
-        _, pred = _forward(layers, xs)
-        loss_std = ((pred - ys) ** 2).mean(axis=1)
+        if rebuild:  # for the members left
+            rebuild, k_now = False, len(active)
+            x_epoch, y_epoch = np.empty_like(xs), np.empty_like(ys)
+            first = _Batch(x_epoch[:batch], y_epoch[:batch].T)
+            batches = [first] + [
+                _Batch(x_epoch[start : start + batch], y_epoch[start : start + batch].T, first)
+                for start in range(batch, n, batch)
+            ]
+            every_row = _Batch(xs, ys.T)  # for the epoch loss
+            grad, scaled = np.empty_like(params), np.empty_like(params)
+            layers, grads = _layers(params, k_now, d), _layers(grad, k_now, d)
+            loss_std = np.empty((k_now, 1))
+        order = rng.permutation(n)
+        # "clip" never clips these in-range rows; "raise" would buffer ``out``
+        np.take(xs, order, axis=0, out=x_epoch, mode="clip")
+        np.take(ys, order, axis=0, out=y_epoch, mode="clip")
+        for step in batches:
+            _gradient(layers, step, grads)
+            np.subtract(params, np.multiply(grad, lr, out=scaled), out=params)
+        r = np.subtract(_forward(layers, every_row), every_row.y, out=every_row.r)
+        np.add.reduce(np.square(r, out=r), axis=1, keepdims=True, out=loss_std)
+        np.divide(loss_std, n, out=loss_std)
         keep = []
         for j, k in enumerate(active):
             loss = float(loss_std[j, 0]) * stats[k][3] ** 2
@@ -298,17 +382,18 @@ def _train_stack(members) -> list[MlpModel | Exception]:
             if not np.isfinite(loss) or loss > 1e12:
                 out[k] = ValueError("training diverged")
             elif len(history) > 1 and abs(history[-2] - loss) < tol:
-                finish(j, k)
+                finish(layers, j, k)
             else:
                 keep.append(j)
-        if len(keep) < len(active):
+        if len(keep) < k_now:
             if not keep:
                 return out
-            xs, ys, params, grad = xs[keep], ys[keep], params[keep], grad[keep]
-            layers, grads = _layers(params, d), _layers(grad, d)
+            xs, ys = xs[:, keep], ys[:, keep]
+            params = np.concatenate([a[keep].ravel() for a in layers])
             active = [active[j] for j in keep]
+            rebuild = True
     for j, k in enumerate(active):
-        finish(j, k)
+        finish(layers, j, k)
     return out
 
 
@@ -327,8 +412,9 @@ def predict(model: MlpModel, x) -> float:
 
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     xs = (np.asarray(X, dtype=float) - model.x_mean) / model.x_std
-    _, pred = _forward(_layers(pack_parameters(model)[None], model.n_features), xs[None])
-    return pred[0, :, 0] * model.y_std + model.y_mean
+    layers = _layers(pack_parameters(model), 1, model.n_features)
+    pred = _forward(layers, _Batch(xs[:, None], None))
+    return pred[0] * model.y_std + model.y_mean
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -207,6 +207,29 @@ class TestInputErrors:
         assert_usage_error(capsys, args, reason)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [("learning_rate", float("nan"), "learning_rate must be finite"),
+         ("early_stop_tol", float("inf"), "early_stop_tol must be finite"),
+         ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+         ("batch_size", 8.5, "batch_size must be an integer, got 8.5"),
+         ("min_samples", True, "min_samples must be an integer, got True")],
+        ids=["lr-nan", "tol-inf", "epochs-2.5", "batch-8.5", "min-samples-true"],
+    )
+    def test_experiment_bad_train_config(self, tmp_path, capsys, monkeypatch, field, value,
+                                         reason):
+        def load_panel(cfg):
+            raise AssertionError("the panel was built before the config was checked")
+
+        monkeypatch.setattr(experiment, "load_panel", load_panel)
+        doc = json.loads(config_to_json(ExperimentConfig()))
+        doc["train"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        args = ["experiment", "--config", path, "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
+
     def test_report_invalid_config(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         results.write_text("")

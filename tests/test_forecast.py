@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dpmeter.forecast as forecast
 from dpmeter.domain import LoadSeries, MeterPanel, SettlementScheme, compute_dlc
 from dpmeter.forecast import (
     HIDDEN_WIDTH,
@@ -101,6 +102,31 @@ def linear_dataset(rng, n=400):
     coef = np.array([0.1, -0.4, 0.05, 0.3, 0.2, -0.1, 0.15, 0.25])
     y = X @ coef + 3.0
     return X.astype(float), y
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("learning_rate", float("nan"), "learning_rate must be finite"),
+            ("learning_rate", float("inf"), "learning_rate must be finite"),
+            ("early_stop_tol", float("nan"), "early_stop_tol must be finite"),
+            ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+            ("epochs", True, "epochs must be an integer, got True"),
+            ("batch_size", 8.5, "batch_size must be an integer, got 8.5"),
+            ("batch_size", 64.0, "batch_size must be an integer, got 64.0"),
+            ("min_samples", False, "min_samples must be an integer, got False"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", -1, "seed must be >= 0"),
+        ],
+    )
+    def test_rejects_when_built(self, field, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            TrainConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), min_samples=np.int64(1))
+        assert (cfg.epochs, cfg.batch_size, cfg.min_samples) == (3, 8, 1)
 
 
 class TestTraining:
@@ -217,15 +243,29 @@ class TestStackedTraining:
     equals the one ``loop_train`` gives it alone, bit for bit."""
 
     @staticmethod
-    def request(seed, n, d, batch_size, epochs=12, **cfg):
+    def request(seed, n, d, batch_size, epochs=12, train_seed=None, **cfg):
+        """Data drawn from ``seed``; trained from ``train_seed``, or ``seed``."""
         rng = np.random.default_rng(200 + seed)
         X = rng.normal(rng.uniform(-5, 5, d), rng.uniform(0.1, 20, d), (n, d))
         X[:, 0] = rng.integers(1, 54, n)
         y = X @ rng.normal(0, 1, d) + rng.normal(0, 0.3, n)
+        seed = seed if train_seed is None else train_seed
         config = TrainConfig(
             epochs=epochs, batch_size=batch_size, seed=seed, min_samples=1, **cfg
         )
         return (X, y), config
+
+    @staticmethod
+    def stack_sizes(monkeypatch) -> list[int]:
+        """The member count of every stack ``train_many`` trains from now on."""
+        sizes, train_stack = [], forecast._train_stack
+
+        def counted(members):
+            sizes.append(len(members))
+            return train_stack(members)
+
+        monkeypatch.setattr(forecast, "_train_stack", counted)
+        return sizes
 
     def test_stack_matches_loop(self):
         requests = [
@@ -259,6 +299,53 @@ class TestStackedTraining:
         with pytest.raises(ValueError, match="non-finite"):
             raise models[2]
         for k in (0, 3):
+            (X, y), cfg = requests[k]
+            TestTrainingParity.assert_same(models[k], loop_train(X, y, cfg))
+
+    def test_malformed_target_fails_its_slot(self, monkeypatch):
+        requests = [self.request(k, 120, 8, 32, train_seed=5) for k in range(3)]
+        (X, y), cfg = requests[1]
+        requests[1] = (X, y[:, None]), cfg  # (n, 1): n targets, but not one per row
+        sizes = self.stack_sizes(monkeypatch)
+        models = train_many(*zip(*requests))
+        assert sizes == [2]
+        with pytest.raises(ValueError, match="pair one feature row with one target"):
+            raise models[1]
+        for k in (0, 2):
+            (X, y), cfg = requests[k]
+            TestTrainingParity.assert_same(models[k], loop_train(X, y, cfg))
+
+    def test_production_shape(self, monkeypatch):
+        # a replicate's half-hourly stack: nine models on 1,872 rows with one
+        # training seed, batches of 64 and a last batch of 16; one member stops
+        # early, so the stack shrinks mid-training; and a daily model: 35 rows,
+        # a last batch of 3
+        requests = [self.request(k, 1872, 8, 64, epochs=4, train_seed=11) for k in range(9)]
+        requests[4] = self.request(4, 1872, 8, 64, epochs=4, train_seed=11, early_stop_tol=0.2)
+        requests.append(self.request(9, 35, 5, 16, epochs=4, train_seed=11))
+        sizes = self.stack_sizes(monkeypatch)
+        models = train_many(*zip(*requests))
+        assert sizes == [9, 1]
+        assert len(models[4].epoch_losses) < 4
+        assert all(len(m.epoch_losses) == 4 for k, m in enumerate(models) if k != 4)
+        for ((X, y), cfg), model in zip(requests, models):
+            TestTrainingParity.assert_same(model, loop_train(X, y, cfg))
+
+    def test_shared_seed_stack_sheds_members(self, monkeypatch):
+        # requests that share a training seed share a stack, whatever their
+        # data and early-stop tolerance; one stops early and one diverges
+        requests = [self.request(k, 203, 8, 50, train_seed=3) for k in range(5)]
+        requests[2] = self.request(2, 203, 8, 50, train_seed=3, early_stop_tol=0.05)
+        (X, y), cfg = requests[4]
+        requests[4] = (X, y * 1e9), cfg
+        requests.append(self.request(5, 203, 8, 50, train_seed=4))  # its own stack
+        sizes = self.stack_sizes(monkeypatch)
+        models = train_many(*zip(*requests))
+        assert sizes == [5, 1]
+        assert len(models[2].epoch_losses) < 12
+        assert [len(models[k].epoch_losses) for k in (0, 1, 3, 5)] == [12] * 4
+        assert isinstance(models[4], ValueError) and str(models[4]) == "training diverged"
+        for k in (0, 1, 2, 3, 5):
             (X, y), cfg = requests[k]
             TestTrainingParity.assert_same(models[k], loop_train(X, y, cfg))
 
@@ -331,6 +418,30 @@ class TestPredict:
         np.testing.assert_array_equal(back.x_mean, model.x_mean)
         probe = rng.uniform(0, 30, (5, 8))
         np.testing.assert_array_equal(predict_batch(back, probe), predict_batch(model, probe))
+
+    @pytest.mark.parametrize(
+        "line, text, reason",
+        [
+            (6, "0.1 0.2 0.3 0.4 0.5", "output weights must have 4 entries"),
+            (1, "0.0 1.0", "must have 8 entries, one per feature"),
+            (2, " ".join(["1.0"] * 7 + ["0.0"]), "scales must be positive"),
+            (2, " ".join(["1.0"] * 7 + ["nan"]), "scaling statistics must be finite"),
+            (3, "nan 1.0", "scaling statistics must be finite"),
+            (3, "0.0 0.0", "scales must be positive"),
+            (7, "inf", "model parameters must be finite"),
+        ],
+        ids=["w2-5", "x_mean-2", "x_std-zero", "x_std-nan", "y_mean-nan", "y_std-zero", "b2-inf"],
+    )
+    def test_load_rejects_edited_file(self, tmp_path, line, text, reason):
+        rng = np.random.default_rng(9)
+        X, y = linear_dataset(rng, n=150)
+        path = tmp_path / "model.txt"
+        save_model(train((X, y), TrainConfig(epochs=3, seed=10)), path)
+        lines = path.read_text().splitlines()
+        lines[line] = text  # lines: header, x_mean, x_std, y stats, w1, b1, w2, b2
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=reason):
+            load_model(path)
 
 
 def synthetic_panel(rng, n_meters=12, n_weeks=6, evening_shift=0.0):
