@@ -139,7 +139,8 @@ def cmd_procure(args) -> int:
     inst = model.instance
     sol = _checked(solve, model, tol=args.tol)
     if sol.status != "optimal":
-        print(f"infeasible: {sol.infeasible_row}", file=sys.stderr)
+        where = f": {sol.infeasible_row}" if sol.infeasible_row else ""
+        print(f"{sol.status}{where}", file=sys.stderr)
         return 1
     out = _out_dir(args)
     write_csv(

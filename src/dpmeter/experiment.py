@@ -444,7 +444,8 @@ def run_cell(
         inst = forecast_to_instance(fc, wape_value, ctx.market, cfg, scen_seed)
         sol = solve(build_milp(inst), tol=cfg.solver_tol)
         if sol.status != "optimal":
-            raise RuntimeError(f"procurement {sol.status}: {sol.infeasible_row}")
+            where = f": {sol.infeasible_row}" if sol.infeasible_row else ""
+            raise RuntimeError(f"procurement {sol.status}{where}")
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return exc
     return CellOutcome(wape_value, sol.expected_cost, sol.cvar, sol.objective)

@@ -1,7 +1,8 @@
 """Minimal compressed sparse matrix support for the simplex solver.
 
-Only the operations the solver needs: COO assembly, the product ``A @ x``, a
-dense copy, and column extraction.
+The operations the solver needs: COO assembly, the product ``A @ x`` and a
+column-major dense copy.  Row and column access serve tests; the CSC shadow
+behind ``column`` is built on its first call.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 
 class SparseMatrix:
-    """CSR storage with a cached CSC shadow for fast column access."""
+    """CSR storage, with a CSC shadow built on the first column access."""
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         self.n_rows = int(n_rows)
@@ -60,8 +61,8 @@ class SparseMatrix:
         )
 
     def toarray(self) -> np.ndarray:
-        """The dense n_rows × n_cols matrix."""
-        out = np.zeros((self.n_rows, self.n_cols))
+        """The dense n_rows × n_cols matrix, column-major."""
+        out = np.zeros((self.n_rows, self.n_cols), order="F")
         out[self._row_of, self.indices] = self.data
         return out
 
@@ -70,17 +71,6 @@ class SparseMatrix:
         col_ptr, row_idx, col_data = self._ensure_csc()
         lo, hi = col_ptr[j], col_ptr[j + 1]
         return row_idx[lo:hi], col_data[lo:hi]
-
-    def column_entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row indices, positions in ``cols``, values) of every entry of
-        ``A[:, cols]``, gathered in one pass over the column-major copy."""
-        col_ptr, row_idx, col_data = self._ensure_csc()
-        start = col_ptr[cols]
-        count = col_ptr[cols + 1] - start
-        pos = np.repeat(np.arange(cols.size), count)
-        first = np.cumsum(count) - count  # where each column's entries begin
-        idx = np.arange(int(count.sum())) + np.repeat(start - first, count)
-        return row_idx[idx], pos, col_data[idx]
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[i], self.indptr[i + 1]

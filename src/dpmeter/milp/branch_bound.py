@@ -18,6 +18,7 @@ from the live solver state; the far sibling waits with a snapshot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,9 +33,9 @@ _INT_TOL = 1e-7
 
 @dataclass
 class MilpResult:
-    status: str  # "optimal" | "infeasible"
-    objective: float
-    x: np.ndarray | None
+    status: str  # "optimal" | "infeasible" | "node_limit" | "iteration_limit"
+    objective: float  # the incumbent's; inf without one
+    x: np.ndarray | None  # the incumbent, if any
     gap: float
     n_nodes: int
     lp_iterations: int = 0  # simplex pivots and bound flips over all nodes
@@ -62,20 +63,26 @@ def solve_milp(
     """Branch and bound to absolute gap ``gap_tol``; the root LP starts from
     ``basis`` (m column indices, the slack of row i being ``n + i``; all
     slacks when None).  A negative or non-finite ``gap_tol`` raises
-    ``ValueError``: a NaN one would turn off every prune."""
-    if not (np.isfinite(gap_tol) and gap_tol >= 0.0):
+    ``ValueError``: a NaN one would turn off every prune.
+
+    The search stops with status ``node_limit`` when a node beyond
+    ``max_nodes`` would be solved, and with ``iteration_limit`` when a
+    node's LP hits the simplex's iteration cap; either keeps the incumbent
+    found so far, if any, with the gap to the open nodes' bounds."""
+    if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
         raise ValueError(f"gap tolerance must be finite and >= 0, got {gap_tol}")
     int_cols = lp.integer_columns()
     solver = SimplexSolver(lp, basis)
     lower = np.ceil(lp.col_lower[int_cols])
     upper = np.floor(lp.col_upper[int_cols])
-    stack = [] if (lower > upper).any() else [_Node(lower, upper, -INF, None)]
+    stack = [] if np.logical_or.reduce(lower > upper) else [_Node(lower, upper, -INF, None)]
 
     best_obj = INF
     best_x: np.ndarray | None = None
     worst_pruned = INF
     n_nodes = lp_iterations = phase1_iterations = bland_switches = root_iterations = 0
     root_row = -1
+    status = "optimal"
 
     while stack:
         node = stack.pop()
@@ -83,7 +90,8 @@ def solve_milp(
             worst_pruned = min(worst_pruned, node.bound)
             continue
         if n_nodes >= max_nodes:
-            raise RuntimeError(f"branch and bound exceeded {max_nodes} nodes")
+            status = "node_limit"
+            break
         solver.set_col_bounds(int_cols, node.lower, node.upper)
         if node.state is not None:
             solver.load_state(*node.state)
@@ -96,6 +104,9 @@ def solve_milp(
             root_iterations, root_row = res.iterations, res.infeasible_row
         if res.status == "unbounded":
             raise ValueError("relaxation is unbounded; the model is missing finite bounds")
+        if res.status == "iteration_limit":
+            status = "iteration_limit"
+            break
         if res.status == "infeasible":
             continue
         bound, x = res.objective, res.x
@@ -103,23 +114,26 @@ def solve_milp(
             worst_pruned = min(worst_pruned, bound)
             continue
         xi = x[int_cols]
-        frac = np.abs(xi - np.round(xi))
-        if frac.max(initial=0.0) <= _INT_TOL:
-            x[int_cols] = np.round(xi)
+        frac = np.abs(xi - xi.round())
+        if np.maximum.reduce(frac, initial=0.0) <= _INT_TOL:
+            x[int_cols] = xi.round()
             best_obj, best_x = bound, x
             continue
         # children a new incumbent prunes are dropped when popped
-        k = int(np.argmax(frac))
+        k = int(frac.argmax())
         split_upper, split_lower = node.upper.copy(), node.lower.copy()
         split_upper[k], split_lower[k] = np.floor(xi[k]), np.ceil(xi[k])
         down, up = (node.lower, split_upper), (split_lower, node.upper)
-        far, near = (down, up) if np.round(xi[k]) > xi[k] else (up, down)
+        far, near = (down, up) if xi[k].round() > xi[k] else (up, down)
         stack.append(_Node(*far, bound, solver.snapshot()))
         stack.append(_Node(*near, bound, None))
 
     counts = (n_nodes, lp_iterations, solver.refactorizations)
     telemetry = (phase1_iterations, bland_switches, root_iterations)
-    if best_x is None:
+    if best_x is None and status == "optimal":
         return MilpResult("infeasible", INF, None, INF, *counts, root_row, *telemetry)
-    gap = max(0.0, best_obj - worst_pruned) if np.isfinite(worst_pruned) else 0.0
-    return MilpResult("optimal", best_obj, best_x, gap, *counts, -1, *telemetry)
+    if status != "optimal":
+        # the unsolved node and every one still open bound what remains
+        worst_pruned = min([worst_pruned, node.bound] + [nd.bound for nd in stack])
+    gap = INF if best_x is None else max(0.0, best_obj - worst_pruned)
+    return MilpResult(status, best_obj, best_x, gap, *counts, -1, *telemetry)

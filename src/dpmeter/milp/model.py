@@ -41,8 +41,15 @@ class LinearMip:
         return np.flatnonzero(self.is_integer)
 
 
-def check_feasibility(lp: LinearMip, x: np.ndarray, *, integer_tol: float = 1e-7) -> float:
-    """Maximum bound/row/integrality violation of a candidate point."""
+def check_feasibility(lp: LinearMip, x: np.ndarray) -> float:
+    """Maximum bound/row/integrality violation of a candidate point; ``inf``
+    for a point with a non-finite entry or row activity, which no bound
+    comparison would catch (``max(v, nan)`` keeps ``v``)."""
+    if not np.isfinite(x).all():
+        return INF
+    ax = lp.row_matrix.dot(x)
+    if not np.isfinite(ax).all():
+        return INF
     viol = 0.0
     finite_lo = np.isfinite(lp.col_lower)
     finite_up = np.isfinite(lp.col_upper)
@@ -50,7 +57,6 @@ def check_feasibility(lp: LinearMip, x: np.ndarray, *, integer_tol: float = 1e-7
         viol = max(viol, float(np.max(lp.col_lower[finite_lo] - x[finite_lo], initial=0.0)))
     if finite_up.any():
         viol = max(viol, float(np.max(x[finite_up] - lp.col_upper[finite_up], initial=0.0)))
-    ax = lp.row_matrix.dot(x)
     lo_ok = np.isfinite(lp.row_lower)
     up_ok = np.isfinite(lp.row_upper)
     if lo_ok.any():

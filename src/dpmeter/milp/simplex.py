@@ -21,16 +21,34 @@ pricing falls back to Bland's rule, so the path is deterministic.
 ``LpResult`` counts the iterations taken in phase 1 and says whether the
 solve fell back to Bland's rule.
 
-The reduced costs ``c − Aᵀy`` come from one dense product ``y @ A``: each
-solver keeps a dense copy of ``A`` for pricing, m·n doubles (about 0.45 MB
-for the largest model of the ``procure`` benchmark, 188 rows by 299
-columns).  Each column carries the sign of the step that moves it off its
-bound, +1 at a movable lower bound, −1 at a movable upper one and 0 if
-basic or fixed, so the improving columns are ``sign · d < 0`` and the
-choice is one ``argmax``; nonbasic free columns are priced apart.  The
-values, bounds and costs of the basic columns are carried by basis
-position from pivot to pivot and written back to the point only at exit
-and at a refactorization.
+Each solver keeps one dense, column-major copy of ``A``, m·n doubles
+(about 0.45 MB for the largest model of the ``procure`` benchmark, 188
+rows by 299 columns).  Pricing, the entering column and refactorization
+all read it: ``y @ A`` is one product, a column ``a_j`` is contiguous,
+and a refactorization gathers its blocks from it.
+
+Phase 2 carries the reduced costs ``d`` from pivot to pivot through the
+pivot row (Maros 2003, *Computational Techniques of the Simplex
+Method*).  A pivot on row p that brings in column j with ``w = B⁻¹ a_j``
+sets ``d ← d − (d_j / w_p) α_p`` for the pivot row
+``α_p = ρ_p [A | −I] = [ρ_p A, −ρ_p]``, where ``ρ_p`` is row p of
+``B⁻¹``, which the low-rank update below forms anyway: one m·n product
+per pivot in place of ``y = c_B B⁻¹`` and ``y @ A``.  A bound flip leaves
+``d`` as it is.  ``d = c − [A | −I]ᵀ y`` is priced from scratch at the
+start of each solve, in every phase-1 iteration (the phase-1 costs change
+with the violations), in the first phase-2 iteration, after each fold and
+each refactorization, and before the solve returns optimal: if those
+fresh prices show an improving column, the solve goes on.
+
+Each column carries the sign of the step that moves it off its bound, +1
+at a movable lower bound, −1 at a movable upper one and 0 if basic or
+fixed, so the improving columns are ``sign · d < 0`` and the choice is one
+``argmax``; nonbasic free columns are priced apart.  The values, bounds
+and costs of the basic columns are carried by basis position from pivot
+to pivot and written back to the point only at exit and at a
+refactorization.  The loop calls ufunc reductions and ndarray methods
+directly rather than numpy's Python-level wrappers, which cost more than
+the work on vectors of a few hundred entries.
 
 The ratio test is Harris's two-pass test (Harris 1973, *Math.
 Programming* 5): pass 1 finds the longest step that keeps every basic
@@ -46,8 +64,9 @@ Sherman–Morrison–Woodbury identity; Hager 1989, *SIAM Review* 31; the
 product form of the inverse goes back to Dantzig & Orchard-Hays 1954,
 *Math. Tables Aids Comput.* 8).  A pivot on row p with entering column
 ``w = B⁻¹ a_j`` appends ``u = w − e_p`` and ``v = (row p of B⁻¹) / w_p``,
-so the prices, the entering column's solve and row p each cost one or two
-extra skinny products instead of a dense m × m rank-1 update per pivot.
+so the entering column's solve ``B0⁻¹ a_j − ((V a_j) @ U)`` and row p
+each cost one or two extra skinny products instead of a dense m × m
+rank-1 update per pivot; the carried prices take ``v``.
 Every ``_FOLD_EVERY`` pivots one matrix product folds the update into
 ``B0⁻¹``, and it is folded at exit, so between solves ``binv`` is the
 dense inverse of the current basis.
@@ -58,8 +77,9 @@ with the rows ``R_n`` no basic slack covers, the basic structural columns
 ``S`` and the slack-covered rows ``R_s``, the basis permutes to
 ``[[K, 0], [C, -I]]`` with ``K = A[R_n, S]`` and ``C = A[R_s, S]``.  Its
 inverse is ``[[K⁻¹, 0], [C K⁻¹, -I]]``: O(k³ + (m − k) k²) work for k
-basic structurals instead of O(m³).  The entering column's solve uses only
-that column's nonzeros.
+basic structurals instead of O(m³).  ``K`` and ``C`` are gathered from
+the dense copy of ``A``; the dense basis is built only to repair a
+singular one.
 
 A solve starts from the basis given at construction: m column indices,
 the slack of row i being ``n + i``; without one, from the all-slack basis,
@@ -78,12 +98,15 @@ bounds with ``set_col_bounds`` and, for a node that restarts from a
 snapshot, its basis with ``load_state`` (one refactorization); ``solve``
 then derives the point from the bounds, the nonbasic statuses and the
 basis inverse.  A node that goes on from the live basis re-solves without
-refactorizing.
+refactorizing.  A solve that runs past
+``_ITER_CAP_BASE + _ITER_CAP_PER_DIM · (m + n)`` iterations stops with
+status ``iteration_limit``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +125,17 @@ _FEAS_TOL = 1e-9  # how far a basic value may lie outside its bounds
 _OPT_TOL = 1e-9  # how far a reduced cost must point downhill to enter
 _REFACTOR_EVERY = 400  # pivots between refactorizations of the inverse
 _FOLD_EVERY = 48  # pivots held as a low-rank update before one product folds them in
+# a solve stops with status "iteration_limit" past
+# _ITER_CAP_BASE + _ITER_CAP_PER_DIM · (m + n) iterations
+_ITER_CAP_BASE = 2000
+_ITER_CAP_PER_DIM = 60
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
     objective: float
     x: np.ndarray  # structural column values
     iterations: int
@@ -131,11 +158,12 @@ class SimplexSolver:
         # for a structural column, 2 for a slack (its column is -e_i)
         sq = np.bincount(self.A.indices, weights=self.A.data**2, minlength=self.n)
         self.weights = np.concatenate([1.0 + sq, np.full(self.m, 2.0)])
-        self.dense = self.A.toarray()  # pricing's copy of A: m × n doubles
+        self.dense = self.A.toarray()  # column-major copy of A: m × n doubles
         self.basis = np.empty(self.m, dtype=np.int64)
         self.vstat = np.empty(self.N, dtype=np.int8)
         self.binv = np.empty((self.m, self.m))
         self.x = np.zeros(self.N)
+        self.d = np.zeros(self.N)  # reduced costs of the last pricing or pivot
         self._pivots_since_refactor = 0
         self.refactorizations = 0  # kernel inversions since construction
         self.reset_cold(basis)
@@ -180,42 +208,45 @@ class SimplexSolver:
     # ----- linear algebra helpers -------------------------------------------
 
     def _basis_matrix(self) -> np.ndarray:
-        """The dense m × m basis, gathered from the column-major copy of ``A``."""
+        """The dense m × m basis, gathered from the dense copy of ``A``; only
+        a singular basis's repair needs it."""
         B = np.zeros((self.m, self.m))
-        struct = np.flatnonzero(self.basis < self.n)
-        rows, pos, vals = self.A.column_entries(self.basis[struct])
-        B[rows, struct[pos]] = vals
-        slack = np.flatnonzero(self.basis >= self.n)
+        struct = (self.basis < self.n).nonzero()[0]
+        B[:, struct] = self.dense[:, self.basis[struct]]
+        slack = (self.basis >= self.n).nonzero()[0]
         B[self.basis[slack] - self.n, slack] = -1.0
         return B
 
-    def _kernel_inverse(self, B: np.ndarray) -> np.ndarray:
+    def _kernel_inverse(self, B: np.ndarray | None = None) -> np.ndarray:
         """``B⁻¹`` from the inverse of the structural kernel ``K`` alone.
 
-        Rows of the result follow basis positions, columns follow rows of
-        ``A``.  A singular ``K`` (hence ``B``) raises ``LinAlgError``.
+        ``K`` and ``C`` are gathered from the dense copy of ``A``, or from
+        ``B`` when given (the basis as an m × m matrix, columns by basis
+        position).  Rows of the result follow basis positions, columns
+        follow rows of ``A``.  A singular ``K`` (hence ``B``) raises
+        ``LinAlgError``.
         """
         slack = self.basis >= self.n
-        p_s = np.flatnonzero(slack)  # positions of the basic slacks
-        p_n = np.flatnonzero(~slack)  # positions of the basic structurals
+        p_s = slack.nonzero()[0]  # positions of the basic slacks
+        p_n = (~slack).nonzero()[0]  # positions of the basic structurals
         r_s = self.basis[p_s] - self.n  # the rows those slacks cover
         covered = np.zeros(self.m, dtype=bool)
         covered[r_s] = True
-        r_n = np.flatnonzero(~covered)
-        kinv = np.linalg.inv(B[np.ix_(r_n, p_n)])
+        r_n = (~covered).nonzero()[0]
+        src, cols = (self.dense, self.basis[p_n]) if B is None else (B, p_n)
+        kinv = np.linalg.inv(src[np.ix_(r_n, cols)])
         binv = np.zeros((self.m, self.m))
         binv[np.ix_(p_n, r_n)] = kinv
-        binv[np.ix_(p_s, r_n)] = B[np.ix_(r_s, p_n)] @ kinv
+        binv[np.ix_(p_s, r_n)] = src[np.ix_(r_s, cols)] @ kinv
         binv[p_s, r_s] = -1.0
         return binv
 
     def _refactorize(self) -> None:
-        B = self._basis_matrix()
         try:
-            self.binv = self._kernel_inverse(B)
+            self.binv = self._kernel_inverse()
         except np.linalg.LinAlgError:
-            self._repair_basis(B)
-            self.binv = self._kernel_inverse(self._basis_matrix())
+            self._repair_basis(self._basis_matrix())
+            self.binv = self._kernel_inverse()
         self._pivots_since_refactor = 0
         self.refactorizations += 1
 
@@ -248,34 +279,50 @@ class SimplexSolver:
         self.vstat[self.basis[dependent]] = _BASIC
 
     def _recompute_x(self) -> None:
-        xn = self.x
-        xn[self.vstat == _AT_LOWER] = self.lb[self.vstat == _AT_LOWER]
-        xn[self.vstat == _AT_UPPER] = self.ub[self.vstat == _AT_UPPER]
-        xn[self.vstat == _FREE] = 0.0
-        tmp = xn.copy()
+        x, vstat = self.x, self.vstat
+        at_lower = vstat == _AT_LOWER
+        x[at_lower] = self.lb[at_lower]
+        at_upper = vstat == _AT_UPPER
+        x[at_upper] = self.ub[at_upper]
+        x[vstat == _FREE] = 0.0
+        tmp = x.copy()
         tmp[self.basis] = 0.0
         rhs = self.A.dot(tmp[: self.n]) - tmp[self.n :]
-        self.x[self.basis] = -self.binv @ rhs
+        x[self.basis] = -(self.binv @ rhs)
 
     def _basic_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Values, bounds and costs of the basic columns, by basis position."""
         b = self.basis
-        return self.x[b], self.lb[b], self.ub[b], self.cost[b]
+        return self.x.take(b), self.lb.take(b), self.ub.take(b), self.cost.take(b)
 
     def _directions(self) -> tuple[np.ndarray, np.ndarray]:
         """Per column, the sign of the step that moves it off its bound: +1
         at a movable lower bound, -1 at a movable upper one, 0 if basic or
         fixed; and the nonbasic free columns, which may move either way."""
+        vstat = self.vstat
         movable = (self.ub - self.lb) > 0
         dirn = np.zeros(self.N)
-        dirn[(self.vstat == _AT_LOWER) & movable] = 1.0
-        dirn[(self.vstat == _AT_UPPER) & movable] = -1.0
-        return dirn, np.flatnonzero((self.vstat == _FREE) & movable)
+        dirn[(vstat == _AT_LOWER) & movable] = 1.0
+        dirn[(vstat == _AT_UPPER) & movable] = -1.0
+        return dirn, ((vstat == _FREE) & movable).nonzero()[0]
+
+    def _price(self, g: np.ndarray, c: np.ndarray | float, U: np.ndarray, V: np.ndarray) -> None:
+        """Reduced costs ``d = c − [A | −I]ᵀ y`` into ``self.d``, for the
+        prices ``y = g B⁻¹`` of the basic costs ``g`` and the inverse
+        ``B⁻¹ = binv − Uᵀ V``; the slack part of ``d`` is ``y``, since a
+        slack costs 0."""
+        y = g @ self.binv
+        if len(U):
+            y -= (U @ g) @ V
+        self.d[: self.n] = c - y @ self.dense
+        self.d[self.n :] = y
 
     # ----- main loop ---------------------------------------------------------
 
     def solve(self) -> LpResult:
-        max_iter = 2000 + 60 * (self.m + self.n)
+        m, n = self.m, self.n
+        max_iter = _ITER_CAP_BASE + _ITER_CAP_PER_DIM * (m + n)
+        dense, weights, lb, ub, cost = self.dense, self.weights, self.lb, self.ub, self.cost
         self._recompute_x()
         # the basic values, bounds and costs travel from pivot to pivot;
         # ``x`` holds them only at exit and after a refactorization
@@ -283,9 +330,13 @@ class SimplexSolver:
         dirn, free = self._directions()
         # between folds the inverse is binv − U[:k].T @ V[:k]: each pivot appends
         # u = w − e_p and v = (row p of the inverse) / w_p
-        U = np.empty((_FOLD_EVERY, self.m))
-        V = np.empty((_FOLD_EVERY, self.m))
+        U = np.empty((_FOLD_EVERY, m))
+        V = np.empty((_FOLD_EVERY, m))
         k = 0
+        # in phase 2 the reduced costs are carried from pivot to pivot while
+        # ``carried`` holds, and priced afresh otherwise
+        d = self.d
+        carried = False
         iters = phase1_iters = 0
         degenerate_run = 0
         bland = False
@@ -295,66 +346,69 @@ class SimplexSolver:
             self.x[self.basis] = xB
             if k:
                 self.binv -= U[:k].T @ V[:k]
-            x = self.x[: self.n].copy()
+            x = self.x[:n].copy()
             objective = -INF if status == "unbounded" else INF
             if status == "optimal":
-                objective = float(self.cost[: self.n] @ x) + self.obj_offset
+                objective = float(cost[:n] @ x) + self.obj_offset
             return LpResult(status, objective, x, iters, row, phase1_iters, bland)
 
         while True:
             if iters > max_iter:
-                raise RuntimeError(f"simplex exceeded {max_iter} iterations")
+                return result("iteration_limit")
             if self._pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
                 self._recompute_x()
                 xB, lbB, ubB, cB = self._basic_state()
                 dirn, free = self._directions()
                 k = 0
+                carried = False
 
             below = xB < lbB - _FEAS_TOL
             above = xB > ubB + _FEAS_TOL
-            in_phase1 = bool(below.any() or above.any())
-
-            # prices y = g B⁻¹ for the basic costs g (phase 1: -1 below a
-            # lower bound, +1 above an upper one) and reduced costs
-            # d = c − [A | −I]ᵀ y, whose slack part is y (a slack costs 0)
+            violated = below | above
+            in_phase1 = bool(np.logical_or.reduce(violated))
+            fresh = in_phase1 or not carried
             if in_phase1:
-                g = np.zeros(self.m)
+                # phase 1 prices the violations: -1 below a lower bound, +1
+                # above an upper one
+                g = np.zeros(m)
                 g[below] = -1.0
                 g[above] = 1.0
-                c = 0.0
-            else:
-                g, c = cB, self.cost[: self.n]
-            y = g @ self.binv
-            if k:
-                y -= (U[:k] @ g) @ V[:k]
-            d = np.concatenate([c - y @ self.dense, y])
+                self._price(g, 0.0, U[:k], V[:k])
+                carried = False
+            elif fresh:
+                self._price(cB, cost[:n], U[:k], V[:k])
+                carried = True
 
             # a column improves when its step points downhill: d_j < 0 at a
             # lower bound, > 0 at an upper one, either way if free
-            score = np.where(dirn * d < -_OPT_TOL, d**2 / self.weights, -1.0)
+            score = np.where(dirn * d < -_OPT_TOL, d**2 / weights, -1.0)
             if free.size:
                 df = d[free]
-                score[free] = np.where(np.abs(df) > _OPT_TOL, df**2 / self.weights[free], -1.0)
-            j = int(np.argmax(score >= 0.0) if bland else np.argmax(score))
+                score[free] = np.where(np.abs(df) > _OPT_TOL, df**2 / weights[free], -1.0)
+            j = int((score >= 0.0).argmax() if bland else score.argmax())
             if score[j] < 0.0:
                 if in_phase1:
-                    p = int(np.argmax(np.maximum(lbB - xB, xB - ubB)))
+                    p = int(np.maximum(lbB - xB, xB - ubB).argmax())
                     leaving = int(self.basis[p])
-                    return result("infeasible", leaving - self.n if leaving >= self.n else -1)
+                    return result("infeasible", leaving - n if leaving >= n else -1)
+                if not fresh:
+                    carried = False  # optimal only on fresh prices
+                    continue
                 return result("optimal")
-            t_dir = dirn[j] if dirn[j] else (-1.0 if d[j] > 0 else 1.0)
+            d_j = float(d[j])
+            t_dir = float(dirn[j]) or (-1.0 if d_j > 0 else 1.0)
 
-            # the entering column's solve B⁻¹ a_j over a_j's nonzeros only
-            if j < self.n:
-                rows, vals = self.A.column(j)
-                w = self.binv[:, rows] @ vals
+            # the entering column's solve B⁻¹ a_j
+            if j < n:
+                a_j = dense[:, j]
+                w = self.binv @ a_j
                 if k:
-                    w -= U[:k].T @ (V[:k, rows] @ vals)
+                    w -= (V[:k] @ a_j) @ U[:k]
             else:
-                w = -self.binv[:, j - self.n]
+                w = -self.binv[:, j - n]
                 if k:
-                    w += U[:k].T @ V[:k, j - self.n]
+                    w += U[:k].T @ V[:k, j - n]
             rate = -t_dir * w
 
             # ratio test, pass 1: a basic blocks at the first bound it meets,
@@ -364,10 +418,13 @@ class SimplexSolver:
             # Each may overshoot by _FEAS_TOL; entries below _PIVOT_TOL are
             # round-off, not rates, so they neither block nor pivot
             rising = rate > _PIVOT_TOL
-            target = np.where(rising != (below | above), ubB, lbB)
-            blocking = np.flatnonzero(
-                ((rising & ~above) | ((rate < -_PIVOT_TOL) & ~below)) & np.isfinite(target)
-            )
+            if in_phase1:
+                target = np.where(rising != violated, ubB, lbB)
+                blocks = (rising & ~above) | ((rate < -_PIVOT_TOL) & ~below)
+            else:
+                target = np.where(rising, ubB, lbB)
+                blocks = rising | (rate < -_PIVOT_TOL)
+            blocking = (blocks & np.isfinite(target)).nonzero()[0]
             theta_row = INF
             if blocking.size:
                 rate_b = rate[blocking]
@@ -375,18 +432,19 @@ class SimplexSolver:
                 # pass 2: of the rows blocking within the relaxed step, the
                 # largest |rate| leaves (lowest index on ties)
                 abs_rate = np.abs(rate_b)
-                theta_max = float((theta + _FEAS_TOL / abs_rate).min())
-                near = np.flatnonzero(theta <= theta_max)
-                q = int(near[np.argmax(abs_rate[near])])
+                theta_max = float(np.minimum.reduce(theta + _FEAS_TOL / abs_rate))
+                near = (theta <= theta_max).nonzero()[0]
+                q = int(near[abs_rate[near].argmax()])
                 p = int(blocking[q])
                 theta_row = max(float(theta[q]), 0.0)
 
             flip_theta = INF
-            if dirn[j] and np.isfinite(self.lb[j]) and np.isfinite(self.ub[j]):
-                flip_theta = self.ub[j] - self.lb[j]
+            lb_j, ub_j = float(lb[j]), float(ub[j])
+            if dirn[j] and math.isfinite(lb_j) and math.isfinite(ub_j):
+                flip_theta = ub_j - lb_j
 
             theta_star = min(theta_row, flip_theta)
-            if not np.isfinite(theta_star):
+            if not math.isfinite(theta_star):
                 if in_phase1:  # pragma: no cover - defensive
                     raise RuntimeError("phase 1 ray with unbounded improvement")
                 return result("unbounded")
@@ -397,7 +455,7 @@ class SimplexSolver:
             if debug:
                 _log.debug(
                     "it=%d phase1=%s j=%d dir=%+.0f d_j=%.6g theta=%.6g flip=%s",
-                    iters, in_phase1, j, t_dir, d[j], theta_star, flip_theta < theta_row,
+                    iters, in_phase1, j, t_dir, d_j, theta_star, flip_theta < theta_row,
                 )
 
             xB += theta_star * rate
@@ -405,12 +463,12 @@ class SimplexSolver:
                 leaving = int(self.basis[p])
                 hit = target[p]
                 self.x[leaving] = hit
-                at_lower = hit == self.lb[leaving]
+                at_lower = hit == lb[leaving]
                 self.vstat[leaving] = _AT_LOWER if at_lower else _AT_UPPER
-                movable = (self.ub[leaving] - self.lb[leaving]) > 0
+                movable = (ub[leaving] - lb[leaving]) > 0
                 dirn[leaving] = (1.0 if at_lower else -1.0) if movable else 0.0
                 xB[p] = self.x[j] + t_dir * theta_star
-                lbB[p], ubB[p], cB[p] = self.lb[j], self.ub[j], self.cost[j]
+                lbB[p], ubB[p], cB[p] = lb_j, ub_j, cost[j]
                 self.basis[p] = j
                 self.vstat[j] = _BASIC
                 dirn[j] = 0.0
@@ -420,15 +478,20 @@ class SimplexSolver:
                 V[k] = row_p / w[p]
                 U[k] = w
                 U[k, p] -= 1.0
+                if carried:
+                    # d ← d − d_j α_p / w_p for the pivot row α_p = row_p [A | −I]
+                    d[:n] -= d_j * (V[k] @ dense)
+                    d[n:] += d_j * V[k]
                 k += 1
                 if k == _FOLD_EVERY:
                     self.binv -= U.T @ V
                     k = 0
+                    carried = False
                 self._pivots_since_refactor += 1
             else:
-                # entering column travels to its other bound; basis unchanged
+                # entering column travels to its other bound; basis and prices unchanged
                 self.vstat[j] = _AT_UPPER if t_dir > 0 else _AT_LOWER
-                self.x[j] = self.ub[j] if t_dir > 0 else self.lb[j]
+                self.x[j] = ub_j if t_dir > 0 else lb_j
                 dirn[j] = -t_dir
             iters += 1
             phase1_iters += in_phase1

@@ -392,7 +392,7 @@ def build_milp(inst: ProcurementInstance) -> MilpModel:
 
 @dataclass(frozen=True)
 class Solution:
-    status: str  # "optimal" | "infeasible"
+    status: str  # "optimal" | "infeasible" | "node_limit" | "iteration_limit"
     objective: float
     expected_cost: float
     cvar: float
@@ -752,6 +752,8 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     if result.status == "infeasible":
         row = f"cell model row {result.infeasible_row}" if result.infeasible_row >= 0 else None
         return _empty_solution("infeasible", row)
+    if result.status != "optimal":  # the search hit its node or iteration limit
+        return _empty_solution(result.status)
 
     # one cell per period: the only one, or the one whose z is set
     x = result.x

@@ -22,6 +22,7 @@ from dpmeter.experiment import (
     write_results_csv,
 )
 from dpmeter.forecast import TrainConfig
+from dpmeter.milp import simplex
 from dpmeter.privacy import PrivacyParams
 from dpmeter.synth import SynthConfig
 
@@ -220,6 +221,16 @@ class TestRunExperiment:
         )
         results, failures = run_experiment(cfg)
         assert failures and not results
+
+
+    def test_solver_limit_fails_its_cell(self, monkeypatch):
+        # a procurement solve stopped at the simplex's iteration cap is the
+        # cell's failure, named by its status
+        monkeypatch.setattr(simplex, "_ITER_CAP_BASE", -1)
+        monkeypatch.setattr(simplex, "_ITER_CAP_PER_DIM", 0)
+        results, failures = run_experiment(FAST_CFG)
+        assert not results
+        assert len(failures) == 1 and failures[0].endswith(": procurement iteration_limit")
 
 
 class TestHeterogeneity:

@@ -1,5 +1,6 @@
 """Simplex and branch-and-bound checks against scipy as an independent oracle."""
 
+import contextlib
 import logging
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from scipy.optimize import Bounds, LinearConstraint
 
 from dpmeter import procurement
 from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
-from dpmeter.milp.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FOLD_EVERY, _FREE
+from dpmeter.milp import simplex
+from dpmeter.milp.model import INF
+from dpmeter.milp.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FOLD_EVERY, _FREE, _OPT_TOL
 from dpmeter.procurement import _cell_model, _reduce, read_instance
 
 from helpers import MipBuilder, fixes_solve_milp, loop_basis_matrix, random_instance
@@ -314,6 +317,31 @@ class TestKernelInverse:
         assert solver.basis.tobytes() != basis.tobytes()
         assert_kernel_inverse(solver)
 
+    def test_dense_copy_gather_matches_loop_basis(self):
+        # a refactorization gathers K and C from the dense copy of A; the
+        # inverse equals the one from the loop-built basis bit for bit, on
+        # solver states and on a basis that needs repair
+        rng = np.random.default_rng(5)
+        models = [_cell_model(inst, *_reduce(inst)[:2])[0] for inst in (
+            random_instance(rng, T=6, S=4, B=3, F=3),
+            random_instance(rng, T=12, S=3, B=4, F=2),
+            read_instance(C11),
+        )]
+        def assert_gathered(solver):
+            gathered = solver._kernel_inverse()
+            assert gathered.tobytes() == solver.binv.tobytes()  # what load_state installed
+            assert gathered.tobytes() == solver._kernel_inverse(loop_basis_matrix(solver)).tobytes()
+
+        for lp in models:
+            solver, states = mixed_states(lp, rng)
+            for state in states:
+                solver.load_state(*state)
+                assert_gathered(solver)
+        _, solver, basis, vstat = singular_basis_solver()
+        solver.load_state(basis, vstat)
+        assert solver.basis.tobytes() != basis.tobytes()  # repaired
+        assert_gathered(solver)
+
 
 def assert_live_inverse(solver):
     """The inverse the solver carries, low-rank updates folded in, inverts
@@ -350,16 +378,22 @@ class TestLowRankInverse:
         assert_live_inverse(solver)
 
 
+def loop_dense(solver):
+    """``A`` as a dense matrix, built column by column."""
+    A = np.zeros((solver.m, solver.n))
+    for j in range(solver.n):
+        rows, vals = solver.A.column(j)
+        A[rows, j] = vals
+    return A
+
+
 def masked_rule_entering(solver):
     """(entering column, direction) by the per-status mask rule: among the
     nonbasic columns that can move, those at a lower bound with d_j < 0, at
     an upper bound with d_j > 0 and free with d_j ≠ 0, the largest
     d_j² / w_j enters; prices from the loop-built basis."""
     solver._recompute_x()
-    A = np.zeros((solver.m, solver.n))
-    for j in range(solver.n):
-        rows, vals = solver.A.column(j)
-        A[rows, j] = vals
+    A = loop_dense(solver)
     binv = np.linalg.inv(loop_basis_matrix(solver))
     xB, lbB, ubB = (v[solver.basis] for v in (solver.x, solver.lb, solver.ub))
     sigma = np.where(xB < lbB - 1e-9, -1.0, np.where(xB > ubB + 1e-9, 1.0, 0.0))
@@ -437,6 +471,173 @@ class TestDirectionPricing:
             assert first_pivot(solver, caplog) == expected
             n_checked += 1
         assert n_checked >= 20
+
+
+def c11_cell_model():
+    inst = read_instance(C11)
+    return _cell_model(inst, *_reduce(inst)[:2])[0]
+
+
+def loop_reduced_costs(solver, A):
+    """Phase-2 reduced costs ``c − [A | −I]ᵀ y`` for the prices
+    ``y = c_B B⁻¹`` of the loop-built basis."""
+    y = np.linalg.solve(loop_basis_matrix(solver).T, solver.cost[solver.basis])
+    return solver.cost - np.concatenate([A.T @ y, -y])
+
+
+def improving_columns(solver, d):
+    """Nonbasic columns whose step points downhill under reduced costs ``d``."""
+    vstat = solver.vstat
+    return np.flatnonzero((solver.ub - solver.lb > 0) & (
+        ((vstat == _AT_LOWER) & (d < -_OPT_TOL))
+        | ((vstat == _AT_UPPER) & (d > _OPT_TOL))
+        | ((vstat == _FREE) & (np.abs(d) > _OPT_TOL))
+    ))
+
+
+@contextlib.contextmanager
+def on_pivot(fn):
+    """Route the simplex's DEBUG pivot lines, logged after the ratio test and
+    before the pivot, to ``fn(record)``."""
+    logger = logging.getLogger("dpmeter.milp.simplex")
+    handler = logging.Handler()
+    handler.emit = fn
+    level = logger.level
+    logger.setLevel(logging.DEBUG)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+class TestCarriedPrices:
+    """Phase 2 carries the reduced costs from pivot to pivot through the
+    pivot row, and prices afresh at the start, in phase 1, after a fold or
+    a refactorization and before it returns optimal."""
+
+    def test_carried_prices_track_fresh_ones(self, monkeypatch):
+        # a fold every 16 pivots and a refactorization every 40 put both
+        # inside the phase 2 of the all-slack start, about 70 pivots long
+        monkeypatch.setattr(simplex, "_FOLD_EVERY", 16)
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 40)
+        lp = c11_cell_model()
+        solver = SimplexSolver(lp)
+        A = loop_dense(solver)
+        errors, states = [], []
+
+        def check(record):
+            if "phase1=False" in record.getMessage():
+                ref = loop_reduced_costs(solver, A)
+                errors.append(np.abs(solver.d - ref).max() / max(1.0, np.abs(ref).max()))
+                states.append((solver.refactorizations, solver._pivots_since_refactor))
+
+        with on_pivot(check):
+            res = solver.solve()
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(scipy_solve(lp).fun + lp.obj_offset, rel=1e-9)
+        assert max(errors) <= 1e-9
+        assert len(errors) >= 50
+        assert max(p for _, p in states) > 16  # priced across a fold
+        assert len({r for r, _ in states}) >= 2  # and across a refactorization
+
+    def test_optimal_only_on_fresh_prices(self, monkeypatch):
+        # the last event before an optimal return is a pricing from scratch
+        # (of the phase-2 costs), and it shows no improving column
+        events = []
+        price = SimplexSolver._price
+
+        def recorded(self, *args):
+            price(self, *args)
+            events.append(self.d.copy())
+
+        monkeypatch.setattr(SimplexSolver, "_price", recorded)
+        rng = np.random.default_rng(23)
+        lps = [c11_cell_model()] + [random_lp(rng) for _ in range(60)]
+        n_optimal = 0
+        with on_pivot(lambda record: events.append(None)):
+            for lp in lps:
+                solver = SimplexSolver(lp)
+                A = loop_dense(solver)
+                lb, ub = solver.lb[: solver.n], solver.ub[: solver.n]
+                boxed = np.flatnonzero(np.isfinite(lb) & (ub > lb))[:3]
+                for fix in [None, *boxed]:  # the root, then a few child solves
+                    if fix is not None:
+                        solver.set_col_bounds(fix, solver.lb[fix], solver.lb[fix])
+                    events.clear()
+                    res = solver.solve()
+                    if res.status != "optimal":
+                        break
+                    d = events[-1]
+                    assert d is not None  # no pivot after the last pricing
+                    assert improving_columns(solver, d).size == 0
+                    ref = loop_reduced_costs(solver, A)
+                    assert np.abs(d - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+                    n_optimal += 1
+        assert n_optimal >= 40
+
+
+class TestLimits:
+    """The iteration and node caps end a solve with a status, not an error."""
+
+    def test_lp_iteration_cap_returns_status(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_ITER_CAP_BASE", 5)
+        monkeypatch.setattr(simplex, "_ITER_CAP_PER_DIM", 0)
+        lp = c11_cell_model()
+        res = SimplexSolver(lp).solve()
+        assert res.status == "iteration_limit"
+        assert res.iterations == 6 and res.objective == INF
+        milp_res = solve_milp(lp)
+        assert milp_res.status == "iteration_limit" and milp_res.n_nodes == 1
+        assert milp_res.x is None and milp_res.objective == milp_res.gap == INF
+
+    def test_node_cap_returns_status(self):
+        b = MipBuilder()
+        vals, wts = [6, 5, 4, 3], [4, 3, 2, 2]
+        cols = [b.add_col(f"z{i}", 0, 1, obj=-vals[i], integer=True) for i in range(4)]
+        b.add_row("w", {c: float(w) for c, w in zip(cols, wts)}, -np.inf, 6.0)
+        lp = b.build()
+        full = solve_milp(lp)
+        assert full.status == "optimal" and full.objective == -10.0 and full.n_nodes > 3
+        res = solve_milp(lp, max_nodes=1)
+        assert res.status == "node_limit" and res.n_nodes == 1
+        assert res.x is None and res.objective == res.gap == INF
+        # the incumbent found so far stays, with the gap to the open nodes
+        res = solve_milp(lp, max_nodes=3)
+        assert res.status == "node_limit" and res.n_nodes == 3
+        assert res.objective == -9.0 and check_feasibility(lp, res.x) == 0.0
+        assert res.objective - full.objective <= res.gap < INF
+
+
+class TestCheckFeasibility:
+    def lp(self):
+        b = MipBuilder()
+        x = b.add_col("x", 0, 4, obj=1.0)
+        y = b.add_col("y", 0, 3, obj=1.0, integer=True)
+        b.add_row("cap", {x: 1.0, y: 1.0}, -np.inf, 5.0)
+        return b.build()
+
+    def test_feasible_point(self):
+        assert check_feasibility(self.lp(), np.array([2.5, 2.0])) == 0.0
+
+    def test_finite_infeasible_point(self):
+        lp = self.lp()
+        assert check_feasibility(lp, np.array([4.5, 2.0])) == 1.5  # the row, by 1.5
+        assert check_feasibility(lp, np.array([-0.5, 1.0])) == 0.5  # x's lower bound
+        assert check_feasibility(lp, np.array([1.0, 1.25])) == 0.25  # y's integrality
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point(self, bad):
+        lp = self.lp()
+        assert check_feasibility(lp, np.array([bad, 1.0])) == INF
+        assert check_feasibility(lp, np.array([1.0, bad])) == INF
+
+    def test_non_finite_row_activity(self):
+        b = MipBuilder()
+        cols = [b.add_col(f"x{i}", -np.inf, np.inf) for i in range(2)]
+        b.add_row("sum", {c: 1e308 for c in cols}, -np.inf, np.inf)
+        assert check_feasibility(b.build(), np.array([1.5, 1.5])) == INF
 
 
 def random_mip(rng, general=True):

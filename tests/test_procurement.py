@@ -1,6 +1,7 @@
 """Procurement model, solver, CVaR machinery, and oracle cross-checks."""
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from dpmeter.forecast import TrainConfig
 from dpmeter.market import SystemExogenous
 import dpmeter.procurement as procurement
 from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
+from dpmeter.milp import simplex
 from dpmeter.milp.simplex import _FEAS_TOL
 from dpmeter.procurement import (
     ProcurementInstance,
@@ -31,6 +33,7 @@ from dpmeter.synth import SynthConfig
 
 from helpers import (
     highs_objective,
+    loop_basis_matrix,
     loop_build_milp,
     loop_check_coverage,
     loop_cell_model,
@@ -689,6 +692,42 @@ class TestSolve:
         for a, b in zip(results, results[1:]):
             assert b.expected_cost >= a.expected_cost - tol
             assert b.cvar <= a.cvar + tol
+
+
+class TestSolverLimits:
+    def test_limits_return_status(self, monkeypatch):
+        # a search cut at its node or iteration cap is a status, not a raise
+        model = build_milp(random_instance(np.random.default_rng(26), T=5, S=5, B=5, F=6))
+        assert solve(model).n_nodes > 1
+        monkeypatch.setattr(procurement, "solve_milp", functools.partial(solve_milp, max_nodes=1))
+        sol = solve(model)
+        assert sol.status == "node_limit" and sol.objective == np.inf and sol.lp_point is None
+        monkeypatch.undo()
+        monkeypatch.setattr(simplex, "_ITER_CAP_BASE", -1)
+        monkeypatch.setattr(simplex, "_ITER_CAP_PER_DIM", 0)
+        sol = solve(model)
+        assert sol.status == "iteration_limit" and sol.objective == np.inf
+
+
+class TestRefactorization:
+    def test_dense_copy_gather_on_parity_instances(self):
+        # the kernel inverse gathered from the dense copy of A equals the one
+        # from the loop-built basis bit for bit, at the start basis and at
+        # the root optimum of every cell model
+        n_checked = 0
+        for inst in parity_instances():
+            lo, hi, group = _reduce(inst)
+            if group is not None:
+                continue
+            lp, _, _, basis = _cell_model(inst, lo, hi)
+            solver = SimplexSolver(lp, basis)
+            for _ in range(2):
+                gathered = solver._kernel_inverse()
+                B = loop_basis_matrix(solver)
+                assert gathered.tobytes() == solver._kernel_inverse(B).tobytes()
+                solver.solve()
+                n_checked += 1
+        assert n_checked >= 80
 
 
 class TestNumericalRegressions:

@@ -9,9 +9,9 @@ procurement solve must reach ``scipy.optimize.milp``'s optimum on the full
 The deep ``hhs-dlcsys`` cases (the same forecast as ``nhhs``) are the
 ones that once needed hundreds to thousands of nodes: S = 30 at scenario
 seeds 0 and 2, S = 50 at seeds 0-5, and S = 100 at seed 1.  On the cell
-model, with OpenBLAS on one thread on a 2-CPU Xeon, they take 9 and 29
-nodes at S = 30; 19, 9, 3, 13, 55 and 85 at S = 50; and 3 at S = 100:
-0.02 to 0.4 s per solve, and 0.06 s (111 LP iterations, 78 of them in
+model, with OpenBLAS on one thread on a 2-CPU Xeon, they take 9 and 35
+nodes at S = 30; 19, 9, 3, 13, 59 and 61 at S = 50; and 3 at S = 100:
+0.02 to 0.25 s per solve, and 0.04 s (111 LP iterations, 78 of them in
 the root LP) at S = 100, where HiGHS takes about 2 s.  That last case
 also caps its LP iterations, so that a regression in the simplex
 pricing or in the cell model's start basis fails here.
