@@ -5,16 +5,16 @@ selected consumer group under its scheme, scales the volumes to system
 level, samples forecast-error scenarios, prices them through the
 procurement program, and appends one result row.  The panel, the group and
 the market (price curves, exogenous demand and imbalance) are built once
-per experiment, so schemes compete under identical conditions; the
-heterogeneity sweep shares that market and takes its p = 0 and p = 1
-endpoints from the hhs-ehh and hhs-ddp cells.
+per experiment, so schemes compete under identical conditions.
 
-Forecasting runs in one phase per seed: every forecast the seed's cells
-and heterogeneity splits need is trained in one stack
-(``forecast.forecast_schemes``), and nhhs shares the hhs-dlcsys forecast,
-which takes the same daily pipeline.  The cells are then solved in the
-scheme grid's order, then the sweep's, so rows and failures come out in
-the same order as when each cell forecast for itself.
+Work is keyed by forecast, not by row.  Each seed runs one forecast phase:
+every forecast its scheme rows and heterogeneity rows need is trained in
+one stack (``forecast.forecast_schemes``), and each distinct forecast is
+then solved once into the experiment's outcome table, keyed by seed and
+``ForecastKey``.  Every row reads that table: nhhs shares the hhs-dlcsys
+forecast, which takes the same daily pipeline, and the heterogeneity
+sweep's p = 0 and p = 1 endpoints are the hhs-ehh and hhs-ddp forecasts.
+Rows and failures come out in the scheme grid's order, then the sweep's.
 
 Cells are isolated: a failing cell is logged and skipped, other cells run,
 and the caller decides the exit code from the failure list.
@@ -126,9 +126,12 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in _SCHEME_KINDS:
                 raise ValueError(f"unknown scheme {s!r}")
-        needs_grids = "hhs-ddp" in self.schemes or self.hetero_p
-        if needs_grids and (not self.epsilon_grid or not self.gamma_grid):
-            raise ValueError("hhs-ddp and hetero_p require epsilon and gamma grids")
+        if "hhs-ddp" in self.schemes or self.hetero_p:
+            if not self.epsilon_grid or not self.gamma_grid:
+                raise ValueError("hhs-ddp and hetero_p require epsilon and gamma grids")
+            for eps in self.epsilon_grid:
+                for gam in self.gamma_grid:
+                    PrivacyParams(eps, gam)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.n_scenarios < 1:
@@ -325,7 +328,6 @@ def _cell_seeds(seed: int) -> tuple[int, int]:
     return seed, int(np.random.default_rng(children[1]).integers(2**31 - 1))
 
 
-Cell = tuple[str, float | None, float | None, int]  # (scheme, epsilon, gamma, seed)
 # (scheme, epsilon, gamma, n_priv): one forecast of a seed.  With n_priv None
 # the whole group is forecast under the scheme; otherwise the group is split
 # as in ``_hetero_split`` and the two sub-aggregate forecasts are summed.
@@ -337,6 +339,18 @@ def _forecast_key(name: str, eps: float | None, gam: float | None) -> ForecastKe
     """The forecast a scheme cell prices.  nhhs takes the hhs-dlcsys daily
     pipeline with the same seed, so the two cells share one forecast."""
     return ("hhs-dlcsys", None, None, None) if name == "nhhs" else (name, eps, gam, None)
+
+
+def _sweep_key(ctx: ExperimentContext, cfg: ExperimentConfig, p: float) -> ForecastKey:
+    """The forecast a heterogeneity row at fraction p prices, at the grid's
+    first epsilon and gamma: hhs-ehh when p rounds to no private meter,
+    hhs-ddp when it rounds to all of them, the split otherwise."""
+    eps, gam = cfg.epsilon_grid[0], cfg.gamma_grid[0]
+    n = ctx.group_panel.n_meters
+    n_priv = round(p * n)
+    if n_priv == 0:
+        return ("hhs-ehh", None, None, None)
+    return ("hhs-ddp", eps, gam, None if n_priv == n else n_priv)
 
 
 @dataclass(frozen=True)
@@ -467,11 +481,13 @@ def _add_row(results, failures, label: str, out, ctx: ExperimentContext, **field
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]]:
     """All (scheme, epsilon, gamma, seed) cells; failures abort only their cell.
 
-    Each seed first runs a forecast phase: every forecast that seed needs
-    (each scheme cell's, the heterogeneity endpoints' and each split's
-    private and rest forecasts) trains in one ``forecast_schemes`` stack,
-    so one stack's inputs are held at a time.  The cells are then solved
-    in the order of the scheme grid, then the heterogeneity sweep's.
+    Builds one outcome table keyed by (seed, ``ForecastKey``).  Each seed
+    first runs a forecast phase: every forecast that seed needs (each
+    scheme cell's, the heterogeneity endpoints' and each split's private
+    and rest forecasts) trains in one ``forecast_schemes`` stack, so one
+    stack's inputs are held at a time.  Each distinct forecast is then
+    solved once.  The scheme rows read the table through ``_forecast_key``
+    and the heterogeneity rows through ``_sweep_key``.
     """
     panel = load_panel(cfg)
     dlc_sys = compute_dlc(panel)
@@ -480,40 +496,28 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
     market = make_market(reference, cfg.n_scenarios, cfg.market, cfg.group_seed)
     ctx = ExperimentContext(dlc_sys, group_panel, group_label, group_kld, market)
 
-    cells: list[Cell] = []
-    for name in cfg.schemes:
-        if name == "hhs-ddp":
-            for eps in cfg.epsilon_grid:
-                for gam in cfg.gamma_grid:
-                    cells.extend((name, eps, gam, s) for s in cfg.seeds)
-        else:
-            cells.extend((name, None, None, s) for s in cfg.seeds)
-
-    keys = [_forecast_key(name, eps, gam) for name, eps, gam, _ in cells]
+    ddp = [("hhs-ddp", eps, gam) for eps in cfg.epsilon_grid for gam in cfg.gamma_grid]
+    grid = [c for s in cfg.schemes for c in (ddp if s == "hhs-ddp" else [(s, None, None)])]
+    keys = [_forecast_key(*cell) for cell in grid]
     if cfg.hetero_p:
-        # the sweep's endpoints, and its splits short of none or all meters
-        eps, gam = cfg.epsilon_grid[0], cfg.gamma_grid[0]
-        n = group_panel.n_meters
-        keys += [("hhs-ehh", None, None, None), ("hhs-ddp", eps, gam, None)]
-        keys += [("hhs-ddp", eps, gam, round(p * n)) for p in cfg.hetero_p if 0 < round(p * n) < n]
+        keys += [_sweep_key(ctx, cfg, p) for p in (0.0, 1.0, *cfg.hetero_p)]
     keys = list(dict.fromkeys(keys))
-    forecasts: dict[tuple[int, ForecastKey], Forecast | Exception] = {}
+    outcomes: dict[tuple[int, ForecastKey], CellOutcome | Exception] = {}
     for seed in cfg.seeds:
         for key, fc in _forecast_phase(ctx, cfg, seed, keys).items():
-            forecasts[seed, key] = fc
+            outcomes[seed, key] = run_cell(fc, seed, ctx, cfg)
 
     results: list[SchemeResult] = []
     failures: list[str] = []
-    outcomes: dict[Cell, CellOutcome | Exception] = {}
-    for cell in cells:
-        name, eps, gam, seed = cell
-        outcomes[cell] = run_cell(forecasts[seed, _forecast_key(name, eps, gam)], seed, ctx, cfg)
-        label = f"{name}(eps={eps},gamma={gam},seed={seed})"
-        fields = dict(scheme=name, epsilon=eps, gamma=gam, p=None, seed=seed)
-        _add_row(results, failures, label, outcomes[cell], ctx, **fields)
+    for name, eps, gam in grid:
+        for seed in cfg.seeds:
+            label = f"{name}(eps={eps},gamma={gam},seed={seed})"
+            fields = dict(scheme=name, epsilon=eps, gamma=gam, p=None, seed=seed)
+            out = outcomes[seed, _forecast_key(name, eps, gam)]
+            _add_row(results, failures, label, out, ctx, **fields)
     results.sort(key=SchemeResult.sort_key)
     if cfg.hetero_p:
-        hetero, hfail = heterogeneity_sweep(ctx, cfg, outcomes, forecasts)
+        hetero, hfail = heterogeneity_sweep(ctx, cfg, outcomes)
         results.extend(hetero)
         failures.extend(hfail)
     return results, failures
@@ -522,49 +526,42 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
 def heterogeneity_sweep(
     ctx: ExperimentContext,
     cfg: ExperimentConfig,
-    outcomes: dict[Cell, CellOutcome | Exception],
-    forecasts: dict[tuple[int, ForecastKey], Forecast | Exception],
+    outcomes: dict[tuple[int, ForecastKey], CellOutcome | Exception],
 ) -> tuple[list[SchemeResult], list[str]]:
     """Cost of serving a group where only a fraction p demands privacy.
 
-    Privacy is that of the grid's first epsilon and gamma.  The endpoints
-    p = 0 and p = 1 are the hhs-ehh and hhs-ddp cells, read from
-    ``outcomes``; an endpoint the grid did not run is solved here and
-    reports no row of its own.  A p whose split rounds to none or all of
-    the group is that endpoint.  Every forecast comes from ``forecasts``,
-    keyed by seed and ``ForecastKey``.  Also reports the
+    Assembles rows from ``outcomes``, the table ``run_experiment`` builds,
+    which must hold ``_sweep_key``'s forecast for every seed, p and
+    endpoint; it solves nothing and leaves ``outcomes`` as it is.  Privacy
+    is that of the grid's first epsilon and gamma.  The endpoints p = 0
+    and p = 1 are the hhs-ehh and hhs-ddp forecasts; a seed whose endpoint
+    failed reports that failure and no row.  Also reports the
     probability-weighted reference cost
     ``p * cost(all private) + (1 - p) * cost(none private)`` per seed.
     """
     eps, gam = cfg.epsilon_grid[0], cfg.gamma_grid[0]
-    n = ctx.group_panel.n_meters
     results: list[SchemeResult] = []
     failures: list[str] = []
-    endpoints: dict[tuple[int, float], CellOutcome] = {}
+    endpoints: dict[int, tuple[CellOutcome, CellOutcome]] = {}
 
     for seed in cfg.seeds:
-        for p, cell in ((0.0, ("hhs-ehh", None, None, seed)), (1.0, ("hhs-ddp", eps, gam, seed))):
-            if cell not in outcomes:
-                outcomes[cell] = run_cell(forecasts[seed, (*cell[:3], None)], seed, ctx, cfg)
-            if isinstance(outcomes[cell], Exception):
-                failures.append(f"hetero endpoint p={p} seed={seed}: {outcomes[cell]}")
-                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, outcomes[cell])
-            else:
-                endpoints[(seed, p)] = outcomes[cell]
+        ends = [outcomes[seed, _sweep_key(ctx, cfg, p)] for p in (0.0, 1.0)]
+        for p, out in zip((0.0, 1.0), ends):
+            if isinstance(out, Exception):
+                failures.append(f"hetero endpoint p={p} seed={seed}: {out}")
+                _log.warning("cell failed: hetero p=%s seed=%s: %s", p, seed, out)
+        if not any(isinstance(out, Exception) for out in ends):
+            endpoints[seed] = (ends[0], ends[1])
 
     for p in cfg.hetero_p:
-        n_priv = int(round(p * n))
         for seed in cfg.seeds:
-            if (seed, 0.0) not in endpoints or (seed, 1.0) not in endpoints:
+            if seed not in endpoints:
                 continue
-            ehh, ddp = endpoints[(seed, 0.0)], endpoints[(seed, 1.0)]
-            if 0 < n_priv < n:
-                out = run_cell(forecasts[seed, ("hhs-ddp", eps, gam, n_priv)], seed, ctx, cfg)
-            else:
-                out = ddp if n_priv == n else ehh
+            ehh, ddp = endpoints[seed]
             omega_exp = p * ddp.expected_cost + (1.0 - p) * ehh.expected_cost
             fields = dict(scheme="hetero", epsilon=eps, gamma=gam, p=float(p), seed=seed)
             label = f"hetero p={p} seed={seed}"
+            out = outcomes[seed, _sweep_key(ctx, cfg, p)]
             _add_row(results, failures, label, out, ctx, omega_exp=omega_exp, **fields)
     results.sort(key=SchemeResult.sort_key)
     return results, failures

@@ -36,7 +36,7 @@ import numpy as np
 
 from .domain import _freeze
 from .market import PriceCurve, SystemExogenous, bracket_indices
-from .milp import LinearMip, solve_milp
+from .milp import LinearMip, MilpResult, solve_milp
 from .milp._sparse import SparseMatrix
 from .scenario import ErrorScenarioSet
 
@@ -416,7 +416,22 @@ class Solution:
     infeasible_row: str | None = None
 
 
-def _empty_solution(status: str, row: str | None = None) -> Solution:
+_COUNTERS = (
+    "n_nodes", "lp_iterations", "refactorizations", "phase1_iterations", "bland_switches",
+    "root_iterations",
+)
+
+
+def _counters(result: MilpResult) -> dict[str, int]:
+    """The solver counters a ``Solution`` takes from its search."""
+    return {name: getattr(result, name) for name in _COUNTERS}
+
+
+def _empty_solution(
+    status: str, row: str | None = None, result: MilpResult | None = None
+) -> Solution:
+    """A result with no point; ``result``, the ``MilpResult`` it comes from
+    when a search ran, supplies the solver counters."""
     z = np.zeros(0)
     return Solution(
         status=status,
@@ -434,6 +449,7 @@ def _empty_solution(status: str, row: str | None = None) -> Solution:
         price_da=z,
         price_bal=np.zeros((0, 0)),
         infeasible_row=row,
+        **({} if result is None else _counters(result)),
     )
 
 
@@ -751,9 +767,9 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     result = solve_milp(lp, gap_tol=tol, basis=basis)
     if result.status == "infeasible":
         row = f"cell model row {result.infeasible_row}" if result.infeasible_row >= 0 else None
-        return _empty_solution("infeasible", row)
+        return _empty_solution("infeasible", row, result)
     if result.status != "optimal":  # the search hit its node or iteration limit
-        return _empty_solution(result.status)
+        return _empty_solution(result.status, None, result)
 
     # one cell per period: the only one, or the one whose z is set
     x = result.x
@@ -792,13 +808,8 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
         scenario_costs=costs,
         price_da=price_da,
         price_bal=price_bal,
-        n_nodes=result.n_nodes,
-        lp_iterations=result.lp_iterations,
-        refactorizations=result.refactorizations,
-        phase1_iterations=result.phase1_iterations,
-        bland_switches=result.bland_switches,
-        root_iterations=result.root_iterations,
         lp_point=full,
+        **_counters(result),
     )
 
 

@@ -171,8 +171,10 @@ class TestInputErrors:
         "field, value, reason",
         [("alpha", 1.0, "alpha must lie in (0, 1)"),
          ("beta", -0.5, "beta must be finite and >= 0"),
-         ("solver_tol", float("nan"), "solver_tol must be finite and >= 0")],
-        ids=["alpha-1", "beta-negative", "tol-nan"],
+         ("solver_tol", float("nan"), "solver_tol must be finite and >= 0"),
+         ("epsilon_grid", [-1.0], "epsilon must be > 0"),
+         ("gamma_grid", [0.5, 1.0], "gamma must lie in [0, 1)")],
+        ids=["alpha-1", "beta-negative", "tol-nan", "epsilon-negative", "gamma-1"],
     )
     def test_experiment_bad_risk_or_tolerance(self, tmp_path, capsys, monkeypatch, field, value,
                                               reason):

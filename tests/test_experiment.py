@@ -1,5 +1,6 @@
 """Experiment orchestration: cells, heterogeneity, reports, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 from dpmeter.experiment import (
+    CellOutcome,
     ExperimentConfig,
+    ExperimentContext,
     MarketConfig,
     SchemeResult,
     config_from_json,
     config_to_json,
+    heterogeneity_sweep,
     load_panel,
     make_market,
     read_results_csv,
@@ -57,6 +61,11 @@ class TestConfig:
             clone(FAST_CFG, schemes=("hhs-ddp",), epsilon_grid=())
         with pytest.raises(ValueError, match="epsilon and gamma grids"):
             clone(FAST_CFG, hetero_p=(0.5,), gamma_grid=())
+        # every (epsilon, gamma) pair is checked when the config is built
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            clone(FAST_CFG, hetero_p=(0.5,), epsilon_grid=(0.0,))
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+            clone(FAST_CFG, schemes=("hhs-ddp",), gamma_grid=(0.0, 1.0))
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
     def test_hetero_fraction_outside_unit_interval_rejected(self, bad):
@@ -293,13 +302,19 @@ class TestHeterogeneity:
         import dpmeter.experiment as experiment
 
         stacks = []
-        original = experiment.forecast_schemes
+        solves = []
+        original_stack, original_solve = experiment.forecast_schemes, experiment.solve
 
         def counted(requests):
             stacks.append(len(requests))
-            return original(requests)
+            return original_stack(requests)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return original_solve(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "forecast_schemes", counted)
+        monkeypatch.setattr(experiment, "solve", counted_solve)
         cfg = clone(
             FAST_CFG, schemes=("nhhs", "hhs-dlcsys", "hhs-ehh"), hetero_p=(0.5,), seeds=(0, 1)
         )
@@ -309,6 +324,71 @@ class TestHeterogeneity:
         # per seed: one daily forecast shared by nhhs and hhs-dlcsys, hhs-ehh,
         # the hhs-ddp endpoint and the p = 0.5 split's two forecasts
         assert stacks == [5, 5]
+        # each distinct forecast is solved once: 4 per seed
+        assert len(solves) == 8
+        for seed in cfg.seeds:
+            nhhs, dlcsys = (
+                [r for r in results if r.scheme == name and r.seed == seed][0]
+                for name in ("nhhs", "hhs-dlcsys")
+            )
+            assert dataclasses.replace(nhhs, scheme="hhs-dlcsys") == dlcsys
+
+    def test_sweep_only_reads_its_table(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep solved or forecast")
+
+        monkeypatch.setattr(experiment, "solve", refuse)
+        monkeypatch.setattr(experiment, "forecast_schemes", refuse)
+        cfg = clone(self.hetero_cfg(), seeds=(4,))
+        panel = load_panel(cfg)
+        assert panel.n_meters == 40
+        ctx = ExperimentContext(None, panel, "whole", 0.0, ())
+        ehh, ddp, split = (
+            CellOutcome(0.1, 100.0, 120.0, 160.0),
+            CellOutcome(0.3, 140.0, 170.0, 225.0),
+            CellOutcome(0.2, 115.0, 140.0, 185.0),
+        )
+        table = {
+            (4, ("hhs-ehh", None, None, None)): ehh,
+            (4, ("hhs-ddp", 0.5, 0.5, None)): ddp,
+            (4, ("hhs-ddp", 0.5, 0.5, 20)): split,  # p = 0.5 of 40 meters
+        }
+        before = dict(table)
+        results, failures = heterogeneity_sweep(ctx, cfg, table)
+        assert not failures and table == before
+        assert [(r.p, r.seed) for r in results] == [(0.0, 4), (0.5, 4), (1.0, 4)]
+        for row, out in zip(results, (ehh, split, ddp)):
+            assert (row.wape, row.expected_cost, row.cvar, row.objective) == tuple(vars(out).values())
+            assert (row.scheme, row.epsilon, row.gamma) == ("hetero", 0.5, 0.5)
+        assert [r.omega_exp for r in results] == [100.0, 120.0, 140.0]
+
+    def test_failed_endpoint_fails_its_seed(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        original = experiment._forecast_phase
+
+        def phase(ctx, cfg, seed, keys):
+            out = original(ctx, cfg, seed, keys)
+            if seed == 1:
+                out[("hhs-ddp", 0.5, 0.5, None)] = RuntimeError("no ddp forecast")
+            return out
+
+        monkeypatch.setattr(experiment, "_forecast_phase", phase)
+        cfg = clone(self.hetero_cfg(), schemes=("hhs-ehh", "hhs-ddp"), seeds=(0, 1))
+        results, failures = run_experiment(cfg)
+        # a failed forecast fails every row that reads it
+        assert failures == [
+            "hhs-ddp(eps=0.5,gamma=0.5,seed=1): no ddp forecast",
+            "hetero endpoint p=1.0 seed=1: no ddp forecast",
+        ]
+        assert {(r.scheme, r.seed) for r in results if r.scheme != "hetero"} == {
+            ("hhs-ehh", 0), ("hhs-ehh", 1), ("hhs-ddp", 0)
+        }
+        assert [(r.p, r.seed) for r in results if r.scheme == "hetero"] == [
+            (0.0, 0), (0.5, 0), (1.0, 0)
+        ]
 
     def test_midpoint_reports_both_costs(self):
         results, failures = run_experiment(self.hetero_cfg())

@@ -702,11 +702,14 @@ class TestSolverLimits:
         monkeypatch.setattr(procurement, "solve_milp", functools.partial(solve_milp, max_nodes=1))
         sol = solve(model)
         assert sol.status == "node_limit" and sol.objective == np.inf and sol.lp_point is None
+        # the solver's counters survive a result with no point
+        assert sol.n_nodes == 1 and sol.lp_iterations > 0
         monkeypatch.undo()
         monkeypatch.setattr(simplex, "_ITER_CAP_BASE", -1)
         monkeypatch.setattr(simplex, "_ITER_CAP_PER_DIM", 0)
         sol = solve(model)
         assert sol.status == "iteration_limit" and sol.objective == np.inf
+        assert sol.n_nodes == 1
 
 
 class TestRefactorization:
