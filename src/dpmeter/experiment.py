@@ -97,6 +97,10 @@ class MarketConfig:
             raise ValueError("bound multiplier must be positive")
         if (self.da_ladder_csv or self.bal_ladder_csv) and self.ladder_delta is None:
             raise ValueError("ladder paths require ladder_delta")
+        if self.ladder_delta is not None and not (
+            np.isfinite(self.ladder_delta) and self.ladder_delta > 0
+        ):
+            raise ValueError("ladder_delta must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown group kind {self.group_kind!r}")
         if self.group_kind == "kmeans" and not 0 <= self.group_index < self.group_k:
             raise ValueError("kmeans group_index must lie in [0, group_k)")
+        if self.group_kind == "share" and not 0.0 < self.group_share <= 1.0:
+            raise ValueError("share group_share must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

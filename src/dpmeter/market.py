@@ -33,8 +33,12 @@ class PriceCurve:
             raise ValueError("curve needs at least one demand level")
         if self.prices.shape != self.demand_levels.shape:
             raise ValueError("one price per demand level required")
-        if not self.delta > 0:
-            raise ValueError("level spacing must be > 0")
+        if not np.isfinite(self.demand_levels).all():
+            raise ValueError("demand levels must be finite")
+        if not np.isfinite(self.prices).all():
+            raise ValueError("prices must be finite")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValueError("level spacing must be finite and > 0")
         gaps = np.diff(self.demand_levels)
         if np.any(np.abs(gaps - self.delta) > _SPACING_TOL):
             raise ValueError("demand levels must be uniformly spaced by delta")
@@ -64,6 +68,8 @@ def build_curve(bid_ladder, delta: float) -> PriceCurve:
     non-decreasing in cumulative volume.  Each grid level gets the marginal
     price of the bracket containing it (left-continuous step lookup).
     """
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"ladder spacing must be finite and > 0, got {delta}")
     ladder = [(float(v), float(p)) for v, p in bid_ladder]
     if not ladder:
         raise ValueError("bid ladder is empty")
@@ -129,6 +135,10 @@ class SystemExogenous:
             raise ValueError("d_sys_base must be 1-D over periods")
         if self.d_imb_base.ndim != 2 or self.d_imb_base.shape[1] != self.d_sys_base.size:
             raise ValueError("d_imb_base must be (S, T) matching d_sys_base")
+        if not np.isfinite(self.d_sys_base).all():
+            raise ValueError("d_sys_base must be finite")
+        if not np.isfinite(self.d_imb_base).all():
+            raise ValueError("d_imb_base must be finite")
 
 
 def read_ladder_csv(path) -> list[tuple[float, float]]:

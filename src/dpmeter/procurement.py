@@ -9,26 +9,29 @@ four-constraint linearization, applied to variables shifted by their lower
 bound so signed volumes stay exact.  Risk aversion enters as
 ``beta * CVaR_alpha`` of the per-scenario cost.
 
-``build_milp`` lays out the complete model's columns, and ``MilpModel.lp``
-assembles that model when first read; tests and checks read it, and the
-run-time ``solve`` never does.  ``solve`` builds and branches on a smaller
-model with the same optimum.  Every cost at period t depends on the one
-scalar ``d_da[t]``, so ``solve`` cuts each period's volume range at the
-day-ahead and every scenario's balancing bracket edges into cells, inside
-which all brackets are fixed and every scenario cost is linear.  A binary
-and a continuous column per cell (a multiple-choice model, Balas 1979)
-make the LP relaxation the convex hull of each period's cost graph, with
-no big-M rows.  The cell model is built from numpy arrays, and its optimum
-is mapped back into the complete model's columns.  All balancing curves
-share one demand grid.  ``brute_force_oracle`` independently minimizes
-over an explicit partition of the decision box for small instances.
+``build_milp`` is the one pass over an instance: it checks that every price
+grid covers the reachable demand, clips each period's volume range to the
+grids, bounds the scenario costs and lays out the complete model's columns.
+``MilpModel.lp`` assembles that model when first read; tests and checks
+read it, and the run-time ``solve`` never does.  ``solve`` builds and
+branches on a smaller model with the same optimum.  Every cost at period t
+depends on the one scalar ``d_da[t]``, so ``solve`` cuts each period's
+clipped range at the day-ahead and every scenario's balancing bracket edges
+into cells, inside which all brackets are fixed and every scenario cost is
+linear.  A binary and a continuous column per cell (a multiple-choice
+model, Balas 1979) make the LP relaxation the convex hull of each period's
+cost graph, with no big-M rows.  One row assembler builds both models from
+numpy arrays, and the cell model's optimum is mapped back into the complete
+model's columns.  All balancing curves share one demand grid.
+``brute_force_oracle`` independently minimizes over an explicit partition
+of the decision box for small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -71,7 +74,9 @@ def cvar_kinks(
 
 def cvar_of_costs(costs, probs, alpha: float) -> float:
     """Conditional value-at-risk of a discrete cost distribution."""
-    probs = np.asarray(probs, dtype=float)
+    costs, probs = np.asarray(costs, dtype=float), np.asarray(probs, dtype=float)
+    if not (np.isfinite(costs).all() and np.isfinite(probs).all()):
+        raise ValueError("costs and probabilities must be finite")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
     if not 0.0 < alpha < 1.0:
@@ -119,8 +124,10 @@ class ProcurementInstance:
             raise ValueError("exogenous system demand must have T entries")
         if self.exogenous.d_imb_base.shape != (S, T):
             raise ValueError("exogenous imbalance must be (S, T)")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not np.isfinite(self.d_fore).all():
+            raise ValueError("forecast must be finite")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.d_da_lower.shape != (T,) or self.d_da_upper.shape != (T,):
@@ -162,10 +169,38 @@ def default_volume_bounds(d_fore: np.ndarray, mult: float = 3.0) -> tuple[np.nda
 # --------------------------------------------------------------------------
 
 
+class _Rows:
+    """The rows of a ``LinearMip`` in blocks: each block's bounds, and the
+    (row, column, value) entries of the matrix, exact zeros left out."""
+
+    def __init__(self):
+        self.lower, self.upper, self.entries, self.n = [], [], [], 0
+
+    def block(self, shape: tuple[int, ...], lower, upper) -> np.ndarray:
+        """Indices of the next block of rows, which get the given bounds."""
+        self.lower.append(np.broadcast_to(lower, shape).ravel())
+        self.upper.append(np.broadcast_to(upper, shape).ravel())
+        start, self.n = self.n, self.n + self.lower[-1].size
+        return start + np.arange(self.lower[-1].size).reshape(shape)
+
+    def add(self, row, col, val) -> None:
+        self.entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
+
+    def mip(self, col_lower, col_upper, obj, is_integer, obj_offset: float = 0.0) -> LinearMip:
+        """The model of these rows over columns with the given arrays."""
+        ri, ci, v = (np.concatenate(parts) for parts in zip(*self.entries))
+        keep = v != 0.0
+        matrix = SparseMatrix.from_coo(self.n, col_lower.size, ri[keep], ci[keep], v[keep])
+        lower, upper = np.concatenate(self.lower), np.concatenate(self.upper)
+        return LinearMip(col_lower, col_upper, obj, is_integer, matrix, lower, upper, obj_offset)
+
+
 @dataclass
 class MilpModel:
-    """Column layout of the complete linearized model; ``lp``, the model
-    itself, is assembled from the instance when first read."""
+    """Column layout of the complete linearized model, each period's d_da
+    range clipped to the price grids (``lo``, ``hi``) and the bound
+    ``m_cost`` on any scenario cost; ``lp``, the model itself, is
+    assembled from the instance when first read."""
 
     instance: ProcurementInstance
     T: int
@@ -182,6 +217,9 @@ class MilpModel:
     off_u_bal: int
     big_m: np.ndarray  # (T,)
     k_mat: np.ndarray  # (S, T) forecast + error
+    lo: np.ndarray  # (T,)
+    hi: np.ndarray  # (T,)
+    m_cost: float
 
     def d_bal_col(self, s: int, t: int) -> int:
         return self.off_d_bal + s * self.T + t
@@ -209,14 +247,14 @@ class MilpModel:
         ``bracket_bal[s,t]``, ``sos1_da[t]``, ``sos1_bal[s,t]``, then three
         linearization rows per ``(t,b)`` and per ``(s,t,f)``.  Each block is
         filled with index arithmetic; exact-zero coefficients are left out of
-        the matrix, and the model carries no names.
+        the matrix, and the model carries no names.  ``d_da`` keeps the
+        instance's bounds, not the clipped ``lo`` and ``hi``.
         """
         inst, T, S, B, F = self.instance, self.T, self.S, self.B, self.F
         grid = inst.bal_curves[0]
-        k_mat, big_m = self.k_mat, self.big_m
+        k_mat, big_m, m_cost = self.k_mat, self.big_m, self.m_cost
         lo, hi = inst.d_da_lower, inst.d_da_upper
         probs = inst.scenarios.probabilities
-        m_cost = _cost_bound(inst)
         lo_bal = k_mat - hi  # (S, T) lower bound of d_bal
 
         col_zeta, off_u_da = self.col_zeta, self.off_u_da
@@ -255,50 +293,37 @@ class MilpModel:
         obj[c_bal] += w_bal[:, None, :]
         obj[u_bal] += w_bal[:, None, :] * lo_bal[:, :, None]
 
-        row_lower: list[np.ndarray] = []
-        row_upper: list[np.ndarray] = []
-        entries: list[tuple[np.ndarray, ...]] = []
-
-        def rows(shape: tuple[int, ...], lower, upper) -> np.ndarray:
-            """Indices of the next block of rows, which get the given bounds."""
-            start = sum(b.size for b in row_lower)
-            row_lower.append(np.broadcast_to(lower, shape).ravel())
-            row_upper.append(np.broadcast_to(upper, shape).ravel())
-            return start + np.arange(row_lower[-1].size).reshape(shape)
-
-        def add(row, col, val) -> None:
-            entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
-
+        rows = _Rows()
         # balance: d_da + d_bal = forecast + error
-        r = rows((S, T), k_mat, k_mat)
-        add(r, d_da, 1.0)
-        add(r, d_bal, 1.0)
+        r = rows.block((S, T), k_mat, k_mat)
+        rows.add(r, d_da, 1.0)
+        rows.add(r, d_bal, 1.0)
 
         # CVaR rows: scenario cost (via linearized terms) - zeta <= eta_s
-        r = rows((S,), -INF, 0.0)
-        add(r, col_zeta, -1.0)
-        add(r, eta, -1.0)
+        r = rows.block((S,), -INF, 0.0)
+        rows.add(r, col_zeta, -1.0)
+        rows.add(r, eta, -1.0)
         r = r[:, None, None]
-        add(r, c_da, da_prices)
-        add(r, u_da, cost_u_da)
-        add(r, c_bal, bal_prices[:, None, :])
-        add(r, u_bal, cost_u_bal)
+        rows.add(r, c_da, da_prices)
+        rows.add(r, u_da, cost_u_da)
+        rows.add(r, c_bal, bal_prices[:, None, :])
+        rows.add(r, u_bal, cost_u_bal)
 
         # bracket selection: chosen level within half a spacing of total demand
         half_da = inst.da_curve.delta / 2.0
         base = inst.exogenous.d_sys_base
-        r = rows((T,), base - half_da, base + half_da)
-        add(r[:, None], u_da, inst.da_curve.demand_levels)
-        add(r, d_da, -1.0)
+        r = rows.block((T,), base - half_da, base + half_da)
+        rows.add(r[:, None], u_da, inst.da_curve.demand_levels)
+        rows.add(r, d_da, -1.0)
         half_bal = grid.delta / 2.0
         base = inst.exogenous.d_imb_base
-        r = rows((S, T), base - half_bal, base + half_bal)
-        add(r[:, :, None], u_bal, grid.demand_levels)
-        add(r, d_bal, -1.0)
+        r = rows.block((S, T), base - half_bal, base + half_bal)
+        rows.add(r[:, :, None], u_bal, grid.demand_levels)
+        rows.add(r, d_bal, -1.0)
 
         # exactly one bracket per market and period
-        add(rows((T,), 1.0, 1.0)[:, None], u_da, 1.0)
-        add(rows((S, T), 1.0, 1.0)[:, :, None], u_bal, 1.0)
+        rows.add(rows.block((T,), 1.0, 1.0)[:, None], u_da, 1.0)
+        rows.add(rows.block((S, T), 1.0, 1.0)[:, :, None], u_bal, 1.0)
 
         # linearization of u * (d - lower bound), three rows per term: c <= M u,
         # c <= d - lower, c >= d - lower - M (1 - u); c >= 0 is the column bound
@@ -306,41 +331,36 @@ class MilpModel:
             (c_da, u_da, d_da[:, None], lo[:, None], big_m[:, None]),
             (c_bal, u_bal, d_bal[:, :, None], lo_bal[:, :, None], big_m[None, :, None]),
         ):
-            r = rows(
+            r = rows.block(
                 c.shape + (3,),
                 np.stack(np.broadcast_arrays(-INF, -INF, -lower - m), axis=-1),
                 np.stack(np.broadcast_arrays(0.0, -lower, INF), axis=-1),
             )
             ub_u, ub_d, lb = r[..., 0], r[..., 1], r[..., 2]
-            add(ub_u, c, 1.0)
-            add(ub_u, u, -m)
-            add(ub_d, c, 1.0)
-            add(ub_d, d, -1.0)
-            add(lb, c, 1.0)
-            add(lb, d, -1.0)
-            add(lb, u, -m)
+            rows.add(ub_u, c, 1.0)
+            rows.add(ub_u, u, -m)
+            rows.add(ub_d, c, 1.0)
+            rows.add(ub_d, d, -1.0)
+            rows.add(lb, c, 1.0)
+            rows.add(lb, d, -1.0)
+            rows.add(lb, u, -m)
 
-        row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
-        ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
-        keep = v != 0.0
-        return LinearMip(
-            col_lower=col_lower,
-            col_upper=col_upper,
-            obj=obj,
-            is_integer=is_integer,
-            row_matrix=SparseMatrix.from_coo(row_lower.size, n_cols, ri[keep], ci[keep], v[keep]),
-            row_lower=row_lower,
-            row_upper=row_upper,
-        )
+        return rows.mip(col_lower, col_upper, obj, is_integer)
 
 
-def _check_coverage(inst: ProcurementInstance) -> None:
-    """Raise for the first period whose reachable demand leaves a price grid:
-    day-ahead periods first, then the balancing scenarios, scenario-major."""
+def _volume_range(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Each period's d_da range clipped to the demand every price grid covers.
+
+    Raises for the first period whose reachable demand leaves a grid by
+    more than 1e-9: day-ahead periods first, then the balancing scenarios,
+    scenario-major.  A grid that misses by less clips the range, and a
+    period that clipping leaves empty by more than 1e-9 raises too; a
+    smaller crossing is closed at ``hi``."""
     tol = 1e-9
-    da = inst.da_curve
-    da_lo = inst.exogenous.d_sys_base + inst.d_da_lower
-    da_hi = inst.exogenous.d_sys_base + inst.d_da_upper
+    da, grid = inst.da_curve, inst.bal_curves[0]
+    sys_base = inst.exogenous.d_sys_base
+    lower, upper = inst.d_da_lower, inst.d_da_upper
+    da_lo, da_hi = sys_base + lower, sys_base + upper
     bad = np.flatnonzero((da_lo < da.lo - tol) | (da_hi > da.hi + tol))
     if bad.size:
         t = int(bad[0])
@@ -349,10 +369,8 @@ def _check_coverage(inst: ProcurementInstance) -> None:
             f"reachable demand [{da_lo[t]:.6g}, {da_hi[t]:.6g}] vs curve "
             f"[{da.lo:.6g}, {da.hi:.6g}]"
         )
-    imb = inst.exogenous.d_imb_base + inst.realized_demand()
-    bal_lo = imb - inst.d_da_upper
-    bal_hi = imb - inst.d_da_lower
-    grid = inst.bal_curves[0]
+    imb = inst.exogenous.d_imb_base + inst.realized_demand()  # (S, T) before d_da
+    bal_lo, bal_hi = imb - upper, imb - lower
     bad = np.argwhere((bal_lo < grid.lo - tol) | (bal_hi > grid.hi + tol))
     if bad.size:
         s, t = (int(i) for i in bad[0])
@@ -361,6 +379,16 @@ def _check_coverage(inst: ProcurementInstance) -> None:
             f"reachable imbalance [{bal_lo[s, t]:.6g}, {bal_hi[s, t]:.6g}] vs curve "
             f"[{grid.lo:.6g}, {grid.hi:.6g}]"
         )
+    lo = np.vstack([np.maximum(lower, da.lo - sys_base), imb - grid.hi]).max(axis=0)
+    hi = np.vstack([np.minimum(upper, da.hi - sys_base), imb - grid.lo]).min(axis=0)
+    bad = np.flatnonzero(lo > hi + tol)
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(
+            f"price grids leave no volume in period {t}: d_da range "
+            f"[{lower[t]:.6g}, {upper[t]:.6g}] clips to [{lo[t]:.12g}, {hi[t]:.12g}]"
+        )
+    return np.minimum(lo, hi), hi
 
 
 def _cost_bound(inst: ProcurementInstance) -> float:
@@ -375,14 +403,19 @@ def _cost_bound(inst: ProcurementInstance) -> float:
 
 
 def build_milp(inst: ProcurementInstance) -> MilpModel:
-    """The exact MILP's column layout, after checking that every price grid
-    covers the instance; ``MilpModel.lp`` assembles the model when read."""
-    _check_coverage(inst)
+    """The exact MILP's column layout, each period's d_da range clipped to
+    the price grids and the scenario cost bound: the one pass over the
+    instance that ``solve`` reads.  An instance that a price grid does not
+    cover, or whose clipped range is empty, raises ``ValueError`` naming the
+    period.  ``MilpModel.lp`` assembles the exact model when read."""
+    lo, hi = _volume_range(inst)
     T, S = inst.n_periods, inst.n_scenarios
     B, F = inst.da_curve.n_levels, inst.bal_curves[0].n_levels
     offsets = itertools.accumulate((T, S * T, 1, S, T * B, S * T * F, T * B), initial=0)
-    big_m = inst.d_da_upper - inst.d_da_lower
-    return MilpModel(inst, T, S, B, F, *offsets, big_m=big_m, k_mat=inst.realized_demand())
+    return MilpModel(
+        inst, T, S, B, F, *offsets, big_m=inst.d_da_upper - inst.d_da_lower,
+        k_mat=inst.realized_demand(), lo=lo, hi=hi, m_cost=_cost_bound(inst),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -479,29 +512,38 @@ def evaluate_selection(
     return objective, expected, cvar, zeta, costs, eta, price_da, price_bal
 
 
+def _one_hot(sel: np.ndarray, n: int) -> np.ndarray:
+    return (sel[..., None] == np.arange(n)).astype(float)
+
+
+def _solution(inst: ProcurementInstance, d_da, b_sel, f_sel, gap: float, **extra) -> Solution:
+    """The optimal ``Solution`` at volumes ``d_da`` and the given brackets;
+    ``extra`` sets its solver fields."""
+    objective, expected, cvar, zeta, costs, eta, price_da, price_bal = evaluate_selection(
+        inst, d_da, b_sel, f_sel
+    )
+    return Solution(
+        status="optimal",
+        objective=objective,
+        expected_cost=expected,
+        cvar=cvar,
+        gap=gap,
+        d_da=d_da,
+        d_bal=inst.realized_demand() - d_da[None, :],
+        u_da=_one_hot(b_sel, inst.da_curve.n_levels),
+        u_bal=_one_hot(f_sel, inst.bal_curves[0].n_levels),
+        zeta=zeta,
+        eta=eta,
+        scenario_costs=costs,
+        price_da=price_da,
+        price_bal=price_bal,
+        **extra,
+    )
+
+
 # --------------------------------------------------------------------------
 # Cell model
 # --------------------------------------------------------------------------
-
-
-def _reduce(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Clip each period's d_da bounds to the demand every price grid covers:
-    the day-ahead grid first, then each scenario's balancing grid in turn.
-    Returns the clipped ``lo`` and ``hi`` and, where a period's bounds cross
-    by more than 1e-9, the bracket group that crossed them first (day-ahead
-    periods first, then scenario-major); a smaller crossing is closed."""
-    da, grid = inst.da_curve, inst.bal_curves[0]
-    sys_base = inst.exogenous.d_sys_base
-    imb = inst.exogenous.d_imb_base + inst.realized_demand()  # (S, T) before d_da
-    lows = np.vstack([np.maximum(inst.d_da_lower, da.lo - sys_base), imb - grid.hi])
-    highs = np.vstack([np.minimum(inst.d_da_upper, da.hi - sys_base), imb - grid.lo])
-    lo = np.maximum.accumulate(lows, axis=0)
-    hi = np.minimum.accumulate(highs, axis=0)
-    bad = np.argwhere(lo > hi + 1e-9)
-    if bad.size:
-        g, t = bad[0]
-        return lo[-1], hi[-1], f"bracket_da[{t}]" if g == 0 else f"bracket_bal[{g - 1},{t}]"
-    return np.minimum(lo[-1], hi[-1]), hi[-1], None
 
 
 def _edges(curve: PriceCurve) -> np.ndarray:
@@ -538,10 +580,10 @@ class _Cells(NamedTuple):
 _CUT_TOL = 1e-9  # cut points closer than this are one point, as brackets allow
 
 
-def _cells(inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray) -> _Cells:
-    """Cut each [lo[t], hi[t]] at the day-ahead bracket edges and at every
-    scenario's balancing edges, sorting and merging points within
-    ``_CUT_TOL`` on one padded (T, edges) array.  Each cell between two cut
+def _cells(model: MilpModel) -> _Cells:
+    """Cut each period's clipped range [lo[t], hi[t]] of ``model`` at the
+    day-ahead bracket edges and at every scenario's balancing edges, sorting
+    and merging points within ``_CUT_TOL`` on one padded (T, edges) array.  Each cell between two cut
     points takes the brackets at its midpoint.
 
     At a cut point each market may take either neighbouring bracket, and
@@ -549,9 +591,9 @@ def _cells(inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray) -> _Cells:
     rises with each market's cost).  Where edges of several markets meet,
     or an edge meets lo or hi, that choice can differ from both
     neighbouring cells; the point is then a cell of its own."""
+    inst, lo, hi, k_mat = model.instance, model.lo, model.hi, model.k_mat
     da, grid = inst.da_curve, inst.bal_curves[0]
     sys_base = inst.exogenous.d_sys_base
-    k_mat = inst.realized_demand()
     imb = inst.exogenous.d_imb_base + k_mat  # (S, T) before d_da
     T = lo.size
     edges = np.hstack([
@@ -598,12 +640,12 @@ def _cells(inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray) -> _Cells:
     return _Cells(*(a[..., order] for a in cells))
 
 
-def _cell_model(
-    inst: ProcurementInstance, lo: np.ndarray, hi: np.ndarray
-) -> tuple[LinearMip, _Cells, np.ndarray, np.ndarray]:
+def _cell_model(model: MilpModel) -> tuple[LinearMip, _Cells, np.ndarray, np.ndarray]:
     """The model ``solve`` branches on: per period, the convex hull of its
-    cells' cost lines (a multiple-choice model).  In cell c, scenario s pays
-    ``p_da(c) * d + p_bal(s, c) * (k[s, t] - d)`` for ``d = d_da[t]``.
+    cells' cost lines (a multiple-choice model), over ``model``'s clipped
+    range ``[lo, hi]`` and with its cost bound ``m_cost``.  In cell c,
+    scenario s pays ``p_da(c) * d + p_bal(s, c) * (k[s, t] - d)`` for
+    ``d = d_da[t]``.
 
     A period with one cell prices ``d_da[t]`` linearly.  A period with
     several has, per cell c on [a_c, b_c], a binary ``z_c`` and a continuous
@@ -615,7 +657,7 @@ def _cell_model(
     cells of the periods with several.  Rows: ``cvar[s]``, then per such
     period its ``sum z = 1`` row, then per such period its tie row, then
     one ``y <= width * z`` row per cell.  Exact-zero coefficients are left
-    out.
+    out, as in ``MilpModel.lp``.
 
     The root LP starts from a primal-feasible basis (a crash basis, Bixby
     1992) that is already at the CVaR optimum of its own point.  Each
@@ -643,11 +685,11 @@ def _cell_model(
 
     Returns the model, the cells, which cells have a ``z``, and that start
     basis (m column indices, the slack of row i being ``n + i``)."""
-    T, S = inst.n_periods, inst.n_scenarios
-    cells = _cells(inst, lo, hi)
-    k_mat = inst.realized_demand()[:, cells.period]  # (S, N)
+    inst, T, S = model.instance, model.T, model.S
+    cells = _cells(model)
+    k_mat = model.k_mat[:, cells.period]  # (S, N)
     probs = inst.scenarios.probabilities
-    m_cost = _cost_bound(inst)
+    m_cost = model.m_cost
     p_da = inst.da_curve.prices[cells.bracket_da]
     p_bal = inst.bal_prices[np.arange(S)[:, None], cells.bracket_bal]
     slope = p_da - p_bal  # (S, N) scenario cost per MWh of d_da
@@ -662,51 +704,43 @@ def _cell_model(
     y = z + n
     width = (cells.upper - cells.lower)[multi]
 
-    col_lower = np.zeros(T + 1 + S + 2 * n)
-    col_upper = np.ones(col_lower.size)  # the binaries keep these bounds
-    col_lower[:T], col_upper[:T] = lo, hi
+    n_cols = T + 1 + S + 2 * n
+    col_lower = np.zeros(n_cols)
+    col_upper = np.ones(n_cols)  # the binaries keep these bounds
+    col_lower[:T], col_upper[:T] = model.lo, model.hi
     col_lower[col_zeta], col_upper[col_zeta] = -m_cost, m_cost
     col_upper[eta] = 2.0 * m_cost
     col_upper[y] = width
-    is_integer = np.zeros(col_lower.size, dtype=bool)
+    is_integer = np.zeros(n_cols, dtype=bool)
     is_integer[z] = True
 
     # a one-cell period's constant p_bal * k goes to the CVaR bound and the offset
     cvar_const = -(p_bal * k_mat)[:, one].sum(axis=1)
-    obj = np.zeros(col_lower.size)
+    obj = np.zeros(n_cols)
     obj[col_zeta] = inst.beta
     obj[eta] = inst.beta * probs / (1.0 - inst.alpha)
     obj[cells.period[one]] = probs @ slope[:, one]
     obj[z] = probs @ at_lower[:, multi]
     obj[y] = probs @ slope[:, multi]
 
-    n_rows = S + 2 * P + n
-    row_lower, row_upper = np.full(n_rows, -INF), np.zeros(n_rows)
-    row_upper[:S] = cvar_const
-    row_lower[S : S + P] = row_upper[S : S + P] = 1.0
-    row_lower[S + P : S + 2 * P] = 0.0
-    entries: list[tuple[np.ndarray, ...]] = []
-
-    def add(row, col, val) -> None:
-        entries.append(tuple(a.ravel() for a in np.broadcast_arrays(row, col, val)))
-
+    rows = _Rows()
     # CVaR rows: scenario cost - zeta <= eta_s, constants moved to the bound
-    r = np.arange(S)
-    add(r, col_zeta, -1.0)
-    add(r, eta, -1.0)
-    r = r[:, None]
-    add(r, cells.period[one], slope[:, one])
-    add(r, z, at_lower[:, multi])
-    add(r, y, slope[:, multi])
+    cvar = rows.block((S,), -INF, cvar_const)
+    rows.add(cvar, col_zeta, -1.0)
+    rows.add(cvar, eta, -1.0)
+    r = cvar[:, None]
+    rows.add(r, cells.period[one], slope[:, one])
+    rows.add(r, z, at_lower[:, multi])
+    rows.add(r, y, slope[:, multi])
     # one cell per period, the tie to d_da, and each y within its cell
-    add(S + group, z, 1.0)
-    tie = S + P + group
-    add(S + P + np.arange(P), periods, 1.0)
-    add(tie, z, -cells.lower[multi])
-    add(tie, y, -1.0)
-    cap = S + 2 * P + np.arange(n)
-    add(cap, y, 1.0)
-    add(cap, z, -width)
+    rows.add(rows.block((P,), 1.0, 1.0)[group], z, 1.0)
+    tie = rows.block((P,), 0.0, 0.0)
+    rows.add(tie, periods, 1.0)
+    rows.add(tie[group], z, -cells.lower[multi])
+    rows.add(tie[group], y, -1.0)
+    cap = rows.block((n,), -INF, 0.0)
+    rows.add(cap, y, 1.0)
+    rows.add(cap, z, -width)
 
     # start basis: per period its cheapest cell edge (a_c, then b_c, per
     # cell), then the VaR split of the scenario costs at that point
@@ -722,25 +756,13 @@ def _cell_model(
         + slope[:, at_cell[top]] @ width[top]
     )
     zeta = cvar_kinks(costs, probs, inst.alpha)[1][0]
-    slack = col_lower.size + np.arange(n_rows)
-    cvar_basic = np.where(costs > zeta, eta, slack[:S])
+    cvar_basic = np.where(costs > zeta, eta, n_cols + cvar)
     cvar_basic[np.argmax(costs == zeta)] = col_zeta
-    cap_basic = slack[cap]
+    cap_basic = n_cols + cap
     cap_basic[top] = y[top]
     basis = np.concatenate([cvar_basic, z[cell], periods, cap_basic])
 
-    ri, ci, v = (np.concatenate(parts) for parts in zip(*entries))
-    keep = v != 0.0
-    lp = LinearMip(
-        col_lower=col_lower,
-        col_upper=col_upper,
-        obj=obj,
-        is_integer=is_integer,
-        row_matrix=SparseMatrix.from_coo(n_rows, col_lower.size, ri[keep], ci[keep], v[keep]),
-        row_lower=row_lower,
-        row_upper=row_upper,
-        obj_offset=-float(probs @ cvar_const),
-    )
+    lp = rows.mip(col_lower, col_upper, obj, is_integer, obj_offset=-float(probs @ cvar_const))
     return lp, cells, multi, basis
 
 
@@ -749,27 +771,20 @@ def _cell_model(
 # --------------------------------------------------------------------------
 
 
-def _one_hot(sel: np.ndarray, n: int) -> np.ndarray:
-    return (sel[..., None] == np.arange(n)).astype(float)
-
-
 def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     """Branch-and-bound solve of the procurement MILP to absolute gap ``tol``,
-    on the cell model of ``model``'s instance.  ``solve_milp`` rejects a
-    negative or non-finite ``tol`` with ``ValueError``; an instance whose
-    volume bounds cross returns ``infeasible`` before that."""
+    on the cell model of ``model``, which ``build_milp`` has checked and
+    clipped.  ``solve_milp`` rejects a negative or non-finite ``tol`` with
+    ``ValueError``.  A search that ends without an optimum returns its
+    status (``infeasible``, ``node_limit`` or ``iteration_limit``) and
+    the solver counters, with no point."""
     inst = model.instance
     T, S = model.T, model.S
-    lo, hi, infeasible_group = _reduce(inst)
-    if infeasible_group is not None:
-        return _empty_solution("infeasible", infeasible_group)
-    lp, cells, multi, basis = _cell_model(inst, lo, hi)
+    lp, cells, multi, basis = _cell_model(model)
     result = solve_milp(lp, gap_tol=tol, basis=basis)
-    if result.status == "infeasible":
+    if result.status != "optimal":
         row = f"cell model row {result.infeasible_row}" if result.infeasible_row >= 0 else None
-        return _empty_solution("infeasible", row, result)
-    if result.status != "optimal":  # the search hit its node or iteration limit
-        return _empty_solution(result.status, None, result)
+        return _empty_solution(result.status, row, result)
 
     # one cell per period: the only one, or the one whose z is set
     x = result.x
@@ -778,39 +793,16 @@ def solve(model: MilpModel, tol: float = 1e-6) -> Solution:
     sel = np.flatnonzero(chosen)
     d_da = np.clip(x[:T], cells.lower[sel], cells.upper[sel])
     b_sel, f_sel = cells.bracket_da[sel], cells.bracket_bal[:, sel]
-    objective, expected, cvar, zeta, costs, eta_s, price_da, price_bal = evaluate_selection(
-        inst, d_da, b_sel, f_sel
-    )
-    d_bal = model.k_mat - d_da[None, :]
-    u_da, u_bal = _one_hot(b_sel, model.B), _one_hot(f_sel, model.F)
-
+    sol = _solution(inst, d_da, b_sel, f_sel, result.gap, **_counters(result))
     # the point in the full model's columns: each chosen bracket takes the
     # whole shifted volume, and zeta and eta are the solver's
     full = np.concatenate([
-        d_da, d_bal.ravel(), x[T : T + 1 + S],  # d_da, d_bal, zeta, eta
-        (u_da * (d_da - inst.d_da_lower)[:, None]).ravel(),
-        (u_bal * (inst.d_da_upper - d_da)[:, None]).ravel(),
-        u_da.ravel(), u_bal.ravel(),
+        d_da, sol.d_bal.ravel(), x[T : T + 1 + S],  # d_da, d_bal, zeta, eta
+        (sol.u_da * (d_da - inst.d_da_lower)[:, None]).ravel(),
+        (sol.u_bal * (inst.d_da_upper - d_da)[:, None]).ravel(),
+        sol.u_da.ravel(), sol.u_bal.ravel(),
     ])
-
-    return Solution(
-        status="optimal",
-        objective=objective,
-        expected_cost=expected,
-        cvar=cvar,
-        gap=result.gap,
-        d_da=d_da,
-        d_bal=d_bal,
-        u_da=u_da,
-        u_bal=u_bal,
-        zeta=zeta,
-        eta=eta_s,
-        scenario_costs=costs,
-        price_da=price_da,
-        price_bal=price_bal,
-        lp_point=full,
-        **_counters(result),
-    )
+    return replace(sol, lp_point=full)
 
 
 # --------------------------------------------------------------------------
@@ -848,7 +840,7 @@ def brute_force_oracle(
     Each sub-box is grid-searched with iterative zooming.  Only feasible
     for a handful of periods and scenarios.
     """
-    _check_coverage(inst)
+    _volume_range(inst)
     T, S = inst.n_periods, inst.n_scenarios
     if T > 4 or S > 6:
         raise ValueError("oracle limited to small instances (T <= 4, S <= 6)")
@@ -942,26 +934,7 @@ def brute_force_oracle(
 
     if best is None:
         return _empty_solution("infeasible", "no reachable bracket assignment")
-    d_da, b_sel, f_sel = best
-    objective, expected, cvar, zeta, costs, eta, price_da, price_bal = evaluate_selection(
-        inst, d_da, b_sel, f_sel
-    )
-    return Solution(
-        status="optimal",
-        objective=objective,
-        expected_cost=expected,
-        cvar=cvar,
-        gap=0.0,
-        d_da=d_da,
-        d_bal=k_mat - d_da[None, :],
-        u_da=_one_hot(b_sel, inst.da_curve.n_levels),
-        u_bal=_one_hot(f_sel, grid.n_levels),
-        zeta=zeta,
-        eta=eta,
-        scenario_costs=costs,
-        price_da=price_da,
-        price_bal=price_bal,
-    )
+    return _solution(inst, *best, 0.0)
 
 
 # --------------------------------------------------------------------------

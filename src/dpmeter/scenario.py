@@ -30,6 +30,10 @@ class ErrorScenarioSet:
             raise ValueError("errors must be a non-empty (S, T) matrix")
         if self.probabilities.shape != (self.errors.shape[0],):
             raise ValueError("one probability per scenario required")
+        if not np.isfinite(self.errors).all():
+            raise ValueError("scenario errors must be finite")
+        if not np.isfinite(self.probabilities).all():
+            raise ValueError("scenario probabilities must be finite")
         if np.any(self.probabilities <= 0):
             raise ValueError("scenario probabilities must be > 0")
         if abs(self.probabilities.sum() - 1.0) > 1e-9:

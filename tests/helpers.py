@@ -139,6 +139,26 @@ def random_instance(rng, T=None, S=None, B=None, F=None, beta=None, alpha=0.9):
     )
 
 
+def empty_range_instance() -> ProcurementInstance:
+    """T = 2, S = 1: period 1 has ``d_da_lower == d_da_upper == 0``, and the
+    day-ahead and balancing grids each miss one end of its reachable demand
+    by 8e-10, inside the coverage tolerance.  Clipping to both grids leaves
+    its range empty by 1.6e-9."""
+    return ProcurementInstance(
+        d_fore=np.full(2, 10.0),
+        scenarios=ErrorScenarioSet(np.zeros((1, 2)), np.ones(1)),
+        da_curve=uniform_curve(40.0, 80.0, 1, [50.0]),
+        bal_curves=(uniform_curve(-20.0, 20.0, 1, [80.0]),),
+        exogenous=SystemExogenous(
+            np.array([50.0, 40.0 - 8e-10]), np.array([[0.0, -30.0 - 8e-10]])
+        ),
+        beta=0.5,
+        alpha=0.9,
+        d_da_lower=np.array([-5.0, 0.0]),
+        d_da_upper=np.array([15.0, 0.0]),
+    )
+
+
 def highs_objective(lp: LinearMip) -> float:
     """Optimum of ``lp`` by scipy's HiGHS MILP solver, with the offset."""
     rm = lp.row_matrix
@@ -154,11 +174,14 @@ def highs_objective(lp: LinearMip) -> float:
     return float(ref.fun) + lp.obj_offset
 
 
-def loop_check_coverage(inst: ProcurementInstance) -> None:
-    """Per-period loop form of ``procurement._check_coverage``."""
+def loop_volume_range(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Per-period loop form of ``procurement._volume_range``: the coverage
+    checks, then the day-ahead grid clips every period, then each
+    scenario's balancing grid in turn, then the empty-range check."""
     tol = 1e-9
+    T, S = inst.n_periods, inst.n_scenarios
     k_mat = inst.realized_demand()
-    for t in range(inst.n_periods):
+    for t in range(T):
         lo = inst.exogenous.d_sys_base[t] + inst.d_da_lower[t]
         hi = inst.exogenous.d_sys_base[t] + inst.d_da_upper[t]
         if lo < inst.da_curve.lo - tol or hi > inst.da_curve.hi + tol:
@@ -167,9 +190,9 @@ def loop_check_coverage(inst: ProcurementInstance) -> None:
                 f"reachable demand [{lo:.6g}, {hi:.6g}] vs curve "
                 f"[{inst.da_curve.lo:.6g}, {inst.da_curve.hi:.6g}]"
             )
-    for s in range(inst.n_scenarios):
+    for s in range(S):
         curve = inst.bal_curves[s]
-        for t in range(inst.n_periods):
+        for t in range(T):
             lo = inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - inst.d_da_upper[t]
             hi = inst.exogenous.d_imb_base[s, t] + k_mat[s, t] - inst.d_da_lower[t]
             if lo < curve.lo - tol or hi > curve.hi + tol:
@@ -178,12 +201,31 @@ def loop_check_coverage(inst: ProcurementInstance) -> None:
                     f"reachable imbalance [{lo:.6g}, {hi:.6g}] vs curve "
                     f"[{curve.lo:.6g}, {curve.hi:.6g}]"
                 )
+    da, grid = inst.da_curve, inst.bal_curves[0]
+    imb = inst.exogenous.d_imb_base + k_mat
+    lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
+    for g in range(1 + S):
+        for t in range(T):
+            if g == 0:
+                base = inst.exogenous.d_sys_base[t]
+                lo[t], hi[t] = max(lo[t], da.lo - base), min(hi[t], da.hi - base)
+            else:
+                lo[t] = max(lo[t], imb[g - 1, t] - grid.hi)
+                hi[t] = min(hi[t], imb[g - 1, t] - grid.lo)
+    for t in range(T):
+        if lo[t] > hi[t] + tol:
+            raise ValueError(
+                f"price grids leave no volume in period {t}: d_da range "
+                f"[{inst.d_da_lower[t]:.6g}, {inst.d_da_upper[t]:.6g}] clips to "
+                f"[{lo[t]:.12g}, {hi[t]:.12g}]"
+            )
+    return np.minimum(lo, hi), hi
 
 
 def loop_build_milp(inst: ProcurementInstance) -> MilpModel:
     """Per-entry loop form of ``procurement.build_milp``, kept as the
     reference its array form must match bit for bit (names aside)."""
-    loop_check_coverage(inst)
+    clipped_lo, clipped_hi = loop_volume_range(inst)
     T, S = inst.n_periods, inst.n_scenarios
     B = inst.da_curve.n_levels
     F = inst.bal_curves[0].n_levels
@@ -240,6 +282,9 @@ def loop_build_milp(inst: ProcurementInstance) -> MilpModel:
         off_u_bal=off_u_bal,
         big_m=big_m,
         k_mat=k_mat,
+        lo=clipped_lo,
+        hi=clipped_hi,
+        m_cost=m_cost,
     )
 
     da_prices = inst.da_curve.prices
@@ -349,29 +394,6 @@ def loop_build_milp(inst: ProcurementInstance) -> MilpModel:
     return model
 
 
-def loop_reduce(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Group-by-group loop form of ``procurement._reduce``: the day-ahead
-    grid clips every period, then each scenario's balancing grid in turn."""
-    T, S = inst.n_periods, inst.n_scenarios
-    da, grid = inst.da_curve, inst.bal_curves[0]
-    imb = inst.exogenous.d_imb_base + inst.realized_demand()
-    lo, hi = inst.d_da_lower.copy(), inst.d_da_upper.copy()
-    name = None
-    for g in range(1 + S):
-        for t in range(T):
-            if g == 0:
-                base = inst.exogenous.d_sys_base[t]
-                lo[t], hi[t] = max(lo[t], da.lo - base), min(hi[t], da.hi - base)
-            else:
-                lo[t] = max(lo[t], imb[g - 1, t] - grid.hi)
-                hi[t] = min(hi[t], imb[g - 1, t] - grid.lo)
-            if name is None and lo[t] > hi[t] + 1e-9:
-                name = f"bracket_da[{t}]" if g == 0 else f"bracket_bal[{g - 1},{t}]"
-    if name is None:
-        lo = np.minimum(lo, hi)
-    return lo, hi, name
-
-
 def loop_cheapest(curve: PriceCurve, prices: np.ndarray, demand: float, volume: float) -> int:
     """The bracket whose cell holds ``demand`` (within 1e-9) at the lowest
     ``price * volume``, the lower one on a tie."""
@@ -437,7 +459,7 @@ def loop_cell_model(inst: ProcurementInstance) -> LinearMip:
     k_mat = inst.realized_demand()
     probs = inst.scenarios.probabilities
     m_cost = _cost_bound(inst)
-    lo, hi, _ = loop_reduce(inst)
+    lo, hi = loop_volume_range(inst)
     cells = loop_cells(inst, lo, hi)
     n_cells = [sum(c[0] == t for c in cells) for t in range(T)]
 

@@ -17,7 +17,7 @@ from dpmeter.procurement import ProcurementInstance, write_instance
 from dpmeter.scenario import ErrorScenarioSet
 from dpmeter.synth import SynthConfig
 
-from helpers import uniform_curve
+from helpers import empty_range_instance, uniform_curve
 
 
 def run(args):
@@ -261,6 +261,38 @@ class TestInputErrors:
         args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
         assert_usage_error(capsys, args, "day-ahead price grid does not cover period 0")
 
+    @pytest.mark.parametrize(
+        "where, value, reason",
+        [(("beta",), float("inf"), "beta must be finite and >= 0"),
+         (("d_fore", 0), float("nan"), "forecast must be finite"),
+         (("errors", 1, 0), float("nan"), "scenario errors must be finite"),
+         (("probs", 0), float("nan"), "scenario probabilities must be finite"),
+         (("d_sys_base", 0), float("inf"), "d_sys_base must be finite"),
+         (("d_imb_base", 0, 0), float("nan"), "d_imb_base must be finite"),
+         (("da_curve", "prices", 1), float("nan"), "prices must be finite"),
+         (("bal_curves", 1, "levels", 0), float("-inf"), "demand levels must be finite")],
+        ids=["beta-inf", "forecast-nan", "error-nan", "prob-nan", "sys-inf", "imb-nan",
+             "price-nan", "level-inf"],
+    )
+    def test_procure_non_finite_instance(self, tmp_path, capsys, where, value, reason):
+        path = tmp_path / "inst.json"
+        write_instance(one_period_instance(), path)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "sol").exists()
+
+    def test_procure_empty_volume_range(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        write_instance(empty_range_instance(), path)
+        args = ["procure", "--instance", path, "--out", tmp_path / "sol"]
+        assert_usage_error(capsys, args, "price grids leave no volume in period 1")
+
     def test_procure_instance_without_field(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         write_instance(one_period_instance(), path)
@@ -287,6 +319,18 @@ class TestInputErrors:
         args = ["experiment", "--config", config, "--out", tmp_path / "x"]
         reason = f"{config}: [Errno 2] No such file or directory: {missing!r}"
         assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("delta", [0.0, -5.0])
+    def test_experiment_bad_ladder_delta(self, tmp_path, capsys, delta):
+        ladder = tmp_path / "ladder.csv"
+        ladder.write_text("volume_mwh,price\n10,40\n")
+        doc = json.loads(config_to_json(one_cell_config(market=ladder_market(ladder))))
+        doc["market"]["ladder_delta"] = delta
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        args = ["experiment", "--config", path, "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, "ladder_delta must be finite and > 0")
         assert not (tmp_path / "x").exists()
 
     def test_experiment_ladder_without_columns(self, tmp_path, capsys):

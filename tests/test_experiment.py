@@ -83,6 +83,9 @@ class TestConfig:
             {"group_kind": "kmeans", "group_index": 7},
             {"group_kind": "kmeans", "group_index": -5},
             {"group_kind": "kmeans", "group_k": 0, "group_index": 0},
+            {"group_kind": "share", "group_share": 0.0},
+            {"group_kind": "share", "group_share": 1.5},
+            {"group_kind": "share", "group_share": float("nan")},
         ],
     )
     def test_group_outside_its_kind_rejected(self, fields):
@@ -114,6 +117,7 @@ class TestConfig:
         assert clone(FAST_CFG, group_index=7).group_index == 7  # a whole-panel config
         assert clone(FAST_CFG, group_kind="share", group_index=-5).group_index == -5
         assert clone(FAST_CFG, group_kind="kmeans", group_k=8, group_index=7).group_k == 8
+        assert clone(FAST_CFG, group_share=0.0).group_share == 0.0  # not a share config
 
 
 class TestMarket:

@@ -47,6 +47,13 @@ class TestBuildCurve:
         with pytest.raises(ValueError, match="non-decreasing"):
             build_curve([(10.0, 50.0), (10.0, 40.0)], delta=5.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -5.0, float("inf"), float("nan")])
+    def test_bad_spacing_rejected(self, delta):
+        with pytest.raises(ValueError, match="spacing must be finite and > 0"):
+            build_curve([(10.0, 50.0)], delta=delta)
+        with pytest.raises(ValueError, match="spacing must be finite and > 0"):
+            PriceCurve(np.array([5.0]), np.array([50.0]), delta)
+
     def test_nonuniform_levels_rejected(self):
         with pytest.raises(ValueError):
             PriceCurve(np.array([0.0, 1.0, 2.5]), np.zeros(3), 1.0)

@@ -14,7 +14,7 @@ from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
 from dpmeter.milp import simplex
 from dpmeter.milp.model import INF
 from dpmeter.milp.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FOLD_EVERY, _FREE, _OPT_TOL
-from dpmeter.procurement import _cell_model, _reduce, read_instance
+from dpmeter.procurement import _cell_model, build_milp, read_instance
 
 from helpers import MipBuilder, fixes_solve_milp, loop_basis_matrix, random_instance
 
@@ -292,7 +292,7 @@ class TestKernelInverse:
 
     def test_mixed_bases_from_solver_states(self):
         rng = np.random.default_rng(5)
-        models = [_cell_model(inst, *_reduce(inst)[:2])[0] for inst in (
+        models = [_cell_model(build_milp(inst))[0] for inst in (
             random_instance(rng, T=6, S=4, B=3, F=3),
             random_instance(rng, T=12, S=3, B=4, F=2),
             read_instance(C11),
@@ -322,7 +322,7 @@ class TestKernelInverse:
         # inverse equals the one from the loop-built basis bit for bit, on
         # solver states and on a basis that needs repair
         rng = np.random.default_rng(5)
-        models = [_cell_model(inst, *_reduce(inst)[:2])[0] for inst in (
+        models = [_cell_model(build_milp(inst))[0] for inst in (
             random_instance(rng, T=6, S=4, B=3, F=3),
             random_instance(rng, T=12, S=3, B=4, F=2),
             read_instance(C11),
@@ -356,7 +356,7 @@ class TestLowRankInverse:
 
     def test_live_inverse_through_folds_and_after_load_state(self):
         inst = read_instance(C11)
-        lp = _cell_model(inst, *_reduce(inst)[:2])[0]
+        lp = _cell_model(build_milp(inst))[0]
         solver = SimplexSolver(lp)  # the all-slack start makes the root long
         assert solver.solve().status == "optimal"
         # no refactorization since the start: every pivot went through the update
@@ -475,7 +475,7 @@ class TestDirectionPricing:
 
 def c11_cell_model():
     inst = read_instance(C11)
-    return _cell_model(inst, *_reduce(inst)[:2])[0]
+    return _cell_model(build_milp(inst))[0]
 
 
 def loop_reduced_costs(solver, A):

@@ -17,7 +17,6 @@ from dpmeter.milp.simplex import _FEAS_TOL
 from dpmeter.procurement import (
     ProcurementInstance,
     _cell_model,
-    _reduce,
     brute_force_oracle,
     build_milp,
     cvar_kinks,
@@ -32,13 +31,13 @@ from dpmeter.scenario import ErrorScenarioSet
 from dpmeter.synth import SynthConfig
 
 from helpers import (
+    empty_range_instance,
     highs_objective,
     loop_basis_matrix,
     loop_build_milp,
-    loop_check_coverage,
     loop_cell_model,
     loop_cells,
-    loop_reduce,
+    loop_volume_range,
     random_instance,
     uniform_curve,
 )
@@ -88,6 +87,9 @@ class TestCvar:
     def test_bad_probs_rejected(self):
         with pytest.raises(ValueError):
             cvar_of_costs([1.0], [0.5], 0.9)
+        for costs, probs in (([1.0, 2.0], [np.nan, 0.5]), ([np.nan, 2.0], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="must be finite"):
+                cvar_of_costs(costs, probs, 0.9)
 
     def test_kinks_rows_and_minimizing_zeta(self):
         rng = np.random.default_rng(43)
@@ -188,7 +190,17 @@ class TestBuildMilp:
         with pytest.raises(ValueError, match="scenario 0, period 1") as got:
             build_milp(bad)
         with pytest.raises(ValueError) as want:
-            loop_check_coverage(bad)
+            loop_volume_range(bad)
+        assert str(got.value) == str(want.value)
+
+    def test_empty_clipped_range_raises_with_period(self):
+        # each grid misses period 1 by less than the coverage tolerance, but
+        # clipping to both leaves no volume
+        inst = empty_range_instance()
+        with pytest.raises(ValueError, match="no volume in period 1") as got:
+            build_milp(inst)
+        with pytest.raises(ValueError) as want:
+            loop_volume_range(inst)
         assert str(got.value) == str(want.value)
 
 
@@ -210,8 +222,9 @@ def assert_same_model(got, want):
     for name in ("T", "S", "B", "F", "off_d_da", "off_d_bal", "col_zeta", "off_eta",
                  "off_c_da", "off_c_bal", "off_u_da", "off_u_bal"):
         assert getattr(got, name) == getattr(want, name), name
-    assert got.big_m.tobytes() == want.big_m.tobytes()
-    assert got.k_mat.tobytes() == want.k_mat.tobytes()
+    for name in ("big_m", "k_mat", "lo", "hi", "m_cost"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestArrayBuild:
@@ -252,7 +265,7 @@ class TestArrayBuild:
                 ),
             )
             try:
-                loop_check_coverage(bad)
+                loop_volume_range(bad)
             except ValueError as exc:
                 n_raised += 1
                 with pytest.raises(ValueError) as got:
@@ -308,7 +321,7 @@ class TestRunTimePath:
 
 def grid_edge_sliver():
     """``flat_instance`` whose reachable day-ahead demand starts 5e-10 below
-    the curve: inside the coverage tolerance, so ``_reduce`` clips
+    the curve: inside the coverage tolerance, so ``build_milp`` clips
     ``d_da_lower`` up to the curve's first cell."""
     inst = flat_instance()
     lower = inst.da_curve.lo - inst.exogenous.d_sys_base - 5e-10
@@ -318,7 +331,7 @@ def grid_edge_sliver():
 def balancing_sliver():
     """T = 2, S = 2: two day-ahead brackets stay free, and the one balancing
     bracket of each scenario is forced.  The reachable imbalance of
-    (s=1, t=0) and (s=0, t=1) ends 5e-10 above the grid, so ``_reduce``
+    (s=1, t=0) and (s=0, t=1) ends 5e-10 above the grid, so ``build_milp``
     clips ``d_da_lower`` up to the grid's last cell."""
     k_mat = np.array([[10.0, 10.0], [11.0, 9.0]])
     return ProcurementInstance(
@@ -389,7 +402,7 @@ def assert_same_cell_model(got, want, inst):
     m = want.row_matrix
     cvar = csr_matrix((m.data, m.indices, m.indptr), shape=(m.n_rows, m.n_cols))[:S]
     assert np.all(np.abs(got.obj - want.obj) <= S * eps * (probs @ np.abs(cvar).toarray()))
-    cells = loop_cells(inst, *loop_reduce(inst)[:2])
+    cells = loop_cells(inst, *loop_volume_range(inst))
     periods = [c[0] for c in cells]
     k_mat = inst.realized_demand()
     terms = np.array([
@@ -411,15 +424,17 @@ def coinciding_edge_instances():
 
 
 class TestReducedModel:
-    """``solve`` clips the bounds, cuts the cells and builds its cell model
-    from arrays; each must equal the per-period loops in ``helpers``."""
+    """``build_milp`` clips the bounds, and ``solve`` cuts the cells and
+    builds its cell model from arrays; each must equal the per-period loops
+    in ``helpers``."""
 
     @pytest.mark.parametrize("inst", parity_instances())
     def test_matches_loop_reference(self, inst):
-        lo, hi, group = _reduce(inst)
-        want_lo, want_hi, want_group = loop_reduce(inst)
-        assert (lo.tobytes(), hi.tobytes(), group) == (want_lo.tobytes(), want_hi.tobytes(), want_group)
-        lp, cells = _cell_model(inst, lo, hi)[:2]
+        model = build_milp(inst)
+        lo, hi = model.lo, model.hi
+        want_lo, want_hi = loop_volume_range(inst)
+        assert (lo.tobytes(), hi.tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
+        lp, cells = _cell_model(model)[:2]
         assert_same_cells(cells, loop_cells(inst, lo, hi))
         assert_same_cell_model(lp, loop_cell_model(inst), inst)
 
@@ -428,10 +443,10 @@ class TestReducedModel:
     )
     def test_sliver_bounds_clipped_to_cell(self, make, lower):
         inst = make()
-        lo, hi, _ = _reduce(inst)
+        model = build_milp(inst)
+        lo, hi = model.lo, model.hi
         assert np.all(inst.d_da_lower < lo) and lo.tolist() == lower
         assert hi.tobytes() == inst.d_da_upper.tobytes()
-        model = build_milp(inst)
         sol = solve(model)
         assert sol.status == "optimal"
         assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
@@ -454,8 +469,8 @@ class TestReducedModel:
         bounds = inst.d_da_lower.copy()
         bounds[0] = lower
         inst = dataclasses.replace(inst, d_da_lower=bounds)
-        assert _reduce(inst)[0][0] == lower
         model = build_milp(inst)
+        assert model.lo[0] == lower
         sol = solve(model)
         assert sol.status == "optimal"
         x = sol.lp_point
@@ -470,10 +485,9 @@ class TestReducedModel:
     def test_coinciding_edges_match_highs(self):
         n_points = 0
         for inst in coinciding_edge_instances():
-            lo, hi, _ = _reduce(inst)
-            cells = _cell_model(inst, lo, hi)[1]
-            n_points += int(np.count_nonzero(cells.lower == cells.upper))
             model = build_milp(inst)
+            cells = _cell_model(model)[1]
+            n_points += int(np.count_nonzero(cells.lower == cells.upper))
             sol = solve(model)
             assert sol.status == "optimal"
             assert check_feasibility(model.lp, sol.lp_point) <= 1e-6
@@ -509,10 +523,7 @@ class TestStartBasis:
         insts = parity_instances() + [random_instance(rng, T=5, S=5, B=5, F=6) for _ in range(10)]
         n_multi = 0
         for inst in insts:
-            lo, hi, group = _reduce(inst)
-            if group is not None:
-                continue
-            lp, _, multi, basis = _cell_model(inst, lo, hi)
+            lp, _, multi, basis = _cell_model(build_milp(inst))
             solver = SimplexSolver(lp, basis)
             assert np.array_equal(solver.basis, basis)  # installed without repair
             xb = solver.x[basis]
@@ -552,10 +563,7 @@ class TestStartBasis:
         insts += [random_instance(rng, S=8, alpha=a) for a in (0.2, 0.4, 0.6) for _ in range(4)]
         n_checked = n_tail = 0
         for inst in insts:
-            lo, hi, group = _reduce(inst)
-            if group is not None:
-                continue
-            lp, cells, multi, basis = _cell_model(inst, lo, hi)
+            lp, cells, multi, basis = _cell_model(build_milp(inst))
             T, S = inst.n_periods, inst.n_scenarios
             x = SimplexSolver(lp, basis).x
             chosen = ~multi
@@ -719,10 +727,7 @@ class TestRefactorization:
         # the root optimum of every cell model
         n_checked = 0
         for inst in parity_instances():
-            lo, hi, group = _reduce(inst)
-            if group is not None:
-                continue
-            lp, _, _, basis = _cell_model(inst, lo, hi)
+            lp, _, _, basis = _cell_model(build_milp(inst))
             solver = SimplexSolver(lp, basis)
             for _ in range(2):
                 gathered = solver._kernel_inverse()
