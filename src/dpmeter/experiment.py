@@ -3,9 +3,14 @@
 One cell = (scheme, epsilon, gamma, seed).  Each cell forecasts the
 selected consumer group under its scheme, scales the volumes to system
 level, samples forecast-error scenarios, prices them through the
-procurement program, and appends one result row.  The panel, the group and
-the market (price curves, exogenous demand and imbalance) are built once
-per experiment, so schemes compete under identical conditions.
+procurement program, and appends one result row.  The market (price
+curves, exogenous demand and imbalance) is built once per experiment, so
+schemes compete under identical conditions.  The system profile and the
+group come from a small process-wide memo keyed by the panel's source and
+the grouping (``_built_group``), so a sweep of experiments over one panel
+and group (other seeds, risk settings or privacy grids) synthesizes the
+panel and clusters it once.  The memo holds only immutable group-level
+values: the group's meters, not the whole panel's.
 
 Work is keyed by forecast, not by row.  Each seed runs one forecast phase:
 every forecast its scheme rows and heterogeneity rows need is trained in
@@ -23,9 +28,11 @@ and the caller decides the exit code from the failure list.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +102,12 @@ class MarketConfig:
             raise ValueError("price grids need at least one level")
         if self.bound_mult <= 0:
             raise ValueError("bound multiplier must be positive")
+        for name in (
+            "da_price_lo", "da_price_hi", "bal_premium", "bal_spread", "imb_sigma_rel",
+            "bound_mult", "pad_mult", "bal_pad_mult", "bal_ladder_origin",
+        ):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if (self.da_ladder_csv or self.bal_ladder_csv) and self.ladder_delta is None:
             raise ValueError("ladder paths require ladder_delta")
         if self.ladder_delta is not None and not (
@@ -322,6 +335,41 @@ def select_group(cfg: ExperimentConfig, panel: MeterPanel):
     return g.panel(panel), g.label, g.kld_vs_system.value
 
 
+@dataclass(frozen=True)
+class _GroupSource:
+    """The memo key of ``_built_group``: the panel's source (the synthetic
+    panel's config, or the meter file's real path, modification time and
+    size, so an edited file is read again; a rewrite of the same size
+    within one tick of the file system's clock is not seen) and the
+    grouping.  ``cfg`` builds the values on a miss; it is not part of the
+    key."""
+
+    panel: SynthConfig | tuple[str, int, int]
+    grouping: tuple[str, int, int, float, int]
+    cfg: ExperimentConfig = field(compare=False, repr=False)
+
+
+def _group_source(cfg: ExperimentConfig) -> _GroupSource:
+    if cfg.input_csv is None:
+        panel = cfg.synth
+    else:
+        st = os.stat(cfg.input_csv)
+        panel = (os.path.realpath(cfg.input_csv), st.st_mtime_ns, st.st_size)
+    grouping = (cfg.group_kind, cfg.group_k, cfg.group_index, cfg.group_share, cfg.group_seed)
+    return _GroupSource(panel, grouping, cfg)
+
+
+@functools.lru_cache(maxsize=4)
+def _built_group(source: _GroupSource) -> tuple[DlcProfile, MeterPanel, str, float]:
+    """(system DLC, group panel, group label, group KLD) for one panel
+    source and grouping, built by ``load_panel``, ``compute_dlc`` and
+    ``select_group`` on the first call and returned as is after that.
+    Every value is immutable, only the group's meters are held, not the
+    whole panel's, and a failed build is not kept."""
+    panel = load_panel(source.cfg)
+    return (compute_dlc(panel), *select_group(source.cfg, panel))
+
+
 def _scheme_of(name: str, epsilon: float | None, gamma: float | None) -> SettlementScheme:
     if name == "hhs-ddp":
         return SettlementScheme.hhs_ddp(PrivacyParams(epsilon, gamma))
@@ -361,7 +409,8 @@ def _sweep_key(ctx: ExperimentContext, cfg: ExperimentConfig, p: float) -> Forec
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """What every cell of one experiment shares; built once by run_experiment."""
+    """What every cell of one experiment shares; built once by run_experiment
+    from the memoized system profile and group and the experiment's market."""
 
     dlc_sys: DlcProfile
     group_panel: MeterPanel
@@ -494,10 +543,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[SchemeResult], list[str]
     stack's inputs are held at a time.  Each distinct forecast is then
     solved once.  The scheme rows read the table through ``_forecast_key``
     and the heterogeneity rows through ``_sweep_key``.
+
+    The system profile and the group are built on the first call for a
+    panel source and grouping and reused by later calls (``_built_group``);
+    the market is built on every call.
     """
-    panel = load_panel(cfg)
-    dlc_sys = compute_dlc(panel)
-    group_panel, group_label, group_kld = select_group(cfg, panel)
+    dlc_sys, group_panel, group_label, group_kld = _built_group(_group_source(cfg))
     reference = _reference_day(group_panel, cfg.market.sample_share)
     market = make_market(reference, cfg.n_scenarios, cfg.market, cfg.group_seed)
     ctx = ExperimentContext(dlc_sys, group_panel, group_label, group_kld, market)

@@ -57,9 +57,6 @@ class PriceCurve:
         """Highest demand covered (half a spacing above the last level)."""
         return float(self.demand_levels[-1] + self.delta / 2.0)
 
-    def shifted_prices(self, offset: float) -> "PriceCurve":
-        return PriceCurve(self.demand_levels, self.prices + offset, self.delta)
-
 
 def build_curve(bid_ladder, delta: float) -> PriceCurve:
     """Resample a cumulative supply stack onto a uniform grid.

@@ -155,15 +155,6 @@ class ProcurementInstance:
         return _freeze(np.vstack([c.prices for c in self.bal_curves]))
 
 
-def default_volume_bounds(d_fore: np.ndarray, mult: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric bounds ``+- mult * max|forecast|`` for every period."""
-    d_fore = np.asarray(d_fore, dtype=float)
-    width = mult * float(np.abs(d_fore).max())
-    lo = np.full(d_fore.size, -width)
-    hi = np.full(d_fore.size, width)
-    return lo, hi
-
-
 # --------------------------------------------------------------------------
 # Full MILP model
 # --------------------------------------------------------------------------

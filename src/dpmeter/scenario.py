@@ -77,13 +77,6 @@ def generate_scenarios(
     return ErrorScenarioSet(errors, probs)
 
 
-def scale_to_system(series: LoadSeries, share: float) -> LoadSeries:
-    """Scale an LSE-level series up to system level given its load share."""
-    if not 0 < share <= 1:
-        raise ValueError("share must lie in (0, 1]")
-    return series.replace_values(series.values / share)
-
-
 def write_scenario_csv(scenarios: ErrorScenarioSet, path) -> None:
     write_csv(
         path,

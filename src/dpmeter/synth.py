@@ -11,6 +11,7 @@ from the system average.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_meters", "n_weeks", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in (
+            "base_level", "morning_peak", "evening_peak", "weekend_shift_hours", "noise_level",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_meters < 1:
             raise ValueError("need at least one meter")
         if self.n_weeks < 4:

@@ -1,5 +1,6 @@
-"""Shared instance generators and the loop-built references for the
-procurement, simplex, branch-and-bound and forecast tests."""
+"""Shared instance generators, the loop-built references for the
+procurement, simplex, branch-and-bound and forecast tests, and the small
+conversions only tests use."""
 
 from dataclasses import dataclass
 
@@ -96,6 +97,25 @@ def uniform_curve(lo: float, hi: float, n_levels: int, prices) -> PriceCurve:
     delta = (hi - lo) / n_levels
     levels = lo + delta / 2.0 + delta * np.arange(n_levels)
     return PriceCurve(levels, np.asarray(prices, dtype=float), delta)
+
+
+def shifted_prices(curve: PriceCurve, offset: float) -> PriceCurve:
+    """``curve`` with every price moved by ``offset``."""
+    return PriceCurve(curve.demand_levels, curve.prices + offset, curve.delta)
+
+
+def scale_to_system(series: LoadSeries, share: float) -> LoadSeries:
+    """Scale an LSE-level series up to system level given its load share."""
+    if not 0 < share <= 1:
+        raise ValueError("share must lie in (0, 1]")
+    return series.replace_values(series.values / share)
+
+
+def default_volume_bounds(d_fore: np.ndarray, mult: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric bounds ``+- mult * max|forecast|`` for every period."""
+    d_fore = np.asarray(d_fore, dtype=float)
+    width = mult * float(np.abs(d_fore).max())
+    return np.full(d_fore.size, -width), np.full(d_fore.size, width)
 
 
 def random_instance(rng, T=None, S=None, B=None, F=None, beta=None, alpha=0.9):

@@ -232,6 +232,36 @@ class TestInputErrors:
         assert_usage_error(capsys, args, reason)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "section, field, value, reason",
+        [("synth", "noise_level", float("nan"), "noise_level must be finite"),
+         ("synth", "weekend_shift_hours", float("inf"), "weekend_shift_hours must be finite"),
+         ("synth", "base_level", float("-inf"), "base_level must be finite"),
+         ("synth", "n_meters", 2.5, "n_meters must be an integer, got 2.5"),
+         ("synth", "n_weeks", True, "n_weeks must be an integer, got True"),
+         ("synth", "seed", -1, "seed must be >= 0"),
+         ("market", "da_price_hi", float("nan"), "da_price_hi must be finite"),
+         ("market", "bal_spread", float("inf"), "bal_spread must be finite"),
+         ("market", "pad_mult", float("nan"), "pad_mult must be finite"),
+         ("market", "bal_ladder_origin", float("-inf"), "bal_ladder_origin must be finite")],
+        ids=["noise-nan", "weekend-inf", "base-minus-inf", "meters-2.5", "weeks-true",
+             "seed-negative", "da-price-hi-nan", "bal-spread-inf", "pad-mult-nan",
+             "origin-minus-inf"],
+    )
+    def test_experiment_bad_synth_or_market(self, tmp_path, capsys, monkeypatch, section, field,
+                                            value, reason):
+        def load_panel(cfg):
+            raise AssertionError("the panel was built before the config was checked")
+
+        monkeypatch.setattr(experiment, "load_panel", load_panel)
+        doc = json.loads(config_to_json(ExperimentConfig()))
+        doc[section][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        args = ["experiment", "--config", path, "--out", tmp_path / "x"]
+        assert_usage_error(capsys, args, reason)
+        assert not (tmp_path / "x").exists()
+
     def test_report_invalid_config(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         results.write_text("")
@@ -406,6 +436,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "args, reason",
         [(["synth", "--meters", 0], "need at least one meter"),
+         (["synth", "--meters", 3, "--weeks", 4, "--seed", -1], "seed must be >= 0"),
          (["synth", "--meters", 3, "--weeks", 4, "--kmeans", 5], "k=5 exceeds the 3 meters"),
          (["privatize", "--input", "{meters}", "--epsilon", 0], "epsilon must be > 0"),
          (["forecast", "--input", "{meters}", "--scheme", "hhs-ehh", "--epochs", 0],
@@ -415,7 +446,7 @@ class TestArgumentErrors:
          (["scenarios", "--forecast", "{forecast}", "--wape", -0.1], "WAPE must be >= 0"),
          (["scenarios", "--forecast", "{forecast}", "--wape", 0.1, "--count", 0],
           "need at least one scenario")],
-        ids=["synth meters", "synth kmeans", "privatize epsilon", "forecast epochs",
+        ids=["synth meters", "synth seed", "synth kmeans", "privatize epsilon", "forecast epochs",
              "forecast gamma", "scenarios wape", "scenarios count"],
     )
     def test_rejected_value(self, tmp_path, capsys, args, reason):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpmeter.domain import write_meter_csv
 from dpmeter.experiment import (
     CellOutcome,
     ExperimentConfig,
@@ -28,7 +29,7 @@ from dpmeter.experiment import (
 from dpmeter.forecast import TrainConfig
 from dpmeter.milp import simplex
 from dpmeter.privacy import PrivacyParams
-from dpmeter.synth import SynthConfig
+from dpmeter.synth import SynthConfig, generate_panel
 
 FAST_CFG = ExperimentConfig(
     synth=SynthConfig(n_meters=40, n_weeks=6, seed=3),
@@ -165,6 +166,16 @@ class TestMarket:
     def test_ladder_requires_delta(self):
         with pytest.raises(ValueError, match="ladder_delta"):
             MarketConfig(da_ladder_csv="x.csv")
+
+    @pytest.mark.parametrize(
+        "field",
+        ["da_price_lo", "da_price_hi", "bal_premium", "bal_spread", "imb_sigma_rel",
+         "bound_mult", "pad_mult", "bal_pad_mult", "bal_ladder_origin"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MarketConfig(**{field: value})
 
 
 class TestRunExperiment:
@@ -399,6 +410,126 @@ class TestHeterogeneity:
         assert not failures
         mid = [r for r in results if r.scheme == "hetero" and r.p == 0.5][0]
         assert mid.omega_exp is not None and np.isfinite(mid.omega_exp)
+
+
+def counting(monkeypatch, names):
+    """Patch each named ``dpmeter.experiment`` function to count its calls
+    into the returned dict, then call through."""
+    import dpmeter.experiment as experiment
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(experiment, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    return calls
+
+
+class TestGroupMemo:
+    """run_experiment builds a panel's system profile and group once per
+    process and reuses them in every later call on that panel and group."""
+
+    BUILDERS = ("load_panel", "compute_dlc", "select_group")
+    REPORT_FILES = (
+        "results.csv", "kld_wape.csv", "scheme_wape.csv", "costs.csv", "hetero.csv",
+        "metadata.json",
+    )
+
+    def test_cold_and_warm_reports_byte_identical(self, tmp_path):
+        # the reference config of acceptance criterion 13: a cold run, a
+        # warm run and a cold run after clearing write the same six files
+        import dpmeter.experiment as experiment
+
+        cfg = ExperimentConfig(
+            synth=SynthConfig(n_meters=200, n_weeks=8, seed=0),
+            schemes=("nhhs", "hhs-dlcsys", "hhs-ehh", "hhs-ddp"),
+            epsilon_grid=(0.25,),
+            gamma_grid=(0.75,),
+            n_scenarios=20,
+            seeds=(0,),
+            train=TrainConfig(epochs=80),
+            group_kind="kmeans",
+            group_k=4,
+            group_index=3,
+        )
+        for run_dir in ("cold", "warm", "cleared"):
+            if run_dir == "cleared":
+                experiment._built_group.cache_clear()
+            results, failures = run_experiment(cfg)
+            assert not failures
+            report(results, tmp_path / run_dir, cfg)
+            assert experiment._built_group.cache_info().hits == (run_dir == "warm")
+        for name in self.REPORT_FILES:
+            cold = (tmp_path / "cold" / name).read_bytes()
+            assert (tmp_path / "warm" / name).read_bytes() == cold, name
+            assert (tmp_path / "cleared" / name).read_bytes() == cold, name
+
+    def test_other_seeds_and_risk_reuse_the_group(self, monkeypatch):
+        calls = counting(monkeypatch, self.BUILDERS)
+        first, _ = run_experiment(FAST_CFG)
+        assert calls == {"load_panel": 1, "compute_dlc": 1, "select_group": 1}
+        for overrides in ({"seeds": (1, 2)}, {"beta": 2.0}, {"n_scenarios": 3}):
+            results, failures = run_experiment(clone(FAST_CFG, **overrides))
+            assert results and not failures
+        assert calls == {"load_panel": 1, "compute_dlc": 1, "select_group": 1}
+        assert run_experiment(FAST_CFG)[0] == first
+
+    def test_other_grouping_or_panel_builds_again(self, monkeypatch):
+        calls = counting(monkeypatch, self.BUILDERS)
+        run_experiment(FAST_CFG)
+        run_experiment(clone(FAST_CFG, group_kind="share", group_share=0.5))
+        run_experiment(clone(FAST_CFG, synth=SynthConfig(n_meters=40, n_weeks=6, seed=4)))
+        assert calls == {"load_panel": 3, "compute_dlc": 3, "select_group": 3}
+
+    def test_cached_values_are_read_only(self):
+        import dpmeter.experiment as experiment
+
+        run_experiment(FAST_CFG)
+        dlc_sys, group_panel, _, _ = experiment._built_group(experiment._group_source(FAST_CFG))
+        for arr in (dlc_sys.mu, dlc_sys.sigma, group_panel.meters[0].values):
+            assert not arr.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group_panel.meters = ()
+
+    def test_rewritten_input_csv_is_read_again(self, tmp_path, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        path = tmp_path / "meters.csv"
+        cfg = clone(FAST_CFG, input_csv=str(path))
+        write_meter_csv(generate_panel(SynthConfig(n_meters=40, n_weeks=6, seed=3)), path)
+        calls = counting(monkeypatch, self.BUILDERS)
+        before, _ = run_experiment(cfg)
+        assert run_experiment(cfg)[0] == before and calls["load_panel"] == 1
+        # another panel, of another size, in the same file
+        write_meter_csv(generate_panel(SynthConfig(n_meters=30, n_weeks=6, seed=5)), path)
+        after, failures = run_experiment(cfg)
+        assert not failures and after != before and calls["load_panel"] == 2
+        experiment._built_group.cache_clear()
+        assert run_experiment(cfg)[0] == after
+
+    def test_failed_build_not_kept(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        original = experiment.load_panel
+        attempts = []
+
+        def flaky(cfg):
+            attempts.append(cfg)
+            if len(attempts) == 1:
+                raise OSError("meter store unavailable")
+            return original(cfg)
+
+        monkeypatch.setattr(experiment, "load_panel", flaky)
+        with pytest.raises(OSError, match="meter store unavailable"):
+            run_experiment(FAST_CFG)
+        results, failures = run_experiment(FAST_CFG)
+        assert results and not failures and len(attempts) == 2
+        run_experiment(FAST_CFG)
+        assert len(attempts) == 2
 
 
 class TestReport:

@@ -21,7 +21,6 @@ from dpmeter.procurement import (
     build_milp,
     cvar_kinks,
     cvar_of_costs,
-    default_volume_bounds,
     evaluate_selection,
     read_instance,
     solve,
@@ -31,6 +30,7 @@ from dpmeter.scenario import ErrorScenarioSet
 from dpmeter.synth import SynthConfig
 
 from helpers import (
+    default_volume_bounds,
     empty_range_instance,
     highs_objective,
     loop_basis_matrix,
@@ -39,6 +39,7 @@ from helpers import (
     loop_cells,
     loop_volume_range,
     random_instance,
+    shifted_prices,
     uniform_curve,
 )
 
@@ -125,7 +126,7 @@ class TestInstance:
             scenarios=ErrorScenarioSet(np.zeros((2, 1)), np.full(2, 0.5)),
             exogenous=SystemExogenous(np.array([50.0]), np.zeros((2, 1))),
         )
-        dataclasses.replace(inst, bal_curves=(grid, grid.shifted_prices(5.0)), **two)
+        dataclasses.replace(inst, bal_curves=(grid, shifted_prices(grid, 5.0)), **two)
         other = dataclasses.replace(grid, **change)
         with pytest.raises(ValueError, match="share one demand grid"):
             dataclasses.replace(inst, bal_curves=(grid, other), **two)

@@ -11,9 +11,10 @@ from dpmeter.scenario import (
     calibrate_sigma,
     generate_scenarios,
     read_scenario_csv,
-    scale_to_system,
     write_scenario_csv,
 )
+
+from helpers import scale_to_system
 
 
 class TestCalibrate:
