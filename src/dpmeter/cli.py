@@ -37,7 +37,6 @@ from .experiment import (
     read_results_csv,
     report,
     run_experiment,
-    write_results_csv,
 )
 from .forecast import TrainConfig, forecast_scheme, save_model
 from .metrics import WapeScore

@@ -13,6 +13,8 @@ empty table.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -32,6 +34,20 @@ def _freeze(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _check_fields(obj, integers: Iterable[str] = (), finite: Iterable[str] = ()) -> None:
+    """Raise ``ValueError`` unless each field of ``obj`` named in
+    ``integers`` is an integer, not a ``bool`` (a tuple or list field: each
+    of its entries), and each field named in ``finite`` is a finite number."""
+    for name in integers:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+    for name in finite:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 def week_of_year(t: int) -> int:
@@ -82,9 +98,6 @@ class LoadSeries:
     def end(self) -> int:
         """One past the last global period index covered."""
         return self.start + self.values.size
-
-    def replace_values(self, values: np.ndarray, meter_id: str | None = None) -> "LoadSeries":
-        return LoadSeries(meter_id or self.meter_id, self.start, values)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .domain import (
     LoadSeries,
     MeterPanel,
     SettlementScheme,
+    _check_fields,
     aggregate_panel,
     compute_dlc,
     read_csv,
@@ -96,18 +97,20 @@ class MarketConfig:
     bal_ladder_origin: float = 0.0
 
     def __post_init__(self):
+        _check_fields(
+            self,
+            integers=("n_levels_da", "n_levels_bal"),
+            finite=(
+                "da_price_lo", "da_price_hi", "bal_premium", "bal_spread", "imb_sigma_rel",
+                "bound_mult", "pad_mult", "bal_pad_mult", "bal_ladder_origin",
+            ),
+        )
         if not 0 < self.sample_share <= 1 or not 0 < self.market_share < 1:
             raise ValueError("shares must lie in (0, 1)")
         if self.n_levels_da < 1 or self.n_levels_bal < 1:
             raise ValueError("price grids need at least one level")
         if self.bound_mult <= 0:
             raise ValueError("bound multiplier must be positive")
-        for name in (
-            "da_price_lo", "da_price_hi", "bal_premium", "bal_spread", "imb_sigma_rel",
-            "bound_mult", "pad_mult", "bal_pad_mult", "bal_ladder_origin",
-        ):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if (self.da_ladder_csv or self.bal_ladder_csv) and self.ladder_delta is None:
             raise ValueError("ladder paths require ladder_delta")
         if self.ladder_delta is not None and not (
@@ -149,8 +152,13 @@ class ExperimentConfig:
             for eps in self.epsilon_grid:
                 for gam in self.gamma_grid:
                     PrivacyParams(eps, gam)
+        _check_fields(
+            self, integers=("n_scenarios", "group_k", "group_index", "group_seed", "seeds")
+        )
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0 or self.group_seed < 0:
+            raise ValueError("seeds and group_seed must be >= 0")
         if self.n_scenarios < 1:
             raise ValueError("need at least one scenario")
         if not 0.0 < self.alpha < 1.0:
@@ -378,6 +386,7 @@ def _scheme_of(name: str, epsilon: float | None, gamma: float | None) -> Settlem
 
 def _cell_seeds(seed: int) -> tuple[int, int]:
     """(forecast pipeline seed, scenario seed) for one cell."""
+    # coupled: the scenario seed is the training seed forecast_request draws from ``seed``
     children = np.random.SeedSequence(seed).spawn(2)
     return seed, int(np.random.default_rng(children[1]).integers(2**31 - 1))
 

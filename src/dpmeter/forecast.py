@@ -42,7 +42,6 @@ aggregates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,13 +49,13 @@ import numpy as np
 from .domain import (
     HHS_DDP,
     HHS_DLC_SYS,
-    HHS_EHH,
     NHHS,
     PERIODS_PER_DAY,
     DlcProfile,
     LoadSeries,
     MeterPanel,
     SettlementScheme,
+    _check_fields,
     aggregate_panel,
     daily_energy,
     day_of_week,
@@ -111,15 +110,13 @@ class TrainConfig:
     min_samples: int = 100
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "min_samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_fields(
+            self,
+            integers=("epochs", "batch_size", "min_samples", "seed"),
+            finite=("learning_rate", "early_stop_tol"),
+        )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("learning_rate", "early_stop_tol"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning rate, epochs, and batch size must be positive")
         if self.early_stop_tol <= 0 or self.min_samples <= 0:
@@ -403,11 +400,6 @@ def train(dataset, cfg: TrainConfig) -> MlpModel:
     if isinstance(model, Exception):
         raise model
     return model
-
-
-def predict(model: MlpModel, x) -> float:
-    """Point forecast in kWh for one feature row."""
-    return float(predict_batch(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:

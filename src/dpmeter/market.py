@@ -109,11 +109,6 @@ def bracket_index(curve: PriceCurve, demand: float) -> int:
     return int(bracket_indices(curve, demand))
 
 
-def price_at(curve: PriceCurve, demand: float) -> float:
-    """Marginal price at a total-demand level."""
-    return float(curve.prices[bracket_index(curve, demand)])
-
-
 @dataclass(frozen=True)
 class SystemExogenous:
     """Demand the rest of the system brings to each market.

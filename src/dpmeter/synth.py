@@ -11,7 +11,6 @@ from the system average.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .domain import (
     DlcProfile,
     LoadSeries,
     MeterPanel,
+    _check_fields,
     compute_dlc,
     write_csv,
 )
@@ -45,15 +45,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_meters", "n_weeks", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in (
-            "base_level", "morning_peak", "evening_peak", "weekend_shift_hours", "noise_level",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_fields(
+            self,
+            integers=("n_meters", "n_weeks", "seed"),
+            finite=(
+                "base_level", "morning_peak", "evening_peak", "weekend_shift_hours",
+                "noise_level",
+            ),
+        )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.n_meters < 1:

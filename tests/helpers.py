@@ -108,7 +108,7 @@ def scale_to_system(series: LoadSeries, share: float) -> LoadSeries:
     """Scale an LSE-level series up to system level given its load share."""
     if not 0 < share <= 1:
         raise ValueError("share must lie in (0, 1]")
-    return series.replace_values(series.values / share)
+    return LoadSeries(series.meter_id, series.start, series.values / share)
 
 
 def default_volume_bounds(d_fore: np.ndarray, mult: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
@@ -539,14 +539,24 @@ def loop_cell_model(inst: ProcurementInstance) -> LinearMip:
     return b.build()
 
 
+def loop_dense(A: SparseMatrix) -> np.ndarray:
+    """``A`` as a dense matrix, built row by row from its CSR arrays
+    (``indptr``, ``indices``, ``data``) rather than by ``toarray``."""
+    out = np.zeros((A.n_rows, A.n_cols))
+    for i in range(A.n_rows):
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        out[i, A.indices[lo:hi]] = A.data[lo:hi]
+    return out
+
+
 def loop_basis_matrix(solver) -> np.ndarray:
     """Column-by-column form of ``SimplexSolver._basis_matrix``."""
+    A = loop_dense(solver.A)
     B = np.zeros((solver.m, solver.m))
     for k, j in enumerate(solver.basis):
         j = int(j)
         if j < solver.n:
-            rows, vals = solver.A.column(j)
-            B[rows, k] = vals
+            B[:, k] = A[:, j]
         else:
             B[j - solver.n, k] = -1.0
     return B

@@ -243,10 +243,23 @@ class TestInputErrors:
          ("market", "da_price_hi", float("nan"), "da_price_hi must be finite"),
          ("market", "bal_spread", float("inf"), "bal_spread must be finite"),
          ("market", "pad_mult", float("nan"), "pad_mult must be finite"),
-         ("market", "bal_ladder_origin", float("-inf"), "bal_ladder_origin must be finite")],
+         ("market", "bal_ladder_origin", float("-inf"), "bal_ladder_origin must be finite"),
+         ("market", "n_levels_bal", 2.5, "n_levels_bal must be an integer, got 2.5"),
+         ("market", "n_levels_da", True, "n_levels_da must be an integer, got True"),
+         ("market", "n_levels_da", 2.5, "n_levels_da must be an integer, got 2.5"),
+         (None, "seeds", [True], "seeds must be an integer, got True"),
+         (None, "seeds", [1.5], "seeds must be an integer, got 1.5"),
+         (None, "seeds", [-1], "seeds and group_seed must be >= 0"),
+         (None, "group_seed", -1, "seeds and group_seed must be >= 0"),
+         (None, "group_index", True, "group_index must be an integer, got True"),
+         (None, "group_index", 1.0, "group_index must be an integer, got 1.0"),
+         (None, "group_k", 2.0, "group_k must be an integer, got 2.0"),
+         (None, "n_scenarios", 2.5, "n_scenarios must be an integer, got 2.5")],
         ids=["noise-nan", "weekend-inf", "base-minus-inf", "meters-2.5", "weeks-true",
              "seed-negative", "da-price-hi-nan", "bal-spread-inf", "pad-mult-nan",
-             "origin-minus-inf"],
+             "origin-minus-inf", "levels-bal-2.5", "levels-da-true", "levels-da-2.5",
+             "seeds-true", "seeds-1.5", "seeds-negative", "group-seed-negative",
+             "group-index-true", "group-index-1.0", "group-k-2.0", "scenarios-2.5"],
     )
     def test_experiment_bad_synth_or_market(self, tmp_path, capsys, monkeypatch, section, field,
                                             value, reason):
@@ -255,7 +268,7 @@ class TestInputErrors:
 
         monkeypatch.setattr(experiment, "load_panel", load_panel)
         doc = json.loads(config_to_json(ExperimentConfig()))
-        doc[section][field] = value
+        (doc[section] if section else doc)[field] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         args = ["experiment", "--config", path, "--out", tmp_path / "x"]

@@ -412,6 +412,104 @@ class TestHeterogeneity:
         assert mid.omega_exp is not None and np.isfinite(mid.omega_exp)
 
 
+class TestFailurePaths:
+    """Each way a cell can fail inside one seed's forecast phase or at its
+    row fails that cell alone: one failure line names it, it has no row,
+    and every other row equals the row of a clean run."""
+
+    CFG = clone(FAST_CFG, schemes=("hhs-ehh", "hhs-ddp"), seeds=(0, 1))
+    HETERO_CFG = clone(
+        FAST_CFG, hetero_p=(0.5,), epsilon_grid=(0.5,), gamma_grid=(0.5,), seeds=(0, 1)
+    )
+    DDP_KEY = ("hhs-ddp", 1e12, 0.0, None)
+
+    @staticmethod
+    def clean(cfg):
+        results, failures = run_experiment(cfg)
+        assert not failures
+        return results
+
+    def test_request_that_cannot_be_built(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        original = experiment.forecast_request
+
+        def request(scheme, panel, dlc, train, seed):
+            if scheme.kind == "hhs-ddp" and seed == 1:
+                raise RuntimeError("no request")
+            return original(scheme, panel, dlc, train, seed)
+
+        clean = self.clean(self.CFG)
+        monkeypatch.setattr(experiment, "forecast_request", request)
+        results, failures = run_experiment(self.CFG)
+        assert failures == [f"hhs-ddp(eps={1e12},gamma=0.0,seed=1): no request"]
+        assert results == [r for r in clean if (r.scheme, r.seed) != ("hhs-ddp", 1)]
+
+    def test_failed_stack_fails_its_cells(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        original, stacks = experiment.forecast_schemes, []
+
+        def forecast_schemes(requests):
+            stacks.append(len(requests))
+            if len(stacks) == 2:  # seed 1's stack
+                raise RuntimeError("stack down")
+            return original(requests)
+
+        clean = self.clean(self.CFG)
+        monkeypatch.setattr(experiment, "forecast_schemes", forecast_schemes)
+        results, failures = run_experiment(self.CFG)
+        assert stacks == [2, 2]
+        assert failures == [
+            "hhs-ehh(eps=None,gamma=None,seed=1): stack down",
+            f"hhs-ddp(eps={1e12},gamma=0.0,seed=1): stack down",
+        ]
+        assert results == [r for r in clean if r.seed == 0]
+
+    def test_failed_sum_of_a_split(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        original, sums = experiment._summed, []
+
+        def summed(*args):
+            sums.append(1)
+            if len(sums) == 2:  # seed 1's split
+                raise RuntimeError("no sum")
+            return original(*args)
+
+        clean = self.clean(self.HETERO_CFG)
+        monkeypatch.setattr(experiment, "_summed", summed)
+        results, failures = run_experiment(self.HETERO_CFG)
+        assert len(sums) == 2
+        assert failures == ["hetero p=0.5 seed=1: no sum"]
+        assert results == [r for r in clean if (r.scheme, r.seed) != ("hetero", 1)]
+
+    def test_row_that_is_not_finite(self, monkeypatch):
+        import dpmeter.experiment as experiment
+
+        original_phase, original_cell, targets = experiment._forecast_phase, experiment.run_cell, []
+
+        def phase(ctx, cfg, seed, keys):
+            out = original_phase(ctx, cfg, seed, keys)
+            if seed == 1:
+                targets.append(out[self.DDP_KEY])
+            return out
+
+        def run_cell(forecast, seed, ctx, cfg):
+            out = original_cell(forecast, seed, ctx, cfg)
+            if any(forecast is t for t in targets):
+                out = dataclasses.replace(out, expected_cost=float("nan"))
+            return out
+
+        clean = self.clean(self.CFG)
+        monkeypatch.setattr(experiment, "_forecast_phase", phase)
+        monkeypatch.setattr(experiment, "run_cell", run_cell)
+        results, failures = run_experiment(self.CFG)
+        assert len(targets) == 1
+        assert failures == [f"hhs-ddp(eps={1e12},gamma=0.0,seed=1): expected_cost must be finite"]
+        assert results == [r for r in clean if (r.scheme, r.seed) != ("hhs-ddp", 1)]
+
+
 def counting(monkeypatch, names):
     """Patch each named ``dpmeter.experiment`` function to count its calls
     into the returned dict, then call through."""

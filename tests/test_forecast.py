@@ -19,7 +19,6 @@ from dpmeter.forecast import (
     load_model,
     loss_and_gradient,
     pack_parameters,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -391,7 +390,7 @@ class TestPredict:
             y_std=2.0,
         )
         row = np.concatenate([[1, 1, 1], np.arange(5.0)])
-        assert predict(model, row) == pytest.approx(1.25 * 2.0)
+        assert predict_batch(model, row[None, :])[0] == pytest.approx(1.25 * 2.0)
 
     def test_hand_built_forward_pass(self):
         # 2 features, one active hidden unit: relu(1*x0 + 2*x1 + 0.5) * 3 - 1
@@ -405,7 +404,7 @@ class TestPredict:
         )
         x = np.array([2.0, 1.5])
         expected = max(2.0 + 3.0 + 0.5, 0.0) * 3.0 - 1.0
-        assert predict(model, x) == pytest.approx(expected)
+        assert predict_batch(model, x[None, :])[0] == pytest.approx(expected)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)

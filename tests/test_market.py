@@ -10,7 +10,6 @@ from dpmeter.market import (
     build_curve,
     bracket_index,
     bracket_indices,
-    price_at,
     read_ladder_csv,
 )
 
@@ -64,19 +63,22 @@ class TestPriceAt:
         return PriceCurve(np.array([10.0, 20.0, 30.0]), np.array([5.0, 7.0, 11.0]), 10.0)
 
     def test_exact_level(self):
+        curve = self.curve()
         for level, price in [(10.0, 5.0), (20.0, 7.0), (30.0, 11.0)]:
-            assert price_at(self.curve(), level) == price
+            assert curve.prices[bracket_index(curve, level)] == price
 
     def test_midpoint_tie_goes_lower(self):
-        assert price_at(self.curve(), 15.0) == 5.0
-        assert price_at(self.curve(), 25.0) == 7.0
+        curve = self.curve()
+        assert curve.prices[bracket_index(curve, 15.0)] == 5.0
+        assert curve.prices[bracket_index(curve, 25.0)] == 7.0
 
     def test_range_edges(self):
-        assert price_at(self.curve(), 5.0) == 5.0
-        assert price_at(self.curve(), 35.0) == 11.0
+        curve = self.curve()
+        assert curve.prices[bracket_index(curve, 5.0)] == 5.0
+        assert curve.prices[bracket_index(curve, 35.0)] == 11.0
         for demand in (4.9, 35.1):
             with pytest.raises(ValueError, match="outside"):
-                price_at(self.curve(), demand)
+                bracket_index(curve, demand)
 
     def test_matches_argmin_scan(self):
         rng = np.random.default_rng(1)
@@ -92,7 +94,7 @@ class TestPriceAt:
     def test_nondecreasing_in_demand(self):
         curve = self.curve()
         demands = np.linspace(curve.lo, curve.hi, 200)
-        prices = [price_at(curve, d) for d in demands]
+        prices = curve.prices[bracket_indices(curve, demands)]
         assert np.all(np.diff(prices) >= 0)
 
 

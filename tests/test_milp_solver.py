@@ -12,11 +12,19 @@ from scipy.optimize import Bounds, LinearConstraint
 from dpmeter import procurement
 from dpmeter.milp import SimplexSolver, check_feasibility, solve_lp, solve_milp
 from dpmeter.milp import simplex
+from dpmeter.milp._sparse import SparseMatrix
 from dpmeter.milp.model import INF
 from dpmeter.milp.simplex import _AT_LOWER, _AT_UPPER, _BASIC, _FOLD_EVERY, _FREE, _OPT_TOL
 from dpmeter.procurement import _cell_model, build_milp, read_instance
 
-from helpers import MipBuilder, fixes_solve_milp, loop_basis_matrix, random_instance
+from helpers import (
+    MipBuilder,
+    fixes_solve_milp,
+    highs_objective,
+    loop_basis_matrix,
+    loop_dense,
+    random_instance,
+)
 
 C11 = Path(__file__).parent / "data" / "c11_hhs_dlcsys_seed5.json"
 
@@ -58,10 +66,7 @@ def random_lp(rng, n_cols=None, n_rows=None):
 
 
 def scipy_solve(lp):
-    A = np.zeros((lp.n_rows, lp.n_cols))
-    for i in range(lp.n_rows):
-        cols, vals = lp.row_matrix.row(i)
-        A[i, cols] = vals
+    A = loop_dense(lp.row_matrix)
     rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
     for i in range(lp.n_rows):
         lo, hi = lp.row_lower[i], lp.row_upper[i]
@@ -84,6 +89,30 @@ def scipy_solve(lp):
         bounds=list(zip(lp.col_lower, lp.col_upper)),
         method="highs",
     )
+
+
+class TestSparseMatrix:
+    def test_repeated_entry_rejected(self):
+        # without the check, toarray would keep the last of the two values
+        # and dot would sum them
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is given more than once"):
+            SparseMatrix.from_coo(3, 4, [2, 1, 0, 1], [3, 2, 0, 2], [1.0, 2.0, 3.0, 4.0])
+
+    def test_csr_arrays_match_the_entries(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(1, 9, 2))
+            flat = rng.choice(m * n, size=int(rng.integers(0, m * n + 1)), replace=False)
+            rows, cols = np.divmod(flat, n)
+            vals = rng.normal(size=flat.size)
+            want = np.zeros((m, n))
+            want[rows, cols] = vals
+            A = SparseMatrix.from_coo(m, n, rows, cols, vals)
+            assert np.array_equal(A.indptr, np.concatenate([[0], np.cumsum((want != 0).sum(1))]))
+            assert np.array_equal(loop_dense(A), want)
+            assert np.array_equal(A.toarray(), want) and A.toarray().flags.f_contiguous
+            x = rng.normal(size=n)
+            np.testing.assert_allclose(A.dot(x), want @ x, rtol=1e-12, atol=1e-12)
 
 
 class TestSimplexAgainstScipy:
@@ -378,22 +407,13 @@ class TestLowRankInverse:
         assert_live_inverse(solver)
 
 
-def loop_dense(solver):
-    """``A`` as a dense matrix, built column by column."""
-    A = np.zeros((solver.m, solver.n))
-    for j in range(solver.n):
-        rows, vals = solver.A.column(j)
-        A[rows, j] = vals
-    return A
-
-
 def masked_rule_entering(solver):
     """(entering column, direction) by the per-status mask rule: among the
     nonbasic columns that can move, those at a lower bound with d_j < 0, at
     an upper bound with d_j > 0 and free with d_j ≠ 0, the largest
     d_j² / w_j enters; prices from the loop-built basis."""
     solver._recompute_x()
-    A = loop_dense(solver)
+    A = loop_dense(solver.A)
     binv = np.linalg.inv(loop_basis_matrix(solver))
     xB, lbB, ubB = (v[solver.basis] for v in (solver.x, solver.lb, solver.ub))
     sigma = np.where(xB < lbB - 1e-9, -1.0, np.where(xB > ubB + 1e-9, 1.0, 0.0))
@@ -524,7 +544,7 @@ class TestCarriedPrices:
         monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 40)
         lp = c11_cell_model()
         solver = SimplexSolver(lp)
-        A = loop_dense(solver)
+        A = loop_dense(solver.A)
         errors, states = [], []
 
         def check(record):
@@ -559,7 +579,7 @@ class TestCarriedPrices:
         with on_pivot(lambda record: events.append(None)):
             for lp in lps:
                 solver = SimplexSolver(lp)
-                A = loop_dense(solver)
+                A = loop_dense(solver.A)
                 lb, ub = solver.lb[: solver.n], solver.ub[: solver.n]
                 boxed = np.flatnonzero(np.isfinite(lb) & (ub > lb))[:3]
                 for fix in [None, *boxed]:  # the root, then a few child solves
@@ -676,10 +696,7 @@ def random_general_mip(rng):
 
 
 def highs_milp(lp):
-    A = np.zeros((lp.n_rows, lp.n_cols))
-    for i in range(lp.n_rows):
-        cols, vals = lp.row_matrix.row(i)
-        A[i, cols] = vals
+    A = loop_dense(lp.row_matrix)
     return milp(
         c=lp.obj,
         constraints=LinearConstraint(A, lp.row_lower, lp.row_upper),
@@ -795,6 +812,33 @@ class TestBranchAndBound:
         res = solve_milp(lp, gap_tol=1e-6)
         if res.status == "optimal":
             assert res.gap <= 1e-6
+
+    def test_far_child_pruned_when_popped(self, monkeypatch):
+        # min -y with y <= x + 0.4: the root LP stops at x = 0.6, y = 1 with
+        # bound -1.  The near child x = 1 is integral at -1, so the far child
+        # x = 0 carries a bound no better than the incumbent and is dropped
+        # when it is popped, before any state is loaded or LP solved.
+        b = MipBuilder()
+        x = b.add_col("x", 0, 1, integer=True)
+        y = b.add_col("y", 0, 1, obj=-1.0)
+        b.add_row("link", {y: 1.0, x: -1.0}, -np.inf, 0.4)
+        lp = b.build()
+        root = SimplexSolver(lp).solve()
+        assert root.objective == pytest.approx(-1.0) and root.x[x] == pytest.approx(0.6)
+        loads = []
+        load_state = SimplexSolver.load_state
+
+        def counted_load_state(self, *args):
+            loads.append(1)
+            load_state(self, *args)
+
+        monkeypatch.setattr(SimplexSolver, "load_state", counted_load_state)
+        res = solve_milp(lp)
+        assert res.status == "optimal" and res.n_nodes == 2 and not loads
+        assert res.objective == pytest.approx(highs_objective(lp), abs=1e-12)
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
+        assert res.gap == 0.0
+        assert_same_result(res, fixes_solve_milp(lp))
 
     def test_fractional_integer_bounds_round_inward(self):
         # the relaxation's optimum is (2.5, 2.5); the integer box is [0, 2]²
