@@ -200,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
+    def add_common(p, seeded=True):  # only the stages that draw random numbers take --seed
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic meter panel")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser("procure", help="solve a procurement instance file")
-    add_common(p)
+    add_common(p, seeded=False)
     p.add_argument("--instance", required=True, help="instance JSON path")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_procure)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="re-emit report tables from results.csv")
-    add_common(p)
+    add_common(p, seeded=False)
     p.add_argument("--results", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_report)

@@ -36,18 +36,20 @@ def _freeze(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_fields(obj, integers: Iterable[str] = (), finite: Iterable[str] = ()) -> None:
+def _check_fields(obj, integers: Iterable[str] = (), reals: Iterable[str] = ()) -> None:
     """Raise ``ValueError`` unless each field of ``obj`` named in
-    ``integers`` is an integer, not a ``bool`` (a tuple or list field: each
-    of its entries), and each field named in ``finite`` is a finite number."""
-    for name in integers:
-        value = getattr(obj, name)
-        for v in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-    for name in finite:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite")
+    ``integers`` is an integer and each named in ``reals`` a finite real
+    number, neither of them a ``bool``; a tuple or list field is checked
+    entry by entry."""
+    groups = ((integers, numbers.Integral, "an integer"), (reals, numbers.Real, "a real number"))
+    for names, kind, what in groups:
+        for name in names:
+            value = getattr(obj, name)
+            for v in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ValueError(f"{name} must be {what}, got {v!r}")
+                if kind is numbers.Real and not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite")
 
 
 def week_of_year(t: int) -> int:
@@ -284,7 +286,7 @@ def spread_daily(
 def _spread(daily_kwh, start: int, dlc: DlcProfile) -> np.ndarray:
     """Each day's energy shared over its slots by ``dlc.mu``, renormalized per day."""
     daily_kwh = np.asarray(daily_kwh, dtype=float)
-    slots = (start + np.arange(daily_kwh.size * PERIODS_PER_DAY)) % PERIODS_PER_WEEK
+    slots = slot_of_week(start + np.arange(daily_kwh.size * PERIODS_PER_DAY))
     weights = dlc.mu[slots].reshape(-1, PERIODS_PER_DAY)
     wsum = weights.sum(axis=1, keepdims=True)
     if np.any(wsum <= 0):

@@ -54,14 +54,14 @@ from .domain import (
     write_csv,
 )
 from .forecast import (
-    BACKTEST_DAYS,
     ForecastResult,
     TrainConfig,
+    backtest_wape,
+    cell_streams,
     forecast_request,
     forecast_schemes,
 )
 from .market import PriceCurve, SystemExogenous, build_curve, read_ladder_csv
-from .metrics import wape
 from .privacy import PrivacyParams
 from .procurement import ProcurementInstance, build_milp, solve
 from .scenario import generate_scenarios
@@ -100,9 +100,10 @@ class MarketConfig:
         _check_fields(
             self,
             integers=("n_levels_da", "n_levels_bal"),
-            finite=(
-                "da_price_lo", "da_price_hi", "bal_premium", "bal_spread", "imb_sigma_rel",
-                "bound_mult", "pad_mult", "bal_pad_mult", "bal_ladder_origin",
+            reals=(
+                "sample_share", "market_share", "da_price_lo", "da_price_hi", "bal_premium",
+                "bal_spread", "imb_sigma_rel", "bound_mult", "pad_mult", "bal_pad_mult",
+                "bal_ladder_origin", *(() if self.ladder_delta is None else ("ladder_delta",)),
             ),
         )
         if not 0 < self.sample_share <= 1 or not 0 < self.market_share < 1:
@@ -113,9 +114,7 @@ class MarketConfig:
             raise ValueError("bound multiplier must be positive")
         if (self.da_ladder_csv or self.bal_ladder_csv) and self.ladder_delta is None:
             raise ValueError("ladder paths require ladder_delta")
-        if self.ladder_delta is not None and not (
-            np.isfinite(self.ladder_delta) and self.ladder_delta > 0
-        ):
+        if self.ladder_delta is not None and not self.ladder_delta > 0:
             raise ValueError("ladder_delta must be finite and > 0")
 
 
@@ -152,8 +151,21 @@ class ExperimentConfig:
             for eps in self.epsilon_grid:
                 for gam in self.gamma_grid:
                     PrivacyParams(eps, gam)
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 0.0 <= self.solver_tol < np.inf:
+            raise ValueError("solver_tol must be finite and >= 0")
+        if not all(0.0 <= p <= 1.0 for p in self.hetero_p):
+            raise ValueError("heterogeneity fractions must lie in [0, 1]")
         _check_fields(
-            self, integers=("n_scenarios", "group_k", "group_index", "group_seed", "seeds")
+            self,
+            integers=("n_scenarios", "group_k", "group_index", "group_seed", "seeds"),
+            reals=(
+                "epsilon_grid", "gamma_grid", "hetero_p", "beta", "alpha", "group_share",
+                "solver_tol",
+            ),
         )
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -161,14 +173,6 @@ class ExperimentConfig:
             raise ValueError("seeds and group_seed must be >= 0")
         if self.n_scenarios < 1:
             raise ValueError("need at least one scenario")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not (np.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError("beta must be finite and >= 0")
-        if not (np.isfinite(self.solver_tol) and self.solver_tol >= 0.0):
-            raise ValueError("solver_tol must be finite and >= 0")
-        if not all(0.0 <= p <= 1.0 for p in self.hetero_p):
-            raise ValueError("heterogeneity fractions must lie in [0, 1]")
         if self.group_kind not in ("whole", "kmeans", "share"):
             raise ValueError(f"unknown group kind {self.group_kind!r}")
         if self.group_kind == "kmeans" and not 0 <= self.group_index < self.group_k:
@@ -386,9 +390,8 @@ def _scheme_of(name: str, epsilon: float | None, gamma: float | None) -> Settlem
 
 def _cell_seeds(seed: int) -> tuple[int, int]:
     """(forecast pipeline seed, scenario seed) for one cell."""
-    # coupled: the scenario seed is the training seed forecast_request draws from ``seed``
-    children = np.random.SeedSequence(seed).spawn(2)
-    return seed, int(np.random.default_rng(children[1]).integers(2**31 - 1))
+    # the training seed, on purpose until ROADMAP item 3 reseeds (FOUND: _cell_seeds, CHANGES.md)
+    return seed, cell_streams(seed)[1]
 
 
 # (scheme, epsilon, gamma, n_priv): one forecast of a seed.  With n_priv None
@@ -440,7 +443,7 @@ class CellOutcome:
 
 def _hetero_split(group_panel: MeterPanel, n_priv: int, seed: int) -> tuple[MeterPanel, MeterPanel]:
     """The ``n_priv`` meters drawn from the seed, 0 < n_priv < n, and the rest."""
-    split_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    split_rng = np.random.default_rng(cell_streams(seed)[2])
     priv_idx = np.sort(split_rng.choice(group_panel.n_meters, size=n_priv, replace=False))
     priv = set(priv_idx.tolist())
     priv_ids = [group_panel.meters[i].meter_id for i in priv_idx]
@@ -456,10 +459,8 @@ def _summed(group_panel: MeterPanel, fc_priv: ForecastResult, fc_rest: ForecastR
         fc_priv.forecast.start,
         fc_priv.forecast.values + fc_rest.forecast.values,
     )
-    truth = aggregate_panel(group_panel)
-    holdout = truth.values[-BACKTEST_DAYS * PERIODS_PER_DAY :]
     backtest = fc_priv.backtest.values + fc_rest.backtest.values
-    return combined, wape(holdout, backtest).value
+    return combined, backtest_wape(aggregate_panel(group_panel), backtest).value
 
 
 def _forecast_phase(
@@ -690,33 +691,22 @@ def write_results_csv(results: list[SchemeResult], path) -> None:
     _write_table(path, RESULT_COLUMNS, results)
 
 
-def _optional(cell: str) -> float | None:
-    return float(cell) if cell else None
+# the parser of each RESULT_COLUMNS cell, by its field's annotation: float by
+# default, and an empty cell of an optional field is None
+_CELL_PARSERS = [
+    {"str": str, "int": int, "float | None": lambda c: float(c) if c else None}.get(f.type, float)
+    for f in dataclasses.fields(SchemeResult)
+]
 
 
 def read_results_csv(path) -> list[SchemeResult]:
     """Rows written by ``write_results_csv``; a table that lacks one of
-    ``RESULT_COLUMNS`` or has no rows raises ``ValueError``."""
+    ``RESULT_COLUMNS`` or has no rows raises ``ValueError``, and so does a
+    cell its field's parser rejects (an empty cell is ``None`` only where
+    the field may be ``None``)."""
     return [
-        SchemeResult(
-            scheme=scheme,
-            group=group,
-            epsilon=_optional(epsilon),
-            gamma=_optional(gamma),
-            p=_optional(p),
-            seed=int(seed),
-            kld=float(kld),
-            wape=float(wape),
-            expected_cost=float(expected_cost),
-            cvar=float(cvar),
-            objective=float(objective),
-            omega_exp=_optional(omega_exp),
-        )
-        # RESULT_COLUMNS lists SchemeResult's fields in order
-        for (
-            scheme, group, epsilon, gamma, p, seed, kld, wape, expected_cost, cvar, objective,
-            omega_exp,
-        ) in read_csv(path, "results", RESULT_COLUMNS)
+        SchemeResult(*(parse(cell) for parse, cell in zip(_CELL_PARSERS, row)))
+        for row in read_csv(path, "results", RESULT_COLUMNS)
     ]
 
 

@@ -113,7 +113,7 @@ class TrainConfig:
         _check_fields(
             self,
             integers=("epochs", "batch_size", "min_samples", "seed"),
-            finite=("learning_rate", "early_stop_tol"),
+            reals=("learning_rate", "early_stop_tol"),
         )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -473,9 +473,19 @@ def _daily_features(daily: np.ndarray, start: int, days) -> np.ndarray:
     return np.concatenate([calendar, lags], axis=-1)
 
 
-def _seeds(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    noise_seed, train_seed = np.random.SeedSequence(seed).spawn(2)
-    return noise_seed, train_seed
+def cell_streams(seed: int) -> tuple[np.random.SeedSequence, int, np.random.SeedSequence]:
+    """(privacy noise, training seed, heterogeneity split) of one experiment
+    cell seed: the three children of ``SeedSequence(seed)``, the training
+    seed drawn once from the second.  Every random stream of a cell comes
+    from here; ``experiment`` takes the training seed as its scenario seed."""
+    noise, train, split = np.random.SeedSequence(seed).spawn(3)
+    return noise, int(np.random.default_rng(train).integers(2**31 - 1)), split
+
+
+def backtest_wape(truth: LoadSeries, backtest) -> WapeScore:
+    """WAPE of ``backtest`` against the trailing ``BACKTEST_DAYS`` days of
+    ``truth``; every backtest, of one pipeline or a sum of them, is scored here."""
+    return wape(truth.values[-BACKTEST_DAYS * PERIODS_PER_DAY :], backtest)
 
 
 @dataclass(frozen=True)
@@ -521,8 +531,8 @@ def forecast_request(
     n_days = n // PERIODS_PER_DAY
     if n_days <= BACKTEST_DAYS + max(DAILY_LAG_OFFSETS):
         raise ValueError(f"panel too short: {n_days} days")
-    noise_seed, train_seed = _seeds(seed)
-    cfg = replace(cfg, seed=int(np.random.default_rng(train_seed).integers(2**31 - 1)))
+    noise_seed, train_seed, _ = cell_streams(seed)
+    cfg = replace(cfg, seed=train_seed)
     holdout_start = truth.end - BACKTEST_DAYS * PERIODS_PER_DAY
 
     if scheme.kind in (NHHS, HHS_DLC_SYS):
@@ -554,8 +564,7 @@ def finish_forecast(request: ForecastRequest, model: MlpModel) -> ForecastResult
         predicted = spread_daily(predicted, holdout_start, request.dlc_sys).values
     backtest = LoadSeries("backtest", holdout_start, predicted[:-PERIODS_PER_DAY])
     forecast = LoadSeries("forecast", truth.end, predicted[-PERIODS_PER_DAY:])
-    score = wape(truth.values[holdout_start - truth.start :], backtest.values)
-    return ForecastResult(forecast, score, backtest, model)
+    return ForecastResult(forecast, backtest_wape(truth, backtest.values), backtest, model)
 
 
 def forecast_schemes(requests: list[ForecastRequest]) -> list[ForecastResult | Exception]:

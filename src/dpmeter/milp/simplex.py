@@ -159,9 +159,7 @@ class SimplexSolver:
         sq = np.bincount(self.A.indices, weights=self.A.data**2, minlength=self.n)
         self.weights = np.concatenate([1.0 + sq, np.full(self.m, 2.0)])
         self.dense = self.A.toarray()  # column-major copy of A: m × n doubles
-        self.basis = np.empty(self.m, dtype=np.int64)
         self.vstat = np.empty(self.N, dtype=np.int8)
-        self.binv = np.empty((self.m, self.m))
         self.x = np.zeros(self.N)
         self.d = np.zeros(self.N)  # reduced costs of the last pricing or pivot
         self._pivots_since_refactor = 0

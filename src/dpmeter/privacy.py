@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LoadSeries, MeterPanel, _freeze
+from .domain import LoadSeries, MeterPanel, _freeze, aggregate_panel
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def privatize_aggregate(
     Negative outputs are legitimate (net load can be negative) and are not
     clipped.  Deterministic for a fixed seed.
     """
-    agg = panel.matrix().sum(axis=0)
+    agg = aggregate_panel(panel).values
     delta = global_sensitivity(panel).delta_f
     b = delta / (params.epsilon * (1.0 - params.gamma))
     rng = np.random.default_rng(rng_seed)

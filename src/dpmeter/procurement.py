@@ -38,12 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import _freeze
-from .market import PriceCurve, SystemExogenous, bracket_indices
+from .market import _SPACING_TOL, PriceCurve, SystemExogenous, bracket_indices
 from .milp import LinearMip, MilpResult, solve_milp
 from .milp._sparse import SparseMatrix
+from .milp.model import INF
 from .scenario import ErrorScenarioSet
-
-INF = float("inf")
 
 
 # --------------------------------------------------------------------------
@@ -343,11 +342,11 @@ def _volume_range(inst: ProcurementInstance) -> tuple[np.ndarray, np.ndarray]:
     """Each period's d_da range clipped to the demand every price grid covers.
 
     Raises for the first period whose reachable demand leaves a grid by
-    more than 1e-9: day-ahead periods first, then the balancing scenarios,
-    scenario-major.  A grid that misses by less clips the range, and a
-    period that clipping leaves empty by more than 1e-9 raises too; a
-    smaller crossing is closed at ``hi``."""
-    tol = 1e-9
+    more than the bracket tolerance ``_SPACING_TOL``: day-ahead periods
+    first, then the balancing scenarios, scenario-major.  A grid that misses
+    by less clips the range, and a period that clipping leaves empty by more
+    than it raises too; a smaller crossing is closed at ``hi``."""
+    tol = _SPACING_TOL
     da, grid = inst.da_curve, inst.bal_curves[0]
     sys_base = inst.exogenous.d_sys_base
     lower, upper = inst.d_da_lower, inst.d_da_upper
@@ -550,7 +549,7 @@ def _cheapest_cells(curve: PriceCurve, prices: np.ndarray, demand, volume) -> np
     r = (demand - curve.demand_levels[0]) / curve.delta
     k = np.stack([np.floor(r), np.ceil(r)]).astype(np.int64)
     kk = np.clip(k, 0, curve.n_levels - 1)
-    ok = (k == kk) & (np.abs(curve.demand_levels[kk] - demand) <= curve.delta / 2.0 + 1e-9)
+    ok = (k == kk) & (np.abs(curve.demand_levels[kk] - demand) <= curve.delta / 2 + _SPACING_TOL)
     cost = np.where(ok, np.take_along_axis(prices[None], kk, axis=-1) * volume, INF)
     best = np.take_along_axis(kk, np.argmin(cost, axis=0)[None], axis=0)[0]
     return np.where(ok.any(axis=0), best, -1)
@@ -568,14 +567,12 @@ class _Cells(NamedTuple):
     bracket_bal: np.ndarray  # (S, N)
 
 
-_CUT_TOL = 1e-9  # cut points closer than this are one point, as brackets allow
-
-
 def _cells(model: MilpModel) -> _Cells:
     """Cut each period's clipped range [lo[t], hi[t]] of ``model`` at the
     day-ahead bracket edges and at every scenario's balancing edges, sorting
-    and merging points within ``_CUT_TOL`` on one padded (T, edges) array.  Each cell between two cut
-    points takes the brackets at its midpoint.
+    and merging points within the bracket tolerance ``_SPACING_TOL`` on one
+    padded (T, edges) array.  Each cell between two cut points takes the
+    brackets at its midpoint.
 
     At a cut point each market may take either neighbouring bracket, and
     the cheapest choice is made market by market (every scenario cost
@@ -593,7 +590,7 @@ def _cells(model: MilpModel) -> _Cells:
     inside = (edges > lo[:, None]) & (edges < hi[:, None])
     pts = np.sort(np.column_stack([lo, np.where(inside, edges, hi[:, None]), hi]), axis=1)
     starts = np.ones(pts.shape, dtype=bool)
-    starts[:, 1:] = np.diff(pts, axis=1) > _CUT_TOL
+    starts[:, 1:] = np.diff(pts, axis=1) > _SPACING_TOL
     period, j = np.nonzero(starts)
     last = np.append(period[1:] != period[:-1], True)  # the point that merged hi
     first = np.insert(last[:-1], 0, True)

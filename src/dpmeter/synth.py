@@ -48,9 +48,9 @@ class SynthConfig:
         _check_fields(
             self,
             integers=("n_meters", "n_weeks", "seed"),
-            finite=(
+            reals=(
                 "base_level", "morning_peak", "evening_peak", "weekend_shift_hours",
-                "noise_level",
+                "noise_level", "pv_fraction", "ev_fraction",
             ),
         )
         if self.seed < 0:

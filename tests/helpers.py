@@ -757,3 +757,18 @@ def loop_train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
             break
         prev = loss
     return model
+
+
+def loop_cell_streams(seed: int):
+    """Each stream of an experiment cell seed derived on its own, with a
+    ``SeedSequence`` per derivation: the privacy noise and the training seed
+    from the children of ``spawn(2)``, the scenario seed drawn a second time
+    from the training seed's child, and the heterogeneity split from child 2
+    of ``spawn(3)``.  Returns (noise, training seed, split, scenario seed).
+    """
+    noise, train = np.random.SeedSequence(seed).spawn(2)
+    training = int(np.random.default_rng(train).integers(2**31 - 1))
+    scenario_child = np.random.SeedSequence(seed).spawn(2)[1]
+    scenario = int(np.random.default_rng(scenario_child).integers(2**31 - 1))
+    split = np.random.SeedSequence(seed).spawn(3)[2]
+    return noise, training, split, scenario

@@ -254,12 +254,24 @@ class TestInputErrors:
          (None, "group_index", True, "group_index must be an integer, got True"),
          (None, "group_index", 1.0, "group_index must be an integer, got 1.0"),
          (None, "group_k", 2.0, "group_k must be an integer, got 2.0"),
-         (None, "n_scenarios", 2.5, "n_scenarios must be an integer, got 2.5")],
+         (None, "n_scenarios", 2.5, "n_scenarios must be an integer, got 2.5"),
+         (None, "epsilon_grid", [True], "epsilon_grid must be a real number, got True"),
+         (None, "beta", True, "beta must be a real number, got True"),
+         (None, "hetero_p", [True], "hetero_p must be a real number, got True"),
+         (None, "group_share", True, "group_share must be a real number, got True"),
+         ("market", "sample_share", True, "sample_share must be a real number, got True"),
+         ("market", "bal_premium", True, "bal_premium must be a real number, got True"),
+         ("synth", "pv_fraction", True, "pv_fraction must be a real number, got True"),
+         ("synth", "noise_level", True, "noise_level must be a real number, got True"),
+         ("train", "learning_rate", True, "learning_rate must be a real number, got True")],
         ids=["noise-nan", "weekend-inf", "base-minus-inf", "meters-2.5", "weeks-true",
              "seed-negative", "da-price-hi-nan", "bal-spread-inf", "pad-mult-nan",
              "origin-minus-inf", "levels-bal-2.5", "levels-da-true", "levels-da-2.5",
              "seeds-true", "seeds-1.5", "seeds-negative", "group-seed-negative",
-             "group-index-true", "group-index-1.0", "group-k-2.0", "scenarios-2.5"],
+             "group-index-true", "group-index-1.0", "group-k-2.0", "scenarios-2.5",
+             "epsilon-grid-true", "beta-true", "hetero-p-true", "group-share-true",
+             "sample-share-true", "bal-premium-true", "pv-fraction-true", "noise-level-true",
+             "learning-rate-true"],
     )
     def test_experiment_bad_synth_or_market(self, tmp_path, capsys, monkeypatch, section, field,
                                             value, reason):
@@ -469,6 +481,16 @@ class TestArgumentErrors:
         forecast.write_text("period_index,kwh\n0,1.0\n")
         args = [str(a).format(meters=meters, forecast=forecast) for a in args]
         assert_usage_error(capsys, args + ["--out", tmp_path / "x"], reason)
+
+    @pytest.mark.parametrize("command, source", [("procure", "--instance"),
+                                                 ("report", "--results")])
+    def test_seed_only_where_drawn(self, tmp_path, capsys, command, source):
+        """Only the stages that draw random numbers take ``--seed``."""
+        with pytest.raises(SystemExit) as exited:
+            run([command, source, tmp_path / "in", "--seed", 1, "--out", tmp_path / "x"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_procure_bad_tolerance(self, tmp_path, capsys, tol):

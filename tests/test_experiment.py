@@ -688,6 +688,23 @@ class TestReport:
         with pytest.raises(ValueError, match="lacks columns"):
             read_results_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, cell, reason",
+        [("seed", "zero", "invalid literal for int"),
+         ("kld", "", "could not convert string to float")],
+        ids=["seed-not-a-number", "kld-empty"],
+    )
+    def test_results_csv_bad_cell_rejected(self, tmp_path, column, cell, reason):
+        path = tmp_path / "results.csv"
+        row = SchemeResult("hhs-ehh", "g", None, None, None, 0, 1.0, 0.1, 100.0, 120.0, 100.0)
+        write_results_csv([row], path)
+        header, first = path.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = cell
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(ValueError, match=reason):
+            read_results_csv(path)
+
 
 def test_elasticity_slope_sign_free():
     rows = [

@@ -7,12 +7,14 @@ import pytest
 
 import dpmeter.forecast as forecast
 from dpmeter.domain import LoadSeries, MeterPanel, SettlementScheme, compute_dlc
+from dpmeter.experiment import _cell_seeds
 from dpmeter.forecast import (
     HIDDEN_WIDTH,
     LAG_OFFSETS,
     MlpModel,
     TrainConfig,
     build_features,
+    cell_streams,
     forecast_request,
     forecast_scheme,
     forecast_schemes,
@@ -27,7 +29,7 @@ from dpmeter.forecast import (
 )
 from dpmeter.privacy import PrivacyParams
 
-from helpers import loop_build_features, loop_train
+from helpers import loop_build_features, loop_cell_streams, loop_train
 
 
 def ramp_series(n=400):
@@ -532,3 +534,19 @@ class TestSchemePipelines:
             forecast_scheme(
                 SettlementScheme.hhs_ehh(), panel, compute_dlc(panel), FAST, seed=9
             )
+
+
+class TestCellStreams:
+    def test_streams_match_separate_derivations(self):
+        """For cell seeds 0-9, ``cell_streams`` gives the noise, training
+        seed and split that deriving each stream on its own gives, and the
+        scenario seed is the training seed."""
+        for seed in range(10):
+            noise, training, split = cell_streams(seed)
+            ref_noise, ref_training, ref_split, ref_scenario = loop_cell_streams(seed)
+            for stream, ref in ((noise, ref_noise), (split, ref_split)):
+                np.testing.assert_array_equal(
+                    np.random.default_rng(stream).random(16), np.random.default_rng(ref).random(16)
+                )
+            assert training == ref_training == ref_scenario
+            assert _cell_seeds(seed) == (seed, cell_streams(seed)[1])
